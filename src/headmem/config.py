@@ -32,32 +32,60 @@ def _bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-# section -> key -> (type, default); None default means "absent unless set"
+@dataclasses.dataclass(frozen=True)
+class Range:
+    """Admitted numbers: lo <= v (lo < v when lo_open) and v <= hi; a None
+    bound is open-ended. NaN is never admitted."""
+
+    lo: float | None = None
+    hi: float | None = None
+    lo_open: bool = False
+
+    def admits(self, v) -> bool:
+        above = self.lo is None or (v > self.lo if self.lo_open else v >= self.lo)
+        return above and (self.hi is None or v <= self.hi)
+
+    def __str__(self) -> str:
+        if self.hi is not None:
+            return f"in [{self.lo}, {self.hi}]"
+        return f"{'>' if self.lo_open else '>='} {self.lo}"
+
+
+_NONNEG = Range(0)
+_POSITIVE = Range(1)
+
+# section -> key -> (type, default[, range]); None default means "absent
+# unless set"; a range is checked on every value a config file sets
 SCHEMA = {
     "model": {
-        "vocab": (int, 256), "d": (int, 64), "heads": (int, 4),
-        "d_ff": (int, 256), "depth": (int, 4), "seed": (int, 0),
+        "vocab": (int, 256, _POSITIVE), "d": (int, 64, _POSITIVE),
+        "heads": (int, 4, _POSITIVE), "d_ff": (int, 256, _POSITIVE),
+        "depth": (int, 4, _NONNEG), "seed": (int, 0, _NONNEG),
     },
     "memory": {
-        "kind": (str, "headwise"), "n": (int, 16), "k": (int, 4),
-        "fused_threshold": (int, 16), "route": (str, "auto"),
+        "kind": (str, "headwise"), "n": (int, 16, _POSITIVE), "k": (int, 4, _POSITIVE),
+        "fused_threshold": (int, 16, _NONNEG), "route": (str, "auto"),
         "query_batchnorm": (_bool, None), "query_layernorm": (_bool, None),
         "internal_residual": (_bool, None), "output_projection": (_bool, None),
     },
     "upscale": {
-        "policy": (str, "distributed"), "inserted": (int, 2),
+        "policy": (str, "distributed"), "inserted": (int, 2, _NONNEG),
         "insert_kind": (str, "memory_block"),
         "init_source": (str, "subsequent"),
-        "zero_init_copies": (_bool, False), "seed": (int, 0),
+        "zero_init_copies": (_bool, False), "seed": (int, 0, _NONNEG),
     },
     "train": {
-        "mode": (str, "cpt"), "steps": (int, 2000), "batch_size": (int, 16),
-        "dense_lr": (float, 3e-3), "memory_lr": (float, 1e-2),
-        "weight_decay": (float, 0.01), "warmup_ratio": (float, 0.1),
-        "loss_scale": (float, 1.0), "seed": (int, 7),
-        "corpus": (str, "recall"), "corpus_seed": (int, 5),
-        "num_pairs": (int, 256), "corpus_path": (str, ""),
-        "seq_len": (int, 64),
+        "mode": (str, "cpt"), "steps": (int, 2000, _NONNEG),
+        "batch_size": (int, 16, _POSITIVE),
+        "dense_lr": (float, 3e-3, _NONNEG),
+        "memory_lr": (float, 1e-2, _NONNEG),
+        "weight_decay": (float, 0.01, _NONNEG),
+        "warmup_ratio": (float, 0.1, Range(0, 1)),
+        "loss_scale": (float, 1.0, Range(0, lo_open=True)),
+        "seed": (int, 7, _NONNEG),
+        "corpus": (str, "recall"), "corpus_seed": (int, 5, _NONNEG),
+        "num_pairs": (int, 256, _POSITIVE), "corpus_path": (str, ""),
+        "seq_len": (int, 64, _POSITIVE),
     },
     "run": {
         "precision": (str, "f32"),
@@ -77,7 +105,7 @@ _CHOICES = {
 
 
 def default_config() -> dict:
-    return {sect: {key: dflt for key, (_, dflt) in keys.items()}
+    return {sect: {key: spec[1] for key, spec in keys.items()}
             for sect, keys in SCHEMA.items()}
 
 
@@ -94,11 +122,14 @@ def parse_config_text(text: str) -> dict:
         for key, raw in parser.items(sect):
             if key not in SCHEMA[sect]:
                 raise ConfigError(f"unknown key {sect}.{key}")
-            conv = SCHEMA[sect][key][0]
+            conv, _, *limits = SCHEMA[sect][key]
             try:
-                cfg[sect][key] = conv(raw)
+                val = conv(raw)
             except ValueError as e:
                 raise ConfigError(f"bad value for {sect}.{key}: {raw!r}") from e
+            if limits and not limits[0].admits(val):
+                raise ConfigError(f"{sect}.{key} must be {limits[0]}, got {raw!r}")
+            cfg[sect][key] = val
     for (sect, key), allowed in _CHOICES.items():
         val = cfg[sect][key]
         if val is not None and val not in allowed:

@@ -245,16 +245,18 @@ def _memory_block_fixture(kind: str, toggles: MemoryLayerKind | None, seed: int)
 
 def check_memory_block(kind: str, seed: int = 0, h: float = DEFAULT_H,
                        toggles: MemoryLayerKind | None = None,
-                       name: str | None = None) -> CheckResult:
+                       name: str | None = None, batch: int = 1) -> CheckResult:
+    """batch > 1 stacks that many 5-token sequences into one call, which
+    exercises per-sequence attention and query batchnorm over token rows."""
     p, cfg, rng = _memory_block_fixture(kind, toggles, seed)
-    x = rng.standard_normal((5, cfg.d))
-    r = rng.standard_normal((5, cfg.d))
+    x = rng.standard_normal((batch * 5, cfg.d))
+    r = rng.standard_normal((batch * 5, cfg.d))
 
     def loss():
-        out, _ = memory_block_forward(x, p, training=True)
+        out, _ = memory_block_forward(x, p, training=True, seq_len=5)
         return float(np.sum(out * r))
 
-    _, cache = memory_block_forward(x, p, training=True)
+    _, cache = memory_block_forward(x, p, training=True, seq_len=5)
     grads = GradStore()
     dx = memory_block_backward(r, cache, p, grads, "m")
     targets = [("x", x, dx), ("norm_gain", p.norm_gain, grads["m.norm_gain"]),
@@ -280,9 +282,10 @@ def check_memory_block(kind: str, seed: int = 0, h: float = DEFAULT_H,
 
 
 def check_full_model(kind: str = "headwise", seed: int = 0, h: float = DEFAULT_H,
-                     coords_per_param: int = 6) -> CheckResult:
+                     coords_per_param: int = 6, batch: int = 0) -> CheckResult:
     """Loss-level check over an expanded model; samples coordinates from
-    every parameter tensor, memory tables and attention and FFN included."""
+    every parameter tensor, memory tables and attention and FFN included.
+    batch 0 feeds one 9-token sequence [9]; batch B >= 1 feeds [B, 9]."""
     rng = make_rng(seed)
     with precision("f64"):
         base = init_base_model(vocab=41, d=32, heads=4, d_ff=48, depth=2, rng=rng)
@@ -296,18 +299,21 @@ def check_full_model(kind: str = "headwise", seed: int = 0, h: float = DEFAULT_H
     for path, arr in named_params(model):
         if arr.size and (path.endswith("v_base") or path.endswith(".values")):
             arr[...] = 0.1 * rng.standard_normal(arr.shape)
-    tokens = rng.integers(0, model.vocab, 9)
-    targets_tok = rng.integers(0, model.vocab, 9)
+    shape = (batch, 9) if batch else (9,)
+    tokens = rng.integers(0, model.vocab, shape)
+    targets_tok = rng.integers(0, model.vocab, shape).reshape(-1)
 
     def loss():
         logits, _ = model_forward(tokens, model, training=True)
-        return lm_loss(logits, targets_tok)
+        return lm_loss(logits.reshape(-1, model.vocab), targets_tok)
 
     logits, caches = model_forward(tokens, model, training=True, collect=True)
+    logits = logits.reshape(-1, model.vocab)
     grads = model_backward(lm_loss_backward(logits, targets_tok), caches, model)
     fd_rng = make_rng(seed + 7)
     targets = [(path, arr, grads[path]) for path, arr in named_params(model)]
-    return _fd_compare(f"full_model_{kind}", loss, targets, h,
+    name = f"full_model_{kind}" + (f"_batch{batch}" if batch else "")
+    return _fd_compare(name, loss, targets, h,
                        rng=fd_rng, coords_per_param=coords_per_param)
 
 
@@ -328,7 +334,15 @@ LAYER_CHECKS = {
         toggles=MemoryLayerKind("headwise", query_batchnorm=True, query_layernorm=True,
                                 internal_residual=True, output_projection=True),
         name="memory_block_headwise_all_toggles"),
+    "memory_block_linear_batch3": lambda seed=0, h=DEFAULT_H: check_memory_block(
+        "linear", seed, h, name="memory_block_linear_batch3", batch=3),
+    "memory_block_pkm_batch3": lambda seed=0, h=DEFAULT_H: check_memory_block(
+        "pkm", seed, h, name="memory_block_pkm_batch3", batch=3),
+    "memory_block_headwise_batch3": lambda seed=0, h=DEFAULT_H: check_memory_block(
+        "headwise", seed, h, name="memory_block_headwise_batch3", batch=3),
     "full_model_headwise": lambda seed=0, h=DEFAULT_H: check_full_model("headwise", seed, h),
+    "full_model_headwise_batch3": lambda seed=0, h=DEFAULT_H: check_full_model(
+        "headwise", seed, h, batch=3),
 }
 
 

@@ -69,8 +69,15 @@ class MemoryLayerKind:
 class BatchNorm:
     """Feature-wise batch normalization with running statistics.
 
-    Training mode standardizes with current-batch moments (biased variance)
-    and folds them into the running buffers; eval mode uses the buffers.
+    Training mode standardizes each token sequence with the moments of its
+    own rows (biased variance) and folds them into the running buffers; eval
+    mode uses the buffers. When several equal-length sequences share one
+    call, moments stay per sequence (the backward matches) and the buffers
+    are folded once per sequence in batch order, so a batched call matches
+    the same sequences run one after another. Moments pooled over the whole
+    batch (the PKM convention of Lample et al. 2019) are not used: they would
+    make a sequence's output depend on how the trainer groups sequences
+    into calls.
     """
 
     gamma: np.ndarray  # [f]
@@ -86,20 +93,29 @@ def init_batchnorm(features: int) -> BatchNorm:
                      running_mean=zeros(features), running_var=ones(features))
 
 
-def batchnorm_query(q: np.ndarray, bn: BatchNorm, training: bool):
-    """Standardize queries [rows, f]; returns (out, cache for backward)."""
+def batchnorm_query(q: np.ndarray, bn: BatchNorm, training: bool,
+                    seq_len: int | None = None):
+    """Standardize queries [B*s, f] of B sequences of seq_len rows (None: one
+    sequence); returns (out, cache for backward)."""
+    rows, f = q.shape
+    s = rows if seq_len is None else seq_len
     if training:
-        mean = np.mean(q, axis=0)
-        var = np.var(q, axis=0)
-        bn.running_mean[...] = (1.0 - bn.momentum) * bn.running_mean + bn.momentum * mean
-        bn.running_var[...] = (1.0 - bn.momentum) * bn.running_var + bn.momentum * var
+        qs = q.reshape(rows // s, s, f)
+        mean = np.mean(qs, axis=1, keepdims=True)  # [B, 1, f]
+        var = np.var(qs, axis=1, keepdims=True)
+        for b in range(qs.shape[0]):
+            bn.running_mean[...] = ((1.0 - bn.momentum) * bn.running_mean
+                                    + bn.momentum * mean[b, 0])
+            bn.running_var[...] = ((1.0 - bn.momentum) * bn.running_var
+                                   + bn.momentum * var[b, 0])
+        inv = 1.0 / np.sqrt(var + bn.eps)
+        xhat = ((qs - mean) * inv).reshape(rows, f)
     else:
-        mean = bn.running_mean
-        var = bn.running_var
-    inv = 1.0 / np.sqrt(var + bn.eps)
-    xhat = (q - mean) * inv
+        inv = 1.0 / np.sqrt(bn.running_var + bn.eps)
+        xhat = (q - bn.running_mean) * inv
     out = bn.gamma * xhat + bn.beta
-    cache = {"xhat": xhat, "inv": inv, "gamma": bn.gamma, "training": training}
+    cache = {"xhat": xhat, "inv": inv, "gamma": bn.gamma, "training": training,
+             "seq_len": s}
     return out, cache
 
 
@@ -167,11 +183,11 @@ def _select_flat(q_h: np.ndarray, keys_h: np.ndarray, k: int):
 
 
 def _query_pipeline(a: np.ndarray, w_q: np.ndarray, bn: BatchNorm | None,
-                    ln_gain: np.ndarray | None, training: bool):
+                    ln_gain: np.ndarray | None, training: bool, seq_len: int | None):
     q = a @ w_q
     bn_cache = ln_cache = None
     if bn is not None:
-        q, bn_cache = batchnorm_query(q, bn, training)
+        q, bn_cache = batchnorm_query(q, bn, training, seq_len)
     if ln_gain is not None:
         q, ln_cache = rms_norm_fwd(q, ln_gain)
     return q, bn_cache, ln_cache
@@ -179,17 +195,18 @@ def _query_pipeline(a: np.ndarray, w_q: np.ndarray, bn: BatchNorm | None,
 
 def linear_memory_forward(a: np.ndarray, bank: LinearMemoryBank, k: int,
                           bn: BatchNorm | None = None,
-                          ln_gain: np.ndarray | None = None, training: bool = False):
-    """Flat per-head lookup; returns (m [s, d], cache).
+                          ln_gain: np.ndarray | None = None, training: bool = False,
+                          seq_len: int | None = None):
+    """Flat per-head lookup over token rows; returns (m [rows, d], cache).
 
     Head h scores its private keys with the h-th slice of the (optionally
     batch-normalized) projected query, pools k full-width value rows, and the
-    head outputs are summed.
+    head outputs are summed. seq_len only groups rows for batchnorm moments.
     """
     s, d = a.shape
     heads = bank.keys.shape[0]
     d_h = d // heads
-    q, bn_cache, ln_cache = _query_pipeline(a, bank.w_q, bn, ln_gain, training)
+    q, bn_cache, ln_cache = _query_pipeline(a, bank.w_q, bn, ln_gain, training, seq_len)
     idx_all, w_all = [], []
     m = np.zeros((s, d), dtype=a.dtype)
     for h in range(heads):
@@ -206,7 +223,8 @@ def linear_memory_forward(a: np.ndarray, bank: LinearMemoryBank, k: int,
 def pkm_memory_forward(a: np.ndarray, bank: PkmBank, k: int,
                        fused_threshold: int = 16, route: str = "auto",
                        bn: BatchNorm | None = None,
-                       ln_gain: np.ndarray | None = None, training: bool = False):
+                       ln_gain: np.ndarray | None = None, training: bool = False,
+                       seq_len: int | None = None):
     """Product-key per-head selection over a shared full-width value table.
 
     Same query pipeline and output reduction as the linear layer; only the
@@ -217,7 +235,7 @@ def pkm_memory_forward(a: np.ndarray, bank: PkmBank, k: int,
     s, d = a.shape
     heads = bank.pk.k_row.shape[0]
     d_h = d // heads
-    q, bn_cache, ln_cache = _query_pipeline(a, bank.w_q, bn, ln_gain, training)
+    q, bn_cache, ln_cache = _query_pipeline(a, bank.w_q, bn, ln_gain, training, seq_len)
     idx_all, w_all = [], []
     m = np.zeros((s, d), dtype=a.dtype)
     for h in range(heads):
@@ -266,17 +284,21 @@ def headwise_memory_forward(q: np.ndarray, bank: HeadwiseBank, cfg: MemoryConfig
 # block packaging
 
 def memory_block_forward(x: np.ndarray, p: MemoryBlockParams, training: bool = False,
-                         value_cache: ValueCache | None = None):
+                         value_cache: ValueCache | None = None,
+                         seq_len: int | None = None):
     """Residual memory block: y = x + memory(queries(attention(norm(x)))).
 
-    The attention sublayer reuses the block's copied attention parameters;
-    with output_projection off its raw concatenated head outputs feed the
-    memory directly. Returns (y, cache).
+    x: [B*s, d] token rows of B sequences of seq_len (None: one sequence).
+    Retrieval runs once over all rows; attention and query batchnorm group
+    them by sequence. The attention sublayer reuses the block's copied
+    attention parameters; with output_projection off its raw concatenated
+    head outputs feed the memory directly. Returns (y, cache).
     """
     if value_cache is not None and training:
         raise ValueError("value cache is an inference path, not usable in training")
     xn, ncache = rms_norm_fwd(x, p.norm_gain)
-    ao, acache = causal_attention(xn, p.attn, project_output=p.kind.output_projection)
+    ao, acache = causal_attention(xn, p.attn, project_output=p.kind.output_projection,
+                                  seq_len=seq_len)
     a = x + ao if p.kind.internal_residual else ao
 
     kind = p.kind.kind
@@ -284,7 +306,7 @@ def memory_block_forward(x: np.ndarray, p: MemoryBlockParams, training: bool = F
         q_src = a
         bn_cache = ln_cache = None
         if p.kind.query_batchnorm:
-            q_src, bn_cache = batchnorm_query(q_src, p.query_bn, training)
+            q_src, bn_cache = batchnorm_query(q_src, p.query_bn, training, seq_len)
         if p.kind.query_layernorm:
             q_src, ln_cache = rms_norm_fwd(q_src, p.query_ln_gain)
         m, mcache = headwise_memory_forward(q_src, p.bank, p.cfg, route=p.route,
@@ -295,12 +317,13 @@ def memory_block_forward(x: np.ndarray, p: MemoryBlockParams, training: bool = F
         bn = p.query_bn if p.kind.query_batchnorm else None
         lng = p.query_ln_gain if p.kind.query_layernorm else None
         m, mcache = pkm_memory_forward(a, p.bank, p.cfg.k, p.cfg.fused_threshold,
-                                       p.route, bn=bn, ln_gain=lng, training=training)
+                                       p.route, bn=bn, ln_gain=lng, training=training,
+                                       seq_len=seq_len)
     elif kind == "linear":
         bn = p.query_bn if p.kind.query_batchnorm else None
         lng = p.query_ln_gain if p.kind.query_layernorm else None
         m, mcache = linear_memory_forward(a, p.bank, p.cfg.k, bn=bn, ln_gain=lng,
-                                          training=training)
+                                          training=training, seq_len=seq_len)
     else:
         raise ValueError(f"unknown memory kind {kind!r}")
 

@@ -21,7 +21,7 @@ from .layers import (
     memory_block_forward,
 )
 from .memory import ValueCache, build_value_cache
-from .numerics import assert_finite, gaussian, ones, rms_norm
+from .numerics import assert_finite, gaussian, ones
 from .transformer import (
     AttentionParams,
     FfnParams,
@@ -93,38 +93,46 @@ def init_base_model(vocab: int, d: int, heads: int, d_ff: int, depth: int,
 def model_forward(tokens: np.ndarray, model: ModelSpec, training: bool = False,
                   value_caches: dict[int, ValueCache] | None = None,
                   collect: bool = False):
-    """Run one token sequence through the stack; returns (logits, caches).
+    """Run token sequences through the stack; returns (logits, caches).
 
-    caches is None unless collect=True. value_caches maps block index to a
-    pre-built value cache for headwise memory blocks (inference only).
+    tokens: one sequence [s] or B equal-length sequences [B, s]. Every
+    per-token op (norms, projections, FFN, retrieval, unembedding) runs once
+    over the B*s token rows; only causal attention and query batchnorm group
+    the rows by sequence. logits: [s, V] or [B, s, V].
+
+    caches is None unless collect=True; its activations are row-major over
+    the B*s rows (memory idx/w [B*s, H, k], so [s, H, k] for one sequence).
+    value_caches maps block index to a pre-built value cache for headwise
+    memory blocks (inference only).
     """
     tokens = np.asarray(tokens)
-    if tokens.ndim != 1:
-        raise ValueError(f"expected a 1-D token sequence, got shape {tokens.shape}")
+    if tokens.ndim not in (1, 2) or tokens.size == 0:
+        raise ValueError(f"expected tokens [s] or [B, s] with s, B >= 1, "
+                         f"got shape {tokens.shape}")
     if np.any(tokens < 0) or np.any(tokens >= model.vocab):
         raise ValueError("token id out of vocab range")
-    x = model.embed[tokens]  # [s, d]
+    seq_len = tokens.shape[-1]
+    flat = tokens.reshape(-1)
+    x = model.embed[flat]  # [B*s, d]
     block_caches = []
     for i, block in enumerate(model.blocks):
         if isinstance(block, TransformerBlockParams):
-            x, cache = transformer_block_forward(x, block)
+            x, cache = transformer_block_forward(x, block, seq_len=seq_len)
         elif isinstance(block, MemoryBlockParams):
             vc = value_caches.get(i) if value_caches else None
-            x, cache = memory_block_forward(x, block, training=training, value_cache=vc)
+            x, cache = memory_block_forward(x, block, training=training, value_cache=vc,
+                                            seq_len=seq_len)
         else:
             raise TypeError(f"unknown block type {type(block).__name__}")
         if collect:
             block_caches.append(cache)
-    if collect:
-        xf, final_cache = rms_norm_fwd(x, model.final_gain)
-    else:
-        xf = rms_norm(x, model.final_gain)
-        final_cache = None
+    xf, final_cache = rms_norm_fwd(x, model.final_gain)
     logits = xf @ model.unembed
     assert_finite(logits, "logits")
+    logits = logits.reshape(tokens.shape + (model.vocab,))
     if not collect:
         return logits, None
-    caches = {"tokens": tokens, "blocks": block_caches, "final": final_cache, "xf": xf}
+    caches = {"tokens": flat, "blocks": block_caches, "final": final_cache, "xf": xf}
     return logits, caches
 
 

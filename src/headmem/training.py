@@ -1,8 +1,13 @@
 """Training loop, optimizer groups, synthetic corpora, head-importance analysis.
 
-The trainer owns one model exclusively. Per-sequence gradients are
-accumulated in a fixed left-to-right order over the batch, so a given
-(seed, config, corpus) always reproduces the same loss curve bitwise.
+The trainer owns one model exclusively. Each step feeds its minibatch to the
+model in calls of up to ROWS token rows: short sequences share one forward
+and one backward, long ones go one per call. Every operation is a fixed
+function of its inputs and the call split depends only on the batch shape,
+so a given (seed, config, corpus) always reproduces the same loss curve
+bitwise, run to run. The curve is not bitwise equal to summing per-sequence
+gradients left to right (the pre-batching trainer): a batched call sums over
+rows in another order, which moves losses in the last digits only.
 """
 
 from __future__ import annotations
@@ -24,6 +29,12 @@ from .transformer import lm_loss
 MEMORY_TABLE_LEAVES = {"keys", "values", "k_row", "k_col", "v_base", "w_heads"}
 
 SCHEDULES = ("constant", "cosine_with_warmup")
+
+# token rows per forward+backward call. Per-token cost of one call falls
+# about tenfold from 2 rows to 128 and is flat beyond, while live
+# activations grow with the rows, so a call takes max(1, ROWS // s)
+# sequences: sixty-four 2-token recall sequences, or one 128-byte window.
+ROWS = 128
 
 
 def schedule_lr(kind: str, step: int, total_steps: int, max_lr: float,
@@ -177,8 +188,20 @@ class ByteCorpus:
 def loss_and_grads(model: ModelSpec, inputs: np.ndarray, targets: np.ndarray,
                    allowed: set[str] | None = None, counter: dict | None = None,
                    loss_scale: float = 1.0):
-    """Scalar loss plus parameter gradients for one sequence."""
+    """Scalar loss plus parameter gradients, in one forward and one backward.
+
+    inputs, targets: one sequence [s] or B equal-length sequences [B, s].
+    The loss is the mean next-token loss over all B*s tokens, which equals
+    the mean of the per-sequence losses; the gradients are its gradients
+    times loss_scale, for the allowed paths only.
+    """
+    targets = np.asarray(targets)
+    if targets.shape != np.shape(inputs):
+        raise ValueError(f"targets shape {targets.shape} does not match inputs "
+                         f"{np.shape(inputs)}")
     logits, caches = model_forward(inputs, model, training=True, collect=True)
+    logits = logits.reshape(-1, model.vocab)
+    targets = targets.reshape(-1)
     loss = lm_loss(logits, targets)
     dlogits = lm_loss_backward(logits, targets)
     if loss_scale != 1.0:
@@ -188,8 +211,18 @@ def loss_and_grads(model: ModelSpec, inputs: np.ndarray, targets: np.ndarray,
     return loss, grads
 
 
+def _calls(batch: int, seq_len: int) -> list[slice]:
+    """Sequence ranges of a [batch, seq_len] minibatch, one per model call."""
+    per_call = max(1, ROWS // seq_len)
+    return [slice(i, min(i + per_call, batch)) for i in range(0, batch, per_call)]
+
+
 @dataclass
 class TrainReport:
+    """Per-step log. unique_index_writes counts, for each call of the step,
+    the unique value-table slots each memory block wrote, summed over the
+    blocks and the step's calls."""
+
     steps: list[int] = field(default_factory=list)
     losses: list[float] = field(default_factory=list)
     lr_inserted_dense: list[float] = field(default_factory=list)
@@ -218,7 +251,18 @@ def train(model: ModelSpec, corpus, groups: list[OptimGroup], steps: int,
           batch_size: int = 16, seed: int = 0,
           loss_scale: float = 1.0) -> TrainReport:
     """Seeded stochastic training. A non-finite loss aborts immediately;
-    parameters outside the given groups are never written to."""
+    parameters outside the given groups are never written to.
+
+    Each step's [batch_size, s] minibatch runs in calls of max(1, ROWS // s)
+    sequences; the step's loss and gradient are the means over its
+    sequences.
+    """
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    if not loss_scale > 0:
+        raise ValueError(f"loss_scale must be > 0, got {loss_scale}")
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     allowed = {p for g in groups for p in g.paths}
     by_path = dict(named_params(model))
     missing = allowed - set(by_path)
@@ -231,25 +275,28 @@ def train(model: ModelSpec, corpus, groups: list[OptimGroup], steps: int,
     group_of = {p: g for g in groups for p in g.paths}
     for step in range(steps):
         inputs, targets = corpus.batch(rng, batch_size)
+        batch = inputs.shape[0]
         counter: dict = {}
-        total_loss = 0.0
+        mean_loss = 0.0
         acc: GradStore | None = None
-        for b in range(inputs.shape[0]):
-            loss, grads = loss_and_grads(model, inputs[b], targets[b],
+        for part in _calls(*inputs.shape):
+            # a call's mean loss enters the step mean weighted by its share
+            # of the sequences; the weight rides on the loss scale
+            share = (part.stop - part.start) / batch
+            loss, grads = loss_and_grads(model, inputs[part], targets[part],
                                          allowed=allowed, counter=counter,
-                                         loss_scale=loss_scale)
-            total_loss += loss
+                                         loss_scale=loss_scale * share)
+            mean_loss += loss * share
             if acc is None:
                 acc = grads
             else:
                 for path, g in grads.items():
                     acc.add(path, g)
-        mean_loss = total_loss / inputs.shape[0]
         if not np.isfinite(mean_loss):
             raise NumericsError(f"non-finite loss {mean_loss} at step {step}")
-        scale = 1.0 / (inputs.shape[0] * loss_scale)
-        for g in acc.values():
-            g *= scale
+        if loss_scale != 1.0:
+            for g in acc.values():
+                g /= loss_scale
         lr_wd = {}
         lrs = {"inserted_dense": 0.0, "memory_keys_values": 0.0}
         for g in groups:
@@ -267,13 +314,15 @@ def train(model: ModelSpec, corpus, groups: list[OptimGroup], steps: int,
 
 
 def evaluate(model: ModelSpec, inputs: np.ndarray, targets: np.ndarray) -> float:
-    """Mean next-token loss over a stack of sequences, inference mode."""
+    """Mean next-token loss over a stack of sequences [B, s] (or one [s]),
+    inference mode, in calls of max(1, ROWS // s) sequences."""
     if inputs.ndim == 1:
         inputs, targets = inputs[None], targets[None]
     total = 0.0
-    for b in range(inputs.shape[0]):
-        logits, _ = model_forward(inputs[b], model, training=False)
-        total += lm_loss(logits, targets[b])
+    for part in _calls(*inputs.shape):
+        logits, _ = model_forward(inputs[part], model, training=False)
+        loss = lm_loss(logits.reshape(-1, model.vocab), targets[part].reshape(-1))
+        total += loss * (part.stop - part.start)
     return total / inputs.shape[0]
 
 

@@ -68,7 +68,7 @@ def rope_tables(s: int, d_h: int, base: float, dtype):
 def apply_rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray, inverse: bool = False):
     """Rotate half-split pairs (x[i], x[i + d_h/2]) by the position angle.
 
-    x: [H, s, d_h]; inverse applies the transposed rotation, used by the
+    x: [..., H, s, d_h]; inverse applies the transposed rotation, used by the
     backward pass (rotations are orthogonal).
     """
     half = x.shape[-1] // 2
@@ -82,46 +82,56 @@ def apply_rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray, inverse: bool = 
     return np.concatenate([r1, r2], axis=-1)
 
 
-def split_heads(x: np.ndarray, heads: int) -> np.ndarray:
-    """[s, d] -> [H, s, d_h]"""
-    s, d = x.shape
-    return x.reshape(s, heads, d // heads).transpose(1, 0, 2)
+def split_heads(x: np.ndarray, heads: int, seq_len: int | None = None) -> np.ndarray:
+    """[B*s, d] -> [B, H, s, d_h]; one sequence (seq_len None or every row)
+    keeps the unbatched [H, s, d_h]."""
+    rows, d = x.shape
+    s = rows if seq_len is None else seq_len
+    out = x.reshape(rows // s, s, heads, d // heads).transpose(0, 2, 1, 3)
+    return out[0] if s == rows else out
 
 
 def merge_heads(x: np.ndarray) -> np.ndarray:
-    """[H, s, d_h] -> [s, d]"""
-    h, s, d_h = x.shape
-    return x.transpose(1, 0, 2).reshape(s, h * d_h)
+    """[..., H, s, d_h] -> [rows, d], leading batch dims folded into the rows."""
+    return x.swapaxes(-3, -2).reshape(-1, x.shape[-3] * x.shape[-1])
 
 
-def causal_attention(xn: np.ndarray, p: AttentionParams, project_output: bool = True):
-    """Multi-head causal self-attention over one sequence.
+def causal_attention(xn: np.ndarray, p: AttentionParams, project_output: bool = True,
+                     seq_len: int | None = None):
+    """Multi-head causal self-attention over the sequences stacked in xn.
 
-    xn: [s, d] (already normalized by the caller). Position r attends to
-    positions <= r. With project_output=False the concatenated raw head
-    outputs are returned, which downstream memory layers consume as queries.
-    Returns (out [s, d], cache).
+    xn: [B*s, d] (already normalized by the caller), B sequences of seq_len
+    rows each; seq_len None means one sequence. Position r of a sequence
+    attends to its positions <= r. Projections run over all rows at once;
+    only the scores reshape to [B, H, s, s] ([H, s, s] for one sequence).
+    With project_output=False the concatenated raw head outputs are
+    returned, which downstream memory layers consume as queries.
+    Returns (out [B*s, d], cache).
     """
     if project_output and p.w_o is None:
         raise ValueError("project_output=True but attention has no output projection")
-    s, d = xn.shape
+    rows, d = xn.shape
+    s = rows if seq_len is None else seq_len
+    if s < 1 or rows % s:
+        raise ValueError(f"{rows} rows do not split into sequences of {s}")
     d_h = d // p.heads
-    q = split_heads(xn @ p.w_q, p.heads)  # [H, s, d_h]
-    k = split_heads(xn @ p.w_k, p.heads)
-    v = split_heads(xn @ p.w_v, p.heads)
+    q = split_heads(xn @ p.w_q, p.heads, s)  # [B, H, s, d_h]
+    k = split_heads(xn @ p.w_k, p.heads, s)
+    v = split_heads(xn @ p.w_v, p.heads, s)
     cos, sin = rope_tables(s, d_h, p.rope_base, xn.dtype)
     qr = apply_rope(q, cos, sin)
     kr = apply_rope(k, cos, sin)
     # python-float scale and typed mask keep f32 streams in f32
-    scores = qr @ kr.transpose(0, 2, 1) / math.sqrt(d_h)  # [H, s, s]
+    scores = qr @ kr.swapaxes(-1, -2) / math.sqrt(d_h)  # [B, H, s, s]
     mask = np.triu(np.full((s, s), -np.inf, dtype=xn.dtype), k=1)
     attn = softmax(scores + mask, axis=-1)
-    ctx = attn @ v  # [H, s, d_h]
+    ctx = attn @ v  # [B, H, s, d_h]
     cat = merge_heads(ctx)
     out = cat @ p.w_o if project_output else cat
     cache = {
         "xn": xn, "qr": qr, "kr": kr, "v": v, "attn": attn, "ctx": ctx,
         "cat": cat, "cos": cos, "sin": sin, "project": project_output,
+        "seq_len": s,
     }
     return out, cache
 
@@ -136,10 +146,14 @@ def ffn_forward(z: np.ndarray, p: FfnParams):
     return y, {"z": z, "g": g, "u": u, "sg": sg, "h": h}
 
 
-def transformer_block_forward(x: np.ndarray, p: TransformerBlockParams):
-    """Pre-norm residual block: attention sublayer then FFN sublayer."""
+def transformer_block_forward(x: np.ndarray, p: TransformerBlockParams,
+                              seq_len: int | None = None):
+    """Pre-norm residual block: attention sublayer then FFN sublayer.
+
+    x: [B*s, d] token rows of B sequences of seq_len (None: one sequence).
+    """
     xn1, ncache1 = rms_norm_fwd(x, p.attn_gain)
-    ao, acache = causal_attention(xn1, p.attn, project_output=True)
+    ao, acache = causal_attention(xn1, p.attn, project_output=True, seq_len=seq_len)
     a = x + ao
     xn2, ncache2 = rms_norm_fwd(a, p.ffn_gain)
     fo, fcache = ffn_forward(xn2, p.ffn)

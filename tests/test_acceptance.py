@@ -239,6 +239,20 @@ def test_criterion_6_compute_accounting(capsys):
             score_subkeys(q, bank, head)
     assert counter.total == 7 * cfg.heads * lookup_cost(cfg, "product")
 
+    # a batched [B, s] forward counts every token row of the call
+    base = init_base_model(vocab=64, d=64, heads=4, d_ff=48, depth=2, rng=make_rng(1))
+    tokens = make_rng(2).integers(0, 64, (3, 5))
+    for kind in ("linear", "pkm", "headwise"):
+        plan = UpscalePlan(policy=PlacementPolicy("distributed", 2, 1),
+                           insert_kind="memory_block",
+                           memory_kind=MemoryLayerKind.defaults(kind),
+                           memory_cfg=cfg, seed=2)
+        model = build_memory_dus(base, plan)
+        with count_scoring_macs() as counter:
+            model_forward(tokens, model, training=False)
+        scheme = "flat" if kind == "linear" else "product"
+        assert counter.total == 3 * 5 * cfg.heads * lookup_cost(cfg, scheme), kind
+
     code = cli_main(["params"])
     out = capsys.readouterr().out
     assert code == 0

@@ -84,6 +84,27 @@ def test_config_error_exits_2(capsys, tmp_path):
     assert "error:" in err and "model.wings" in err
 
 
+@pytest.mark.parametrize("section,line", [
+    ("train", "batch_size = 0"),
+    ("train", "loss_scale = 0"),
+    ("train", "loss_scale = -1"),
+    ("train", "steps = -1"),
+    ("train", "warmup_ratio = -0.5"),
+    ("train", "warmup_ratio = 1.5"),
+    ("train", "dense_lr = nan"),
+    ("model", "heads = 0"),
+])
+def test_out_of_range_train_config_exits_2(capsys, tmp_path, section, line):
+    cfg = tmp_path / "range.cfg"
+    cfg.write_text(f"[{section}]\n{line}\n")
+    code, out, err = run(capsys, "train", "--config", str(cfg),
+                         "--out", str(tmp_path / "run"))
+    assert code == 2
+    key = line.split(" = ")[0]
+    assert f"error: {section}.{key} must be" in err
+    assert "Traceback" not in out + err
+
+
 def test_missing_corpus_file_exits_2(capsys, tmp_path):
     cfg = tmp_path / "bytes.cfg"
     cfg.write_text(SMALL_HEAD + "\n[train]\ncorpus = bytes\nsteps = 5\n")

@@ -76,6 +76,16 @@ def test_parse_rejections():
         parse_config("/nonexistent/path/run.cfg")
 
 
+def test_parse_value_ranges_are_inclusive_where_stated():
+    cfg = parse_config_text("[train]\nbatch_size = 1\nsteps = 0\nwarmup_ratio = 1\n"
+                            "loss_scale = 1e-3\nweight_decay = 0\n")
+    assert cfg["train"]["batch_size"] == 1 and cfg["train"]["warmup_ratio"] == 1.0
+    for line in ("batch_size = 0", "loss_scale = 0", "steps = -1",
+                 "warmup_ratio = -0.1", "warmup_ratio = 1.01", "memory_lr = nan"):
+        with pytest.raises(ConfigError, match=r"train\.\w+ must be"):
+            parse_config_text(f"[train]\n{line}\n")
+
+
 def test_parse_config_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("[model]\ndepth = 2\n[upscale]\ninserted = 1\n")

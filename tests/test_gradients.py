@@ -105,7 +105,9 @@ def test_every_layer_backward_passes_finite_differences():
     names = {r.name for r in results}
     assert {"rms_norm", "attention_projected", "ffn", "transformer_block",
             "memory_block_linear", "memory_block_pkm",
-            "memory_block_headwise", "full_model_headwise"} <= names
+            "memory_block_headwise", "full_model_headwise",
+            "memory_block_linear_batch3", "memory_block_pkm_batch3",
+            "memory_block_headwise_batch3", "full_model_headwise_batch3"} <= names
     assert all(r.coords > 0 for r in results)
 
 

@@ -172,6 +172,17 @@ def test_train_zero_steps_is_a_no_op():
     assert _hash_params(model, all_paths) == before
 
 
+def test_train_rejects_bad_batch_size_loss_scale_and_steps():
+    _, model = _memory_model(seed=7)
+    corpus = RecallCorpus(vocab=64, num_pairs=16, seed=0)
+    groups = build_optim_groups(model, "cpt")
+    for kwargs in ({"batch_size": 0}, {"loss_scale": 0.0}, {"loss_scale": -2.0},
+                   {"loss_scale": float("nan")}, {"steps": -1}):
+        args = {"steps": 2, **kwargs}
+        with pytest.raises(ValueError):
+            train(model, corpus, groups, **args)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_aborts_on_non_finite_loss():
     _, model = _memory_model(seed=8)
