@@ -1,11 +1,14 @@
-"""Walk through product-key retrieval and show that the two selection
-routes, plus a brute-force scan of every composite slot, agree exactly.
+"""Walk through product-key retrieval and show that the two-stage
+selection, the fused grid reference and a brute-force scan of every
+composite slot agree exactly.
 
 A head scores n row sub-keys and n column sub-keys; every (row, col) pair
 is one of n^2 addressable slots whose score is the sum of its halves. The
-two-stage route pre-selects k per axis and searches the k^2 candidates;
-the fused route scans the whole n^2 grid at once. Both must return the
-same slots, same order, same softmax weights, including under ties.
+two-stage route, the one every layer runs, pre-selects k per axis and
+searches the k^2 candidates; the fused reference scans the whole n^2 grid
+at once. Both must return the same slots, same order, same softmax weights,
+including under ties, and selecting all heads in one call must equal
+selecting each head on its own.
 """
 
 import numpy as np
@@ -69,17 +72,19 @@ def main():
     print("weights identical:       ", np.array_equal(w_ts, w_fu))
     print()
 
-    # the dispatcher picks fused for short inputs, two-stage for long ones,
-    # and the answer cannot depend on which one ran
+    # layers select every head in one call over [tokens, heads, n] scores;
+    # each head's slice must come out as if it had been selected alone
+    heads = 4
     for tokens in (4, 64):
-        s_row = rng.standard_normal((tokens, n))
-        s_col = rng.standard_normal((tokens, n))
-        auto_idx, auto_w = select_topk(s_row, s_col, k, fused_threshold=16)
-        ref_idx, ref_w = fused_cartesian_topk(s_row, s_col, k)
-        route = "fused" if tokens <= 16 else "two-stage"
-        same = np.array_equal(auto_idx, ref_idx) and np.array_equal(auto_w, ref_w)
-        print(f"auto dispatch at {tokens:2d} tokens takes the {route} route, "
-              f"matches: {same}")
+        s_row = rng.standard_normal((tokens, heads, n))
+        s_col = rng.standard_normal((tokens, heads, n))
+        idx, w = select_topk(s_row, s_col, k)
+        same = True
+        for h in range(heads):
+            ref_idx, ref_w = fused_cartesian_topk(s_row[:, h], s_col[:, h], k)
+            same &= np.array_equal(idx[:, h], ref_idx) and np.array_equal(w[:, h], ref_w)
+        print(f"{heads} heads selected in one call at {tokens:2d} tokens "
+              f"== per-head fused reference: {same}")
 
 
 if __name__ == "__main__":

@@ -12,16 +12,18 @@ import numpy as np
 
 from headmem import (
     MemoryConfig,
+    MemoryLayerKind,
+    RetrievalResult,
     aggregate_values,
     aggregate_values_cached,
     build_value_cache,
     make_rng,
     param_count,
-    select_topk,
     slot_count,
 )
-from headmem.layers import init_headwise_bank
-from headmem.memory import RetrievalResult, score_subkeys
+from headmem.layers import retrieve
+from headmem.model import init_transformer_block
+from headmem.upscale import _init_memory_block
 
 
 def main():
@@ -40,23 +42,19 @@ def main():
           f"{slot_count(big, 8):,}")
     print()
 
-    # run one real lookup both ways
+    # run one real lookup of a head-wise memory block both ways; its
+    # queries are the raw head outputs, so any [tokens, d] rows will do
     rng = make_rng(1)
-    bank = init_headwise_bank(small, rng)
-    tokens = 6
-    q = rng.standard_normal((tokens, small.d))
+    block = _init_memory_block(init_transformer_block(small.d, small.heads, 128, rng),
+                               MemoryLayerKind.defaults("headwise"), small, rng)
+    values = block.bank.values
+    values.v_base[...] = rng.standard_normal(values.v_base.shape)
+    q = rng.standard_normal((6, small.d))
+    _, read = retrieve(q, block)
+    result = RetrievalResult(indices=read["idx"], weights=read["w"])
 
-    idx = np.empty((tokens, small.heads, small.k), dtype=np.int64)
-    w = np.empty((tokens, small.heads, small.k))
-    for h in range(small.heads):
-        q_h = q[:, h * small.d_h:(h + 1) * small.d_h]
-        s_row, s_col = score_subkeys(q_h, bank.pk, h)
-        idx[:, h], w[:, h] = select_topk(s_row, s_col, small.k,
-                                         small.fused_threshold)
-    result = RetrievalResult(indices=idx, weights=w)
-
-    direct = aggregate_values(result, bank.values)
-    cache = build_value_cache(bank.values)
+    direct = aggregate_values(result, values)
+    cache = build_value_cache(values)
     cached = aggregate_values_cached(result, cache)
 
     print(f"direct path:  pool {small.k} shared rows, then apply the head "

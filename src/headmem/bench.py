@@ -46,7 +46,8 @@ def _best_ns(fn, repeats: int) -> int:
 
 def bench_topk(n: int, k: int, token_counts=DEFAULT_TOKEN_SWEEP,
                repeats: int = 5, seed: int = 0) -> list[TopkRow]:
-    """Times both selection routes per token count; asserts equal results."""
+    """Times two-stage selection and the fused reference per token count;
+    checks that they agree."""
     rng = make_rng(seed)
     rows = []
     for tokens in sorted(token_counts):

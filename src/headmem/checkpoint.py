@@ -43,10 +43,8 @@ def _block_descriptor(block) -> dict:
         return {"type": "transformer", "rope_base": block.attn.rope_base}
     toggles = dataclasses.asdict(block.kind)
     cfg = block.cfg
-    desc = {"type": "memory", "toggles": toggles, "route": block.route,
-            "rope_base": block.attn.rope_base,
-            "cfg": {"heads": cfg.heads, "n": cfg.n, "k": cfg.k, "d": cfg.d,
-                    "fused_threshold": cfg.fused_threshold}}
+    desc = {"type": "memory", "toggles": toggles, "rope_base": block.attn.rope_base,
+            "cfg": {"heads": cfg.heads, "n": cfg.n, "k": cfg.k, "d": cfg.d}}
     if block.query_bn is not None:
         desc["bn_momentum"] = block.query_bn.momentum
         desc["bn_eps"] = block.query_bn.eps
@@ -88,6 +86,8 @@ def _read_tensors(header: dict, payload: bytes) -> dict[str, np.ndarray]:
         raise CheckpointError("payload checksum mismatch")
     out, offset = {}, 0
     for entry in header["tensors"]:
+        if entry["dtype"] not in _DTYPES:
+            raise CheckpointError(f"unsupported dtype {entry['dtype']!r}")
         dtype = np.dtype(_DTYPES[entry["dtype"]]).newbyteorder("<")
         shape = tuple(entry["shape"])
         nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
@@ -129,7 +129,8 @@ def _load_block(desc: dict, tensors: dict, prefix: str, heads: int):
     if desc["type"] != "memory":
         raise CheckpointError(f"unknown block type {desc['type']!r}")
     lk = MemoryLayerKind(**desc["toggles"])
-    cfg = MemoryConfig(**desc["cfg"])
+    c = desc["cfg"]  # older files carry selection-route fields too; they are ignored
+    cfg = MemoryConfig(heads=c["heads"], n=c["n"], k=c["k"], d=c["d"])
     attn = _load_attention(tensors, f"{prefix}.attn", heads,
                            desc["rope_base"], lk.output_projection)
     if lk.kind == "linear":
@@ -161,7 +162,7 @@ def _load_block(desc: dict, tensors: dict, prefix: str, heads: int):
     return MemoryBlockParams(kind=lk, cfg=cfg, attn=attn,
                              norm_gain=_take(tensors, f"{prefix}.norm_gain"),
                              bank=bank, query_bn=query_bn,
-                             query_ln_gain=query_ln_gain, route=desc["route"])
+                             query_ln_gain=query_ln_gain)
 
 
 def load_checkpoint(path: str):
@@ -173,6 +174,8 @@ def load_checkpoint(path: str):
         raise CheckpointError(f"cannot read checkpoint: {e}") from e
     if blob[:8] != MAGIC:
         raise CheckpointError("bad magic; not a checkpoint file")
+    if len(blob) < 20:
+        raise CheckpointError("file truncated inside the fixed-size preamble")
     version, = struct.unpack_from("<I", blob, 8)
     if version != FORMAT_VERSION:
         raise CheckpointError(f"unsupported format version {version}")
@@ -184,7 +187,14 @@ def load_checkpoint(path: str):
         header = json.loads(blob[20:header_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"unreadable header: {e}") from e
-    tensors = _read_tensors(header, blob[header_end:])
+    try:
+        return _build_model(header, blob[header_end:])
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"malformed header: {type(e).__name__} {e}") from e
+
+
+def _build_model(header: dict, payload: bytes):
+    tensors = _read_tensors(header, payload)
     info = header["model"]
     blocks = [_load_block(desc, tensors, f"blocks.{i}", info["heads"])
               for i, desc in enumerate(info["blocks"])]

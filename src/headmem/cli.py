@@ -39,14 +39,10 @@ def _add_common(sp, out_default=None):
                     help="override the subcommand's sampling seed")
     sp.add_argument("--precision", choices=("f32", "f64"), default=None,
                     help="floating-point width for newly built tensors")
-    sp.add_argument("--fused-threshold", type=int, default=None,
-                    help="token count at or below which selection runs fused")
 
 
 def _load_config(args) -> dict:
     cfg = parse_config(args.config) if args.config else default_config()
-    if args.fused_threshold is not None:
-        cfg["memory"]["fused_threshold"] = args.fused_threshold
     precision = args.precision or cfg["run"]["precision"]
     set_default_dtype(precision)
     return cfg
@@ -107,8 +103,6 @@ def cmd_eval(args) -> int:
     model, snapshot = load_checkpoint(args.ckpt)
     if args.config is None and snapshot:
         cfg = snapshot
-        if args.fused_threshold is not None:
-            cfg["memory"]["fused_threshold"] = args.fused_threshold
     corpus = build_corpus(cfg)
     if getattr(corpus, "vocab", None) != model.vocab:
         raise ConfigError("corpus vocab does not match checkpoint vocab")
@@ -132,7 +126,7 @@ def cmd_bench_topk(args) -> int:
     else:
         print(csv, end="")
     if not all(r.equal for r in rows):
-        print("selection routes disagreed", file=sys.stderr)
+        print("two-stage selection disagreed with the fused reference", file=sys.stderr)
         return 1
     return 0
 
@@ -245,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.set_defaults(fn=cmd_eval)
 
-    sp = sub.add_parser("bench-topk", help="time two-stage vs fused selection")
+    sp = sub.add_parser("bench-topk",
+                        help="time two-stage selection vs the fused reference")
     _add_common(sp)
     sp.add_argument("--tokens", default="1,4,16,64,256")
     sp.add_argument("--repeats", type=int, default=5)

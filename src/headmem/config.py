@@ -64,7 +64,6 @@ SCHEMA = {
     },
     "memory": {
         "kind": (str, "headwise"), "n": (int, 16, _POSITIVE), "k": (int, 4, _POSITIVE),
-        "fused_threshold": (int, 16, _NONNEG), "route": (str, "auto"),
         "query_batchnorm": (_bool, None), "query_layernorm": (_bool, None),
         "internal_residual": (_bool, None), "output_projection": (_bool, None),
     },
@@ -94,7 +93,6 @@ SCHEMA = {
 
 _CHOICES = {
     ("memory", "kind"): MEMORY_KINDS,
-    ("memory", "route"): ("auto", "two_stage", "fused"),
     ("upscale", "policy"): POLICY_NAMES,
     ("upscale", "insert_kind"): INSERT_KINDS,
     ("upscale", "init_source"): INIT_SOURCES,
@@ -157,8 +155,7 @@ def memory_layer_kind(cfg: dict) -> MemoryLayerKind:
 def memory_config(cfg: dict) -> MemoryConfig:
     m, mo = cfg["memory"], cfg["model"]
     try:
-        return MemoryConfig(heads=mo["heads"], n=m["n"], k=m["k"],
-                            d=mo["d"], fused_threshold=m["fused_threshold"])
+        return MemoryConfig(heads=mo["heads"], n=m["n"], k=m["k"], d=mo["d"])
     except ValueError as e:
         raise ConfigError(str(e)) from e
 

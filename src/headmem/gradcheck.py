@@ -38,7 +38,7 @@ from .layers import (
 )
 from .memory import MemoryConfig
 from .model import init_base_model, model_forward, named_params
-from .numerics import make_rng, precision, rms_norm, softmax
+from .numerics import make_rng, precision, softmax
 from .transformer import (
     FfnParams,
     causal_attention,
@@ -119,7 +119,7 @@ def check_rms_norm(seed: int = 0, h: float = DEFAULT_H) -> CheckResult:
     x = rng.standard_normal((5, 7))
     gain = rng.standard_normal(7)
     r = rng.standard_normal((5, 7))
-    loss = lambda: float(np.sum(rms_norm(x, gain) * r))
+    loss = lambda: float(np.sum(rms_norm_fwd(x, gain)[0] * r))
     _, cache = rms_norm_fwd(x, gain)
     dx, dgain = rms_norm_backward(r, cache)
     return _fd_compare("rms_norm", loss, [("x", x, dx), ("gain", gain, dgain)], h)
@@ -231,7 +231,7 @@ def _memory_block_fixture(kind: str, toggles: MemoryLayerKind | None, seed: int)
     from .model import init_transformer_block
     rng = make_rng(seed)
     with precision("f64"):
-        cfg = MemoryConfig(heads=2, n=6, k=3, d=12, fused_threshold=3)
+        cfg = MemoryConfig(heads=2, n=6, k=3, d=12)
         source = init_transformer_block(12, 2, 16, rng)
         lk = toggles if toggles is not None else MemoryLayerKind.defaults(kind)
         p = _init_memory_block(source, lk, cfg, rng)
@@ -289,7 +289,7 @@ def check_full_model(kind: str = "headwise", seed: int = 0, h: float = DEFAULT_H
     rng = make_rng(seed)
     with precision("f64"):
         base = init_base_model(vocab=41, d=32, heads=4, d_ff=48, depth=2, rng=rng)
-        cfg = MemoryConfig(heads=4, n=8, k=3, d=32, fused_threshold=4)
+        cfg = MemoryConfig(heads=4, n=8, k=3, d=32)
         plan = UpscalePlan(policy=PlacementPolicy("distributed", 2, 2),
                            insert_kind="memory_block",
                            memory_kind=MemoryLayerKind.defaults(kind),

@@ -231,41 +231,22 @@ def transformer_block_backward(dy: np.ndarray, cache: dict, p: TransformerBlockP
 # ---------------------------------------------------------------------------
 # memory layer backwards
 
-def _subkey_backward(dsums: np.ndarray, idx: np.ndarray, q: np.ndarray, pk,
-                     grads: GradStore, prefix: str) -> np.ndarray:
-    """Route selected-score gradients back to sub-keys and queries.
+def _key_backward(dsel: np.ndarray, ids: np.ndarray, width: int, q: np.ndarray,
+                  keys: np.ndarray, grads: GradStore, path: str) -> np.ndarray:
+    """Backward of scores = head_scores(q, keys) through the selected entries.
 
-    dsums [s, H, k] are gradients of the selected additive pair scores;
-    idx [s, H, k] their flat slot ids; q [s, d] the per-head query matrix.
-    Returns dq [s, d]. Sub-key gradients are formed only for kept paths.
+    dsel [rows, H, k] are gradients of the scores at ids [rows, H, k] (ids
+    may repeat within a row: sub-key axes); q [rows, H, w], keys [H, width,
+    w]. One scatter over [rows, H, width] forms the score gradient. Returns
+    dq [rows, H, w]; the key gradient is formed only when path is kept.
     """
-    s, heads, _ = dsums.shape
-    n = pk.k_row.shape[1]
-    d_p = pk.k_row.shape[2]
-    d_h = 2 * d_p
-    rows_sel = idx // n
-    cols_sel = idx % n
-    k_row, k_col = f"{prefix}.bank.pk.k_row", f"{prefix}.bank.pk.k_col"
-    want_keys = grads.wants(k_row) or grads.wants(k_col)
-    dq = np.zeros_like(q)
-    dk_row = np.zeros_like(pk.k_row)
-    dk_col = np.zeros_like(pk.k_col)
-    take = np.arange(s)[:, None]
-    for h in range(heads):
-        ds_row = np.zeros((s, n), dtype=q.dtype)
-        ds_col = np.zeros((s, n), dtype=q.dtype)
-        np.add.at(ds_row, (take, rows_sel[:, h]), dsums[:, h])
-        np.add.at(ds_col, (take, cols_sel[:, h]), dsums[:, h])
-        q_h = q[:, h * d_h:(h + 1) * d_h]
-        dq[:, h * d_h:h * d_h + d_p] = ds_row @ pk.k_row[h]
-        dq[:, h * d_h + d_p:(h + 1) * d_h] = ds_col @ pk.k_col[h]
-        if want_keys:
-            dk_row[h] = ds_row.T @ q_h[:, :d_p]
-            dk_col[h] = ds_col.T @ q_h[:, d_p:]
-    if want_keys:
-        grads.add(k_row, dk_row)
-        grads.add(k_col, dk_col)
-    return dq
+    rows, heads, _ = ids.shape
+    slot = ids + width * np.arange(rows * heads).reshape(rows, heads, 1)
+    ds = np.bincount(slot.ravel(), dsel.ravel(), rows * heads * width)
+    ds = ds.astype(q.dtype, copy=False).reshape(rows, heads, width).swapaxes(0, 1)
+    if grads.wants(path):
+        grads.add(path, ds.swapaxes(1, 2) @ q.swapaxes(0, 1))
+    return (ds @ keys).swapaxes(0, 1)
 
 
 def _query_pipeline_backward(dq: np.ndarray, mcache: dict, p: MemoryBlockParams,
@@ -282,68 +263,50 @@ def _query_pipeline_backward(dq: np.ndarray, mcache: dict, p: MemoryBlockParams,
     return dq
 
 
-def _headwise_memory_backward(dm: np.ndarray, mcache: dict, p: MemoryBlockParams,
-                              grads: GradStore, prefix: str,
-                              counter: dict | None) -> np.ndarray:
-    cfg = p.cfg
-    bank = p.bank
-    s = dm.shape[0]
-    idx, w = mcache["idx"], mcache["w"]
-    pooled = mcache["pooled"]  # [s, H, d_h]
-    dmh = dm.reshape(s, cfg.heads, cfg.d_h)
-    if grads.wants(f"{prefix}.bank.values.w_heads"):
-        grads.add(f"{prefix}.bank.values.w_heads",
-                  np.einsum("shi,shj->hij", dmh, pooled))
-    dpooled = np.einsum("shi,hij->shj", dmh, bank.values.w_heads)
-    g_out = dpooled.reshape(s * cfg.heads, cfg.d_h)
-    idx_f = idx.reshape(s * cfg.heads, cfg.k)
-    w_f = w.reshape(s * cfg.heads, cfg.k)
-    if grads.wants(f"{prefix}.bank.values.v_base"):
-        grads.add(f"{prefix}.bank.values.v_base",
-                  dedup_scatter_backward(g_out, idx_f, w_f, cfg.N, counter))
-    dw = weight_grad_backward(g_out, idx_f, bank.values.v_base)
-    dsums = softmax_backward(w, dw.reshape(s, cfg.heads, cfg.k))
-    dq = _subkey_backward(dsums, idx, mcache["q"], bank.pk, grads, prefix)
-    return _query_pipeline_backward(dq, mcache, p, grads, prefix)
+def retrieve_backward(dm: np.ndarray, mcache: dict, p: MemoryBlockParams,
+                      grads: GradStore, prefix: str,
+                      counter: dict | None = None) -> np.ndarray:
+    """Backward of layers.retrieve for every kind; returns the gradient
+    w.r.t. its input rows a.
 
-
-def _fullwidth_memory_backward(dm: np.ndarray, mcache: dict, p: MemoryBlockParams,
-                               grads: GradStore, prefix: str,
-                               counter: dict | None) -> np.ndarray:
-    """Shared path of the linear and pkm kinds: per-head pooling of full-width
-    value rows summed over heads, then kind-specific scoring backward."""
-    cfg = p.cfg
-    bank = p.bank
-    s, d = dm.shape
+    Value pooling, selection weights, key scores and the query pipeline each
+    run once over all [rows, H, ...]. linear and pkm bag every (row, head)
+    pair with the upstream gradient of its row; headwise first takes it
+    through the per-head transform.
+    """
+    cfg, bank, kind = p.cfg, p.bank, mcache["kind"]
     idx, w = mcache["idx"], mcache["w"]
-    heads, k = idx.shape[1], idx.shape[2]
-    # every head pools the same upstream gradient: bag (token, head) -> dm[token]
-    g_out = np.broadcast_to(dm[:, None, :], (s, heads, d)).reshape(s * heads, d)
-    idx_f = idx.reshape(s * heads, k)
-    w_f = w.reshape(s * heads, k)
-    if grads.wants(f"{prefix}.bank.values"):
-        grads.add(f"{prefix}.bank.values",
-                  dedup_scatter_backward(g_out, idx_f, w_f, cfg.N, counter))
-    dw = weight_grad_backward(g_out, idx_f, bank.values)
-    dsums = softmax_backward(w, dw.reshape(s, heads, k))
-    q = mcache["q"]
-    if mcache["kind"] == "pkm":
-        dq = _subkey_backward(dsums, idx, q, bank.pk, grads, prefix)
+    rows, heads, k = idx.shape
+    if kind == "headwise":
+        table, table_path = bank.values.v_base, f"{prefix}.bank.values.v_base"
+        dmh = dm.reshape(rows, heads, cfg.d_h)
+        w_heads = f"{prefix}.bank.values.w_heads"
+        if grads.wants(w_heads):
+            pooled = np.einsum("shk,shkd->shd", w, table[idx])
+            grads.add(w_heads, np.einsum("shi,shj->hij", dmh, pooled))
+        g_out = np.einsum("shi,hij->shj", dmh, bank.values.w_heads)
     else:
-        d_h = d // heads
-        want_keys = grads.wants(f"{prefix}.bank.keys")
-        dq = np.zeros_like(q)
-        dkeys = np.zeros_like(bank.keys)
-        take = np.arange(s)[:, None]
-        for h in range(heads):
-            ds = np.zeros((s, cfg.N), dtype=q.dtype)
-            np.add.at(ds, (take, idx[:, h]), dsums[:, h])
-            dq[:, h * d_h:(h + 1) * d_h] = ds @ bank.keys[h]
-            if want_keys:
-                dkeys[h] = ds.T @ q[:, h * d_h:(h + 1) * d_h]
-        if want_keys:
-            grads.add(f"{prefix}.bank.keys", dkeys)
-    dq = _query_pipeline_backward(dq, mcache, p, grads, prefix)
+        table, table_path = bank.values, f"{prefix}.bank.values"
+        g_out = np.broadcast_to(dm[:, None, :], (rows, heads, cfg.d))
+    g_out = g_out.reshape(rows * heads, table.shape[1])
+    idx_f, w_f = idx.reshape(rows * heads, k), w.reshape(rows * heads, k)
+    if grads.wants(table_path):
+        grads.add(table_path, dedup_scatter_backward(g_out, idx_f, w_f, cfg.N, counter))
+    dw = weight_grad_backward(g_out, idx_f, table)
+    dsums = softmax_backward(w, dw.reshape(rows, heads, k))
+    qh = mcache["q"].reshape(rows, heads, cfg.d_h)
+    if kind == "linear":
+        dq = _key_backward(dsums, idx, cfg.N, qh, bank.keys, grads, f"{prefix}.bank.keys")
+    else:
+        n, d_p, pk = cfg.n, cfg.d_p, bank.pk
+        dq = np.concatenate([
+            _key_backward(dsums, idx // n, n, qh[..., :d_p], pk.k_row, grads,
+                          f"{prefix}.bank.pk.k_row"),
+            _key_backward(dsums, idx % n, n, qh[..., d_p:], pk.k_col, grads,
+                          f"{prefix}.bank.pk.k_col")], axis=-1)
+    dq = _query_pipeline_backward(dq.reshape(rows, cfg.d), mcache, p, grads, prefix)
+    if kind == "headwise":
+        return dq
     grads.add_matmul(f"{prefix}.bank.w_q", mcache["a"], dq)
     return dq @ bank.w_q.T
 
@@ -352,13 +315,7 @@ def memory_block_backward(dy: np.ndarray, cache: dict, p: MemoryBlockParams,
                           grads: GradStore, prefix: str,
                           probe: dict | None = None,
                           counter: dict | None = None) -> np.ndarray:
-    mcache = cache["mem"]
-    if mcache["kind"] == "headwise":
-        if mcache["pooled"] is None:
-            raise ValueError("cached-value forward has no backward path")
-        da = _headwise_memory_backward(dy, mcache, p, grads, prefix, counter)
-    else:
-        da = _fullwidth_memory_backward(dy, mcache, p, grads, prefix, counter)
+    da = retrieve_backward(dy, cache["mem"], p, grads, prefix, counter)
     dxn = attention_backward(da, cache["attn"], p.attn, grads, f"{prefix}.attn", probe)
     dx = dy + _norm_backward(dxn, cache["norm"], grads, f"{prefix}.norm_gain")
     if cache["residual"]:

@@ -12,14 +12,16 @@ Three retrieval designs share one block shape (x + memory(attention(norm(x)))):
            internal residual), values factorized as a shared d_h-wide table
            plus per-head transforms, head outputs concatenated.
 
-The toggles on MemoryLayerKind reshape the pipeline for ablations: query
-batchnorm, query layernorm (RMS-style, matching the backbone), internal
-residual a = x + attn_out, and attention output projection.
+All three read through one function, retrieve, which scores, selects and
+pools every head in one call. The toggles on MemoryLayerKind reshape the
+pipeline for ablations: query batchnorm, query layernorm (RMS-style,
+matching the backbone), internal residual a = x + attn_out, and attention
+output projection.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +31,9 @@ from .memory import (
     RetrievalResult,
     ValueBank,
     ValueCache,
+    aggregate_values,
     aggregate_values_cached,
+    head_scores,
     init_product_keys,
     init_value_bank,
     record_scoring_macs,
@@ -168,115 +172,47 @@ class MemoryBlockParams:
     bank: LinearMemoryBank | PkmBank | HeadwiseBank
     query_bn: BatchNorm | None = None
     query_ln_gain: np.ndarray | None = None
-    route: str = field(default="auto")  # selection route override for experiments
 
 
 # ---------------------------------------------------------------------------
-# layer-level retrieval (queries already formed)
+# retrieval
 
-def _select_flat(q_h: np.ndarray, keys_h: np.ndarray, k: int):
-    """Flat lookup for one head: scores all N keys, keeps k, softmax weights."""
-    scores = q_h @ keys_h.T  # [s, N]
-    record_scoring_macs(q_h.shape[0] * keys_h.shape[0] * keys_h.shape[1])
-    idx, vals = topk(scores, k)
-    return idx, softmax(vals, axis=-1)
+def retrieve(a: np.ndarray, p: MemoryBlockParams, training: bool = False,
+             seq_len: int | None = None, value_cache: ValueCache | None = None):
+    """The memory read of every kind over token rows a [rows, d]; returns
+    (m [rows, d], cache).
 
-
-def _query_pipeline(a: np.ndarray, w_q: np.ndarray, bn: BatchNorm | None,
-                    ln_gain: np.ndarray | None, training: bool, seq_len: int | None):
-    q = a @ w_q
+    Queries are a @ w_q (linear, pkm) or a itself (headwise), then the
+    optional batchnorm (moments grouped by seq_len) and layernorm. The h-th
+    d_h slice of a query row addresses head h. All H heads are scored in one
+    call, flat keys [rows, H, N] or sub-key axes [rows, H, n], and selected
+    once. linear and pkm pool the shared full-width table and sum over heads;
+    headwise pools its factorized values (or gathers from value_cache) and
+    concatenates heads.
+    """
+    kind, cfg, bank = p.kind.kind, p.cfg, p.bank
+    q = a if kind == "headwise" else a @ bank.w_q
     bn_cache = ln_cache = None
-    if bn is not None:
-        q, bn_cache = batchnorm_query(q, bn, training, seq_len)
-    if ln_gain is not None:
-        q, ln_cache = rms_norm_fwd(q, ln_gain)
-    return q, bn_cache, ln_cache
-
-
-def linear_memory_forward(a: np.ndarray, bank: LinearMemoryBank, k: int,
-                          bn: BatchNorm | None = None,
-                          ln_gain: np.ndarray | None = None, training: bool = False,
-                          seq_len: int | None = None):
-    """Flat per-head lookup over token rows; returns (m [rows, d], cache).
-
-    Head h scores its private keys with the h-th slice of the (optionally
-    batch-normalized) projected query, pools k full-width value rows, and the
-    head outputs are summed. seq_len only groups rows for batchnorm moments.
-    """
-    s, d = a.shape
-    heads = bank.keys.shape[0]
-    d_h = d // heads
-    q, bn_cache, ln_cache = _query_pipeline(a, bank.w_q, bn, ln_gain, training, seq_len)
-    idx_all, w_all = [], []
-    m = np.zeros((s, d), dtype=a.dtype)
-    for h in range(heads):
-        q_h = q[:, h * d_h:(h + 1) * d_h]
-        idx, w = _select_flat(q_h, bank.keys[h], k)
-        m += np.einsum("sk,skd->sd", w, bank.values[idx])
-        idx_all.append(idx)
-        w_all.append(w)
-    cache = {"kind": "linear", "a": a, "q": q, "bn": bn_cache, "ln": ln_cache,
-             "idx": np.stack(idx_all, axis=1), "w": np.stack(w_all, axis=1)}
-    return m, cache
-
-
-def pkm_memory_forward(a: np.ndarray, bank: PkmBank, k: int,
-                       fused_threshold: int = 16, route: str = "auto",
-                       bn: BatchNorm | None = None,
-                       ln_gain: np.ndarray | None = None, training: bool = False,
-                       seq_len: int | None = None):
-    """Product-key per-head selection over a shared full-width value table.
-
-    Same query pipeline and output reduction as the linear layer; only the
-    scoring changes (two sub-key banks and additive pair scores instead of N
-    flat keys). k may exceed n, in which case selection runs on the fused
-    grid route.
-    """
-    s, d = a.shape
-    heads = bank.pk.k_row.shape[0]
-    d_h = d // heads
-    q, bn_cache, ln_cache = _query_pipeline(a, bank.w_q, bn, ln_gain, training, seq_len)
-    idx_all, w_all = [], []
-    m = np.zeros((s, d), dtype=a.dtype)
-    for h in range(heads):
-        q_h = q[:, h * d_h:(h + 1) * d_h]
-        s_row, s_col = score_subkeys(q_h, bank.pk, h)
-        idx, w = select_topk(s_row, s_col, k, fused_threshold, route)
-        m += np.einsum("sk,skd->sd", w, bank.values[idx])
-        idx_all.append(idx)
-        w_all.append(w)
-    cache = {"kind": "pkm", "a": a, "q": q, "bn": bn_cache, "ln": ln_cache,
-             "idx": np.stack(idx_all, axis=1), "w": np.stack(w_all, axis=1)}
-    return m, cache
-
-
-def headwise_memory_forward(q: np.ndarray, bank: HeadwiseBank, cfg: MemoryConfig,
-                            route: str = "auto", value_cache: ValueCache | None = None):
-    """Head-sliced product-key retrieval with factorized values.
-
-    q: [s, d] query matrix whose h-th slice addresses head h's banks. Pools
-    shared d_h-wide rows per head, applies the head transform (or gathers
-    from the pre-transformed cache), concatenates heads. Returns (m, cache).
-    """
-    s, d = q.shape
-    idx_all, w_all = [], []
-    for h in range(cfg.heads):
-        q_h = q[:, h * cfg.d_h:(h + 1) * cfg.d_h]
-        s_row, s_col = score_subkeys(q_h, bank.pk, h)
-        idx, w = select_topk(s_row, s_col, cfg.k, cfg.fused_threshold, route)
-        idx_all.append(idx)
-        w_all.append(w)
-    result = RetrievalResult(indices=np.stack(idx_all, axis=1),
-                             weights=np.stack(w_all, axis=1))
-    if value_cache is not None:
-        m = aggregate_values_cached(result, value_cache)
-        pooled = None
+    if p.kind.query_batchnorm:
+        q, bn_cache = batchnorm_query(q, p.query_bn, training, seq_len)
+    if p.kind.query_layernorm:
+        q, ln_cache = rms_norm_fwd(q, p.query_ln_gain)
+    qh = q.reshape(a.shape[0], cfg.heads, cfg.d_h)
+    if kind == "linear":
+        scores = head_scores(qh, bank.keys)
+        record_scoring_macs(scores.size * cfg.d_h)
+        idx, vals = topk(scores, cfg.k)
+        w = softmax(vals, axis=-1)
     else:
-        rows = bank.values.v_base[result.indices]  # [s, H, k, d_h]
-        pooled = np.einsum("shk,shkd->shd", result.weights, rows)
-        m = np.einsum("hij,shj->shi", bank.values.w_heads, pooled).reshape(s, d)
-    cache = {"kind": "headwise", "q": q, "idx": result.indices, "w": result.weights,
-             "pooled": pooled}
+        idx, w = select_topk(*score_subkeys(qh, bank.pk), cfg.k)
+    if kind != "headwise":
+        m = np.einsum("shk,shkd->sd", w, bank.values[idx])
+    elif value_cache is not None:
+        m = aggregate_values_cached(RetrievalResult(idx, w), value_cache)
+    else:
+        m = aggregate_values(RetrievalResult(idx, w), bank.values)
+    cache = {"kind": kind, "a": a, "q": q, "bn": bn_cache, "ln": ln_cache,
+             "idx": idx, "w": w}
     return m, cache
 
 
@@ -301,32 +237,7 @@ def memory_block_forward(x: np.ndarray, p: MemoryBlockParams, training: bool = F
                                   seq_len=seq_len)
     a = x + ao if p.kind.internal_residual else ao
 
-    kind = p.kind.kind
-    if kind == "headwise":
-        q_src = a
-        bn_cache = ln_cache = None
-        if p.kind.query_batchnorm:
-            q_src, bn_cache = batchnorm_query(q_src, p.query_bn, training, seq_len)
-        if p.kind.query_layernorm:
-            q_src, ln_cache = rms_norm_fwd(q_src, p.query_ln_gain)
-        m, mcache = headwise_memory_forward(q_src, p.bank, p.cfg, route=p.route,
-                                            value_cache=value_cache)
-        mcache["bn"] = bn_cache
-        mcache["ln"] = ln_cache
-    elif kind == "pkm":
-        bn = p.query_bn if p.kind.query_batchnorm else None
-        lng = p.query_ln_gain if p.kind.query_layernorm else None
-        m, mcache = pkm_memory_forward(a, p.bank, p.cfg.k, p.cfg.fused_threshold,
-                                       p.route, bn=bn, ln_gain=lng, training=training,
-                                       seq_len=seq_len)
-    elif kind == "linear":
-        bn = p.query_bn if p.kind.query_batchnorm else None
-        lng = p.query_ln_gain if p.kind.query_layernorm else None
-        m, mcache = linear_memory_forward(a, p.bank, p.cfg.k, bn=bn, ln_gain=lng,
-                                          training=training, seq_len=seq_len)
-    else:
-        raise ValueError(f"unknown memory kind {kind!r}")
-
+    m, mcache = retrieve(a, p, training, seq_len, value_cache)
     y = x + m
     cache = {"norm": ncache, "attn": acache, "mem": mcache,
              "residual": p.kind.internal_residual}

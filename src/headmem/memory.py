@@ -5,12 +5,12 @@ width d_h splits into a row half and a column half (d_p = d_h / 2 each); the
 additive pair score sigma(i, j) = S_row[i] + S_col[j] ranges over an n x n
 grid of N = n^2 composite slots addressed by the flat id i * n + j.
 
-Two selection routes return identical results:
-  * two_stage_topk: top-k per axis, then top-k over the k^2 candidate sums
-    (exact, because any globally top-k pair has both coordinates inside the
-    per-axis top-k sets, ties included under the shared tie-break rule);
-  * fused_cartesian_topk: materialize the full additive grid and take a
-    single top-k (cheaper for short token counts, identical output).
+Every layer scores all heads in one call and selects with one route,
+two_stage_topk: top-k per axis, then top-k over the k^2 candidate sums
+(exact, because any globally top-k pair has both coordinates inside the
+per-axis top-k sets, ties included under the shared tie-break rule).
+fused_cartesian_topk materializes the full additive grid and takes a single
+top-k; it is the reference the tests and benchmarks compare against.
 
 Values live in one shared table of d_h-wide rows plus a small per-head
 transform, so H heads cost N * d_h + H * d_h^2 parameters instead of
@@ -36,14 +36,12 @@ class MemoryConfig:
     n: sub-keys per axis, giving N = n^2 composite slots per head
     k: retrieved slots per token per head
     d: model width; the per-head value width is d_h = d / heads
-    fused_threshold: token counts at or below this dispatch to the fused path
     """
 
     heads: int
     n: int
     k: int
     d: int
-    fused_threshold: int = 16
 
     def __post_init__(self):
         if self.heads < 1 or self.n < 1 or self.d < 1:
@@ -54,8 +52,6 @@ class MemoryConfig:
             raise ValueError("per-head width d/heads must be even to split row/col")
         if not 1 <= self.k <= self.n:
             raise ValueError(f"k={self.k} must satisfy 1 <= k <= n={self.n}")
-        if self.fused_threshold < 0:
-            raise ValueError("fused_threshold must be >= 0")
 
     @property
     def N(self) -> int:
@@ -171,50 +167,66 @@ def record_scoring_macs(macs: int) -> None:
 # ---------------------------------------------------------------------------
 # scoring and selection
 
-def score_subkeys(q_h: np.ndarray, bank: ProductKeyBank, head: int):
-    """Axis scores for one head: q_h [s, d_h] -> (S_row [s, n], S_col [s, n])."""
-    d_h = q_h.shape[-1]
-    d_p = d_h // 2
-    q_row, q_col = q_h[:, :d_p], q_h[:, d_p:]
-    s_row = q_row @ bank.k_row[head].T
-    s_col = q_col @ bank.k_col[head].T
-    n = bank.k_row.shape[1]
-    record_scoring_macs(2 * q_h.shape[0] * n * d_p)
+def head_scores(q: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """q [rows, H, w] against per-head keys [H, m, w] -> [rows, H, m], as one
+    batched matmul over heads."""
+    return (q.swapaxes(0, 1) @ keys.swapaxes(1, 2)).swapaxes(0, 1)
+
+
+def score_subkeys(q: np.ndarray, bank: ProductKeyBank, head: int | None = None):
+    """Axis scores of head queries against their sub-key banks.
+
+    q [rows, H, d_h] scores every head at once -> (S_row, S_col), each
+    [rows, H, n]; with head given, q [rows, d_h] scores that head only and
+    each result is [rows, n].
+    """
+    k_row, k_col = bank.k_row, bank.k_col
+    if head is not None:
+        q, k_row, k_col = q[:, None], k_row[head:head + 1], k_col[head:head + 1]
+    d_p = k_row.shape[-1]
+    s_row = head_scores(q[..., :d_p], k_row)
+    s_col = head_scores(q[..., d_p:], k_col)
+    record_scoring_macs(2 * s_row.size * d_p)
+    if head is not None:
+        return s_row[:, 0], s_col[:, 0]
     return s_row, s_col
 
 
 def two_stage_topk(s_row: np.ndarray, s_col: np.ndarray, k: int):
     """Exact top-k over all n^2 additive pair scores via per-axis pre-selection.
 
-    Returns (flat ids [s, k], softmax weights [s, k]). Candidates are the
-    Cartesian product of the per-axis top-k sets; sorting candidates by flat
-    id before the stable final top-k gives the same tie-break (descending
-    score, ascending flat id) as scanning the whole grid.
+    s_row, s_col: [..., n] with any leading shape. Returns (flat ids [..., k],
+    softmax weights [..., k]). Each axis's top-k ids are put in ascending
+    order, so the k^2 candidates come out in ascending flat id; the stable
+    final top-k then breaks ties (descending score, ascending flat id)
+    exactly as a scan of the whole grid does.
     """
-    s, n = s_row.shape
-    if s_col.shape != (s, n):
+    if s_row.shape != s_col.shape:
         raise ValueError(f"axis score shapes differ: {s_row.shape} vs {s_col.shape}")
+    n = s_row.shape[-1]
     if k > n:
         raise ValueError(f"two-stage selection needs k <= n, got k={k}, n={n}")
-    ri, rv = topk(s_row, k)  # [s, k]
-    ci, cv = topk(s_col, k)
-    sums = (rv[:, :, None] + cv[:, None, :]).reshape(s, k * k)
-    flat = (ri[:, :, None] * n + ci[:, None, :]).reshape(s, k * k)
-    order = np.argsort(flat, axis=-1)  # candidate ids are distinct per token
-    sums = np.take_along_axis(sums, order, axis=-1)
-    flat = np.take_along_axis(flat, order, axis=-1)
+    lead = s_row.shape[:-1]
+    ri, rv = _ascending_ids(*topk(s_row, k))
+    ci, cv = _ascending_ids(*topk(s_col, k))
+    sums = (rv[..., :, None] + cv[..., None, :]).reshape(lead + (k * k,))
+    flat = (ri[..., :, None] * n + ci[..., None, :]).reshape(lead + (k * k,))
     pos, vals = topk(sums, k)
     idx = np.take_along_axis(flat, pos, axis=-1)
     return idx, softmax(vals, axis=-1)
 
 
+def _ascending_ids(ids: np.ndarray, vals: np.ndarray):
+    order = np.argsort(ids, axis=-1)  # ids are distinct per row
+    return np.take_along_axis(ids, order, axis=-1), np.take_along_axis(vals, order, axis=-1)
+
+
 def fused_cartesian_topk(s_row: np.ndarray, s_col: np.ndarray, k: int):
-    """Single top-k over the materialized n x n additive grid.
+    """Reference selection: one top-k over the materialized n x n grid.
 
     Same selected set, same order, same weights as two_stage_topk (flat ids
     of the grid are already ascending, so the stable sort shares its
-    tie-break). Intended for short token counts where one wide scan beats
-    two narrow ones.
+    tie-break). No layer calls it; tests and benchmarks compare against it.
     """
     s, n = s_row.shape
     if s_col.shape != (s, n):
@@ -226,23 +238,9 @@ def fused_cartesian_topk(s_row: np.ndarray, s_col: np.ndarray, k: int):
     return idx, softmax(vals, axis=-1)
 
 
-def select_topk(s_row: np.ndarray, s_col: np.ndarray, k: int, fused_threshold: int,
-                route: str = "auto"):
-    """Dispatch between the two equivalent selection routes.
-
-    route 'auto': fused when the token count is at or below fused_threshold
-    (or when k > n, which the two-stage route cannot serve); two-stage
-    otherwise. 'two_stage' and 'fused' force a route.
-    """
-    s, n = s_row.shape
-    if route == "two_stage":
-        return two_stage_topk(s_row, s_col, k)
-    if route == "fused":
-        return fused_cartesian_topk(s_row, s_col, k)
-    if route != "auto":
-        raise ValueError(f"unknown selection route {route!r}")
-    if k > n or s <= fused_threshold:
-        return fused_cartesian_topk(s_row, s_col, k)
+def select_topk(s_row: np.ndarray, s_col: np.ndarray, k: int):
+    """The selection every product-key layer runs: two_stage_topk over axis
+    scores of any leading shape, typically [rows, H, n]."""
     return two_stage_topk(s_row, s_col, k)
 
 
@@ -271,12 +269,10 @@ def build_value_cache(bank: ValueBank) -> ValueCache:
 def aggregate_values_cached(result: RetrievalResult, cache: ValueCache) -> np.ndarray:
     """Gather-and-pool over cached rows; same map as aggregate_values."""
     s, heads, _ = result.indices.shape
-    d_h = cache.v_cached.shape[-1]
-    out = np.empty((s, heads, d_h), dtype=cache.v_cached.dtype)
-    for h in range(heads):
-        rows = cache.v_cached[h][result.indices[:, h]]  # [s, k, d_h]
-        out[:, h] = np.einsum("sk,skd->sd", result.weights[:, h], rows)
-    return out.reshape(s, heads * d_h)
+    head = np.arange(heads)[:, None]
+    rows = cache.v_cached[head, result.indices]  # [s, H, k, d_h]
+    out = np.einsum("shk,shkd->shd", result.weights, rows)
+    return out.reshape(s, heads * cache.v_cached.shape[-1])
 
 
 # ---------------------------------------------------------------------------

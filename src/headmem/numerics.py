@@ -72,19 +72,6 @@ def assert_finite(x: np.ndarray, what: str = "tensor") -> None:
         raise NumericsError(f"{what} contains NaN/Inf")
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Standard 2-D matrix product with an explicit shape check.
-
-    Deterministic for fixed inputs on a fixed platform; equivalence tests
-    elsewhere rely on that, not on any particular summation schedule.
-    """
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"inner dimensions differ: {a.shape} x {b.shape}")
-    return a @ b
-
-
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Max-subtracted softmax; rows of the result sum to 1."""
     if x.shape[axis] == 0:
@@ -92,12 +79,6 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = x - np.max(x, axis=axis, keepdims=True)
     e = np.exp(shifted)
     return e / np.sum(e, axis=axis, keepdims=True)
-
-
-def rms_norm(x: np.ndarray, gain: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """Root-mean-square normalization over the last axis, scaled by gain."""
-    ms = np.mean(np.square(x), axis=-1, keepdims=True)
-    return x * (1.0 / np.sqrt(ms + eps)) * gain
 
 
 def topk(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

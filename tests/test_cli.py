@@ -1,9 +1,15 @@
 """End-to-end runs of every CLI subcommand through main()."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
+from headmem.checkpoint import load_checkpoint, save_checkpoint
 from headmem.cli import main
+from headmem.config import build_model, parse_config
+from headmem.model import named_params
 
 
 def run(capsys, *argv):
@@ -23,7 +29,6 @@ depth = 2
 [memory]
 n = 8
 k = 2
-fused_threshold = 4
 
 [upscale]
 inserted = 1
@@ -216,3 +221,75 @@ def test_gradcheck_subcommand(capsys):
     code, _, err = run(capsys, "gradcheck", "--checks", "nonsense")
     assert code == 2
     assert "nonsense" in err
+
+
+@pytest.mark.parametrize("line", ["route = fused", "fused_threshold = 4"])
+def test_removed_route_keys_exit_2(capsys, tmp_path, line):
+    cfg = tmp_path / "route.cfg"
+    cfg.write_text(f"[memory]\n{line}\n")
+    code, out, err = run(capsys, "params", "--config", str(cfg))
+    assert code == 2
+    assert f"unknown key memory.{line.split(' = ')[0]}" in err
+    assert "Traceback" not in out + err
+
+
+def test_removed_fused_threshold_flag_exits_2(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["params", "--fused-threshold", "4"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --fused-threshold" in err
+    assert "Traceback" not in err
+
+
+def _rewrite_header(blob, edit):
+    """A checkpoint blob whose JSON header went through edit(header)."""
+    hlen, = struct.unpack_from("<Q", blob, 12)
+    header = json.loads(blob[20:20 + hlen])
+    edit(header)
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    return blob[:12] + struct.pack("<Q", len(text)) + text + blob[20 + hlen:]
+
+
+def _old_route_keys(header):
+    """The descriptors and config snapshot files carried while selection had
+    two routes."""
+    for desc in header["model"]["blocks"]:
+        if desc["type"] == "memory":
+            desc["route"] = "auto"
+            desc["cfg"]["fused_threshold"] = 16
+    header["config"]["memory"].update(route="auto", fused_threshold=16)
+
+
+CHECKPOINT_CASES = {
+    "truncated_0": lambda b: b[:0],
+    "truncated_10": lambda b: b[:10],
+    "truncated_19": lambda b: b[:19],
+    "no_model": lambda b: _rewrite_header(b, lambda h: h.pop("model")),
+    "no_blocks": lambda b: _rewrite_header(b, lambda h: h["model"].pop("blocks")),
+    "no_tensors": lambda b: _rewrite_header(b, lambda h: h.pop("tensors")),
+    "no_checksum": lambda b: _rewrite_header(b, lambda h: h.pop("payload_sha256")),
+    "bad_dtype": lambda b: _rewrite_header(
+        b, lambda h: h["tensors"][0].update(dtype="int8")),
+    "old_route_keys": lambda b: _rewrite_header(b, _old_route_keys),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECKPOINT_CASES))
+def test_checkpoint_table_exits_2_or_loads_bitwise(capsys, tmp_path, small_cfg, case):
+    cfg = parse_config(small_cfg)
+    _, model = build_model(cfg)
+    good = tmp_path / "good.ckpt"
+    save_checkpoint(str(good), model, cfg)
+    path = tmp_path / f"{case}.ckpt"
+    path.write_bytes(CHECKPOINT_CASES[case](good.read_bytes()))
+    code, out, err = run(capsys, "eval", "--ckpt", str(path))
+    assert "Traceback" not in out + err
+    if case != "old_route_keys":
+        assert code == 2 and "error:" in err
+        return
+    assert code == 0 and "eval loss:" in out
+    loaded, _ = load_checkpoint(str(path))
+    want = dict(named_params(model))
+    for name, arr in named_params(loaded):
+        assert arr.dtype == want[name].dtype and np.array_equal(arr, want[name]), name

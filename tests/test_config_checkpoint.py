@@ -146,7 +146,7 @@ def test_build_groups_uses_train_section():
 def _small_model(kind, seed=0):
     cfg = default_config()
     cfg["model"].update(vocab=64, d=32, heads=4, d_ff=48, depth=2, seed=seed)
-    cfg["memory"].update(kind=kind, n=8, k=2, fused_threshold=4)
+    cfg["memory"].update(kind=kind, n=8, k=2)
     cfg["upscale"].update(inserted=1, seed=seed + 1)
     _, model = build_model(cfg)
     return cfg, model

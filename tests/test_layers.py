@@ -59,7 +59,7 @@ def test_batchnorm_eval_does_not_mutate_stats():
 
 def _fresh_block(kind, seed=0, toggles=None):
     rng = make_rng(seed)
-    cfg = MemoryConfig(heads=2, n=6, k=3, d=12, fused_threshold=4)
+    cfg = MemoryConfig(heads=2, n=6, k=3, d=12)
     source = init_transformer_block(12, 2, 20, rng)
     lk = toggles if toggles is not None else MemoryLayerKind.defaults(kind)
     return _init_memory_block(source, lk, cfg, rng), cfg, rng
@@ -93,12 +93,13 @@ def test_headwise_cached_forward_matches_training_path():
         p, cfg, rng = _fresh_block("headwise", seed=2)
         p.bank.values.v_base[...] = rng.standard_normal(p.bank.values.v_base.shape)
         x = rng.standard_normal((6, cfg.d))
-        y_train, _ = memory_block_forward(x, p, training=False)
+        y_train, direct_cache = memory_block_forward(x, p, training=False)
         cache = build_value_cache(p.bank.values)
         y_cached, fwd_cache = memory_block_forward(x, p, training=False,
                                                    value_cache=cache)
     assert np.max(np.abs(y_train - y_cached)) < 1e-10
-    assert fwd_cache["mem"]["pooled"] is None  # cached path skips raw pooling
+    # the cache changes only how values are read, never which slots
+    assert np.array_equal(fwd_cache["mem"]["idx"], direct_cache["mem"]["idx"])
 
 
 def test_value_cache_rejected_in_training():
@@ -108,22 +109,6 @@ def test_value_cache_rejected_in_training():
         x = rng.standard_normal((4, cfg.d))
         with pytest.raises(ValueError):
             memory_block_forward(x, p, training=True, value_cache=cache)
-
-
-def test_route_override_changes_nothing_numerically():
-    with precision("f64"):
-        p, cfg, rng = _fresh_block("pkm", seed=4)
-        p.bank.values[...] = rng.standard_normal(p.bank.values.shape)
-        x = rng.standard_normal((9, cfg.d))
-        outs = []
-        for route in ("two_stage", "fused", "auto"):
-            p2, _, _ = _fresh_block("pkm", seed=4)
-            p2.bank.values[...] = p.bank.values
-            p2.route = route
-            y, _ = memory_block_forward(x, p2, training=False)
-            outs.append(y)
-    assert np.array_equal(outs[0], outs[1])
-    assert np.array_equal(outs[0], outs[2])
 
 
 def test_all_toggles_pipeline_runs_for_headwise():

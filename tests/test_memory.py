@@ -116,19 +116,20 @@ def test_selection_rejects_bad_k_and_shapes():
         two_stage_topk(s_row, rng.standard_normal((2, 5)), 2)
 
 
-def test_select_topk_routing():
+def test_select_topk_batched_shapes():
     rng = make_rng(34)
-    s_row = rng.standard_normal((8, 6))
-    s_col = rng.standard_normal((8, 6))
-    want = two_stage_topk(s_row, s_col, 3)
-    for route in ("auto", "two_stage", "fused"):
-        idx, w = select_topk(s_row, s_col, 3, fused_threshold=4, route=route)
-        assert np.array_equal(idx, want[0]) and np.array_equal(w, want[1])
-    # k beyond the per-axis budget is only servable fused
-    idx, _ = select_topk(s_row, s_col, 10, fused_threshold=0, route="auto")
-    assert idx.shape == (8, 10)
+    for lead in ((8, 3), (2, 5, 4), (1,)):
+        s_row = rng.standard_normal(lead + (6,))
+        s_col = rng.standard_normal(lead + (6,))
+        idx, w = select_topk(s_row, s_col, 3)
+        assert idx.shape == w.shape == lead + (3,)
+        # every [.., n] slice is selected as if it were alone
+        flat_idx, flat_w = fused_cartesian_topk(s_row.reshape(-1, 6),
+                                                s_col.reshape(-1, 6), 3)
+        assert np.array_equal(idx.reshape(-1, 3), flat_idx)
+        assert np.array_equal(w.reshape(-1, 3), flat_w)
     with pytest.raises(ValueError):
-        select_topk(s_row, s_col, 2, 4, route="sorted")
+        select_topk(s_row, s_col, 7)  # k > n is rejected
 
 
 def test_score_subkeys_halves_and_counter():
@@ -141,6 +142,22 @@ def test_score_subkeys_halves_and_counter():
     assert np.allclose(s_row, q[:, :cfg.d_p] @ bank.k_row[1].T, atol=1e-6)
     assert np.allclose(s_col, q[:, cfg.d_p:] @ bank.k_col[1].T, atol=1e-6)
     assert counter.total == 2 * 5 * cfg.n * cfg.d_p
+
+
+def test_score_subkeys_all_heads_in_one_call():
+    cfg = MemoryConfig(heads=3, n=5, k=2, d=12)
+    rng = make_rng(5)
+    with precision("f64"):
+        bank = init_product_keys(cfg, rng)
+    q = rng.standard_normal((7, cfg.heads, cfg.d_h))
+    with count_scoring_macs() as counter:
+        s_row, s_col = score_subkeys(q, bank)
+    assert s_row.shape == s_col.shape == (7, cfg.heads, cfg.n)
+    for h in range(cfg.heads):
+        want_row, want_col = score_subkeys(q[:, h], bank, h)
+        assert np.allclose(s_row[:, h], want_row, rtol=1e-12, atol=0)
+        assert np.allclose(s_col[:, h], want_col, rtol=1e-12, atol=0)
+    assert counter.total == 7 * cfg.heads * lookup_cost(cfg, "product")
 
 
 def test_aggregate_values_matches_loop_oracle():
