@@ -70,12 +70,12 @@ def main():
                     for p, v in frozen.items())
     print(f"base parameters bit-identical after training: {untouched}")
 
-    # sparse updates: the scatter dedups per-(token, head) contributions
-    # into unique table-row writes before touching the value table
+    # sparse updates: every per-(token, head) contribution lands on one of
+    # the few value-table rows the step selected
     positions = corpus.seq_len - 1  # inputs drop the final target token
     contributions = 16 * positions * model.heads * plan.memory_cfg.k
-    print(f"last step: {contributions} retrieval contributions collapsed "
-          f"into {report.unique_index_writes[-1]} table-row writes")
+    print(f"last step: {contributions} retrieval contributions landed "
+          f"on {report.unique_index_writes[-1]} unique table rows")
 
 
 if __name__ == "__main__":

@@ -35,13 +35,14 @@ class TopkRow:
 
 
 def _best_ns(fn, repeats: int) -> int:
-    best = None
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    times = []
     for _ in range(repeats):
         t0 = time.perf_counter_ns()
         fn()
-        dt = time.perf_counter_ns() - t0
-        best = dt if best is None else min(best, dt)
-    return best
+        times.append(time.perf_counter_ns() - t0)
+    return min(times)
 
 
 def bench_topk(n: int, k: int, token_counts=DEFAULT_TOKEN_SWEEP,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import struct
 
 import numpy as np
@@ -36,6 +37,22 @@ _DTYPES = {"float32": np.float32, "float64": np.float64}
 
 class CheckpointError(Exception):
     """Corrupt or incompatible checkpoint file."""
+
+
+def _require(ok: bool, what: str) -> None:
+    if not ok:
+        raise CheckpointError(f"malformed header: {what}")
+
+
+def _size(v, what: str, lo: int = 1) -> int:
+    _require(type(v) is int and v >= lo, f"{what} {v!r} is not an integer >= {lo}")
+    return v
+
+
+def _positive(v, what: str, hi: float = math.inf) -> float:
+    _require(type(v) in (int, float) and 0 < v <= hi and v < math.inf,
+             f"{what} {v!r} is not in (0, {hi}]")
+    return v
 
 
 def _block_descriptor(block) -> dict:
@@ -89,8 +106,8 @@ def _read_tensors(header: dict, payload: bytes) -> dict[str, np.ndarray]:
         if entry["dtype"] not in _DTYPES:
             raise CheckpointError(f"unsupported dtype {entry['dtype']!r}")
         dtype = np.dtype(_DTYPES[entry["dtype"]]).newbyteorder("<")
-        shape = tuple(entry["shape"])
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        shape = tuple(_size(n, f"a size of {entry['name']}", 0) for n in entry["shape"])
+        nbytes = math.prod(shape) * dtype.itemsize
         if offset + nbytes > len(payload):
             raise CheckpointError(f"payload truncated at {entry['name']}")
         arr = np.frombuffer(payload[offset:offset + nbytes], dtype=dtype)
@@ -101,66 +118,77 @@ def _read_tensors(header: dict, payload: bytes) -> dict[str, np.ndarray]:
     return out
 
 
-def _take(tensors: dict, name: str) -> np.ndarray:
+def _take(tensors: dict, name: str, *shape: int) -> np.ndarray:
+    """Pops a tensor, which must have the shape the header's numbers give."""
     try:
-        return tensors.pop(name)
+        arr = tensors.pop(name)
     except KeyError:
         raise CheckpointError(f"missing tensor {name}") from None
+    _require(arr.shape == shape, f"{name} has shape {arr.shape}, expected {shape}")
+    return arr
 
 
-def _load_attention(tensors, prefix, heads, rope_base, with_projection):
+def _load_attention(tensors, prefix, d, heads, rope_base, with_projection):
     return AttentionParams(
-        w_q=_take(tensors, f"{prefix}.w_q"), w_k=_take(tensors, f"{prefix}.w_k"),
-        w_v=_take(tensors, f"{prefix}.w_v"),
-        w_o=_take(tensors, f"{prefix}.w_o") if with_projection else None,
+        w_q=_take(tensors, f"{prefix}.w_q", d, d),
+        w_k=_take(tensors, f"{prefix}.w_k", d, d),
+        w_v=_take(tensors, f"{prefix}.w_v", d, d),
+        w_o=_take(tensors, f"{prefix}.w_o", d, d) if with_projection else None,
         heads=heads, rope_base=rope_base)
 
 
-def _load_block(desc: dict, tensors: dict, prefix: str, heads: int):
+def _load_block(desc: dict, tensors: dict, prefix: str, sizes: dict):
+    d, heads = sizes["d"], sizes["heads"]
+    rope_base = _positive(desc["rope_base"], f"{prefix} rope_base")
     if desc["type"] == "transformer":
-        attn = _load_attention(tensors, f"{prefix}.attn", heads,
-                               desc["rope_base"], True)
-        ffn = FfnParams(w_gate=_take(tensors, f"{prefix}.ffn.w_gate"),
-                        w_up=_take(tensors, f"{prefix}.ffn.w_up"),
-                        w_down=_take(tensors, f"{prefix}.ffn.w_down"))
+        attn = _load_attention(tensors, f"{prefix}.attn", d, heads, rope_base, True)
+        f = sizes["d_ff"]
+        ffn = FfnParams(w_gate=_take(tensors, f"{prefix}.ffn.w_gate", d, f),
+                        w_up=_take(tensors, f"{prefix}.ffn.w_up", d, f),
+                        w_down=_take(tensors, f"{prefix}.ffn.w_down", f, d))
         return TransformerBlockParams(
-            attn=attn, ffn=ffn, attn_gain=_take(tensors, f"{prefix}.attn_gain"),
-            ffn_gain=_take(tensors, f"{prefix}.ffn_gain"))
+            attn=attn, ffn=ffn, attn_gain=_take(tensors, f"{prefix}.attn_gain", d),
+            ffn_gain=_take(tensors, f"{prefix}.ffn_gain", d))
     if desc["type"] != "memory":
         raise CheckpointError(f"unknown block type {desc['type']!r}")
     lk = MemoryLayerKind(**desc["toggles"])
-    c = desc["cfg"]  # older files carry selection-route fields too; they are ignored
-    cfg = MemoryConfig(heads=c["heads"], n=c["n"], k=c["k"], d=c["d"])
-    attn = _load_attention(tensors, f"{prefix}.attn", heads,
-                           desc["rope_base"], lk.output_projection)
+    _require(all(type(v) is bool for v in dataclasses.astuple(lk)[1:]),
+             f"{prefix} toggles are not booleans")
+    # older files carry selection-route fields in cfg too; they are ignored
+    cfg = MemoryConfig(**{key: _size(desc["cfg"][key], f"{prefix} cfg.{key}")
+                          for key in ("heads", "n", "k", "d")})
+    _require((cfg.heads, cfg.d) == (heads, d), f"{prefix} memory sizes differ from the model's")
+    attn = _load_attention(tensors, f"{prefix}.attn", d, heads, rope_base,
+                           lk.output_projection)
+    n, N, d_h, d_p = cfg.n, cfg.N, cfg.d_h, cfg.d_p
     if lk.kind == "linear":
-        bank = LinearMemoryBank(w_q=_take(tensors, f"{prefix}.bank.w_q"),
-                                keys=_take(tensors, f"{prefix}.bank.keys"),
-                                values=_take(tensors, f"{prefix}.bank.values"))
-    elif lk.kind == "pkm":
-        pk = ProductKeyBank(k_row=_take(tensors, f"{prefix}.bank.pk.k_row"),
-                            k_col=_take(tensors, f"{prefix}.bank.pk.k_col"))
-        bank = PkmBank(w_q=_take(tensors, f"{prefix}.bank.w_q"), pk=pk,
-                       values=_take(tensors, f"{prefix}.bank.values"))
+        bank = LinearMemoryBank(w_q=_take(tensors, f"{prefix}.bank.w_q", d, d),
+                                keys=_take(tensors, f"{prefix}.bank.keys", heads, N, d_h),
+                                values=_take(tensors, f"{prefix}.bank.values", N, d))
     else:
-        pk = ProductKeyBank(k_row=_take(tensors, f"{prefix}.bank.pk.k_row"),
-                            k_col=_take(tensors, f"{prefix}.bank.pk.k_col"))
-        values = ValueBank(v_base=_take(tensors, f"{prefix}.bank.values.v_base"),
-                           w_heads=_take(tensors, f"{prefix}.bank.values.w_heads"))
-        bank = HeadwiseBank(pk=pk, values=values)
+        pk = ProductKeyBank(k_row=_take(tensors, f"{prefix}.bank.pk.k_row", heads, n, d_p),
+                            k_col=_take(tensors, f"{prefix}.bank.pk.k_col", heads, n, d_p))
+        if lk.kind == "pkm":
+            bank = PkmBank(w_q=_take(tensors, f"{prefix}.bank.w_q", d, d), pk=pk,
+                           values=_take(tensors, f"{prefix}.bank.values", N, d))
+        else:
+            values = ValueBank(
+                v_base=_take(tensors, f"{prefix}.bank.values.v_base", N, d_h),
+                w_heads=_take(tensors, f"{prefix}.bank.values.w_heads", heads, d_h, d_h))
+            bank = HeadwiseBank(pk=pk, values=values)
     query_bn = None
     if lk.query_batchnorm:
         query_bn = BatchNorm(
-            gamma=_take(tensors, f"{prefix}.query_bn.gamma"),
-            beta=_take(tensors, f"{prefix}.query_bn.beta"),
-            running_mean=_take(tensors, f"{prefix}.query_bn.running_mean"),
-            running_var=_take(tensors, f"{prefix}.query_bn.running_var"),
-            momentum=desc.get("bn_momentum", 0.1),
-            eps=desc.get("bn_eps", 1e-5))
-    query_ln_gain = (_take(tensors, f"{prefix}.query_ln_gain")
+            gamma=_take(tensors, f"{prefix}.query_bn.gamma", d),
+            beta=_take(tensors, f"{prefix}.query_bn.beta", d),
+            running_mean=_take(tensors, f"{prefix}.query_bn.running_mean", d),
+            running_var=_take(tensors, f"{prefix}.query_bn.running_var", d),
+            momentum=_positive(desc.get("bn_momentum", 0.1), f"{prefix} bn_momentum", 1),
+            eps=_positive(desc.get("bn_eps", 1e-5), f"{prefix} bn_eps"))
+    query_ln_gain = (_take(tensors, f"{prefix}.query_ln_gain", d)
                      if lk.query_layernorm else None)
     return MemoryBlockParams(kind=lk, cfg=cfg, attn=attn,
-                             norm_gain=_take(tensors, f"{prefix}.norm_gain"),
+                             norm_gain=_take(tensors, f"{prefix}.norm_gain", d),
                              bank=bank, query_bn=query_bn,
                              query_ln_gain=query_ln_gain)
 
@@ -196,13 +224,14 @@ def load_checkpoint(path: str):
 def _build_model(header: dict, payload: bytes):
     tensors = _read_tensors(header, payload)
     info = header["model"]
-    blocks = [_load_block(desc, tensors, f"blocks.{i}", info["heads"])
+    sizes = {key: _size(info[key], f"model.{key}", 0 if key == "base_depth" else 1)
+             for key in ("vocab", "d", "heads", "d_ff", "base_depth")}
+    blocks = [_load_block(desc, tensors, f"blocks.{i}", sizes)
               for i, desc in enumerate(info["blocks"])]
-    model = ModelSpec(vocab=info["vocab"], d=info["d"], heads=info["heads"],
-                      d_ff=info["d_ff"], base_depth=info["base_depth"],
-                      embed=_take(tensors, "embed"),
-                      unembed=_take(tensors, "unembed"),
-                      final_gain=_take(tensors, "final_gain"),
+    vocab, d = sizes["vocab"], sizes["d"]
+    model = ModelSpec(**sizes, embed=_take(tensors, "embed", vocab, d),
+                      unembed=_take(tensors, "unembed", d, vocab),
+                      final_gain=_take(tensors, "final_gain", d),
                       blocks=blocks, trainable=list(info["trainable"]))
     if tensors:
         raise CheckpointError(f"unused tensors in file: {sorted(tensors)[:3]}")

@@ -20,6 +20,7 @@ from .config import (
     build_corpus,
     build_groups,
     build_model,
+    config_from_snapshot,
     default_config,
     memory_config,
     parse_config,
@@ -98,16 +99,23 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
+def _load_checkpoint_eval_set(args):
+    """(model, eval inputs, eval targets) for --ckpt. The corpus comes from
+    --config when given, else from the checkpoint's config snapshot, else
+    from the defaults."""
     cfg = _load_config(args)
     model, snapshot = load_checkpoint(args.ckpt)
-    if args.config is None and snapshot:
-        cfg = snapshot
+    if args.config is None and snapshot is not None:
+        cfg = config_from_snapshot(snapshot)
     corpus = build_corpus(cfg)
     if getattr(corpus, "vocab", None) != model.vocab:
         raise ConfigError("corpus vocab does not match checkpoint vocab")
     seed = args.seed if args.seed is not None else cfg["train"]["seed"] + 1
-    ev_in, ev_tg = _eval_set(cfg, corpus, seed)
+    return (model, *_eval_set(cfg, corpus, seed))
+
+
+def cmd_eval(args) -> int:
+    model, ev_in, ev_tg = _load_checkpoint_eval_set(args)
     print(f"eval loss: {evaluate(model, ev_in, ev_tg):.6f} "
           f"over {ev_in.shape[0]} sequences")
     return 0
@@ -197,15 +205,7 @@ def cmd_policy(args) -> int:
 
 
 def cmd_head_importance(args) -> int:
-    cfg = _load_config(args)
-    model, snapshot = load_checkpoint(args.ckpt)
-    if args.config is None and snapshot:
-        cfg = snapshot
-    corpus = build_corpus(cfg)
-    if getattr(corpus, "vocab", None) != model.vocab:
-        raise ConfigError("corpus vocab does not match checkpoint vocab")
-    seed = args.seed if args.seed is not None else cfg["train"]["seed"] + 1
-    ev_in, ev_tg = _eval_set(cfg, corpus, seed)
+    model, ev_in, ev_tg = _load_checkpoint_eval_set(args)
     dataset = [(ev_in[i], ev_tg[i]) for i in range(ev_in.shape[0])]
     report = head_importance(model, dataset)
     out = _ensure_out(args)

@@ -107,6 +107,16 @@ def default_config() -> dict:
             for sect, keys in SCHEMA.items()}
 
 
+def _check_value(sect: str, key: str, val) -> None:
+    """Range and choice checks of one value of its schema type."""
+    _, _, *limits = SCHEMA[sect][key]
+    if limits and not limits[0].admits(val):
+        raise ConfigError(f"{sect}.{key} must be {limits[0]}, got {val!r}")
+    allowed = _CHOICES.get((sect, key))
+    if allowed is not None and val not in allowed:
+        raise ConfigError(f"{sect}.{key} must be one of {list(allowed)}, got {val!r}")
+
+
 def parse_config_text(text: str) -> dict:
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -120,19 +130,32 @@ def parse_config_text(text: str) -> dict:
         for key, raw in parser.items(sect):
             if key not in SCHEMA[sect]:
                 raise ConfigError(f"unknown key {sect}.{key}")
-            conv, _, *limits = SCHEMA[sect][key]
             try:
-                val = conv(raw)
+                val = SCHEMA[sect][key][0](raw)
             except ValueError as e:
                 raise ConfigError(f"bad value for {sect}.{key}: {raw!r}") from e
-            if limits and not limits[0].admits(val):
-                raise ConfigError(f"{sect}.{key} must be {limits[0]}, got {raw!r}")
+            _check_value(sect, key, val)
             cfg[sect][key] = val
-    for (sect, key), allowed in _CHOICES.items():
-        val = cfg[sect][key]
-        if val is not None and val not in allowed:
-            raise ConfigError(
-                f"{sect}.{key} must be one of {list(allowed)}, got {val!r}")
+    return cfg
+
+
+def config_from_snapshot(snapshot) -> dict:
+    """The config a checkpoint header carries, checked like a config file:
+    every SCHEMA key must be there with a value of its type. Keys SCHEMA no
+    longer has (older files carry memory.route, memory.fused_threshold) are
+    dropped."""
+    cfg = default_config()
+    for sect, keys in SCHEMA.items():
+        for key, (conv, default, *_) in keys.items():
+            try:
+                val = snapshot[sect][key]
+            except (KeyError, TypeError):
+                raise ConfigError(f"config snapshot has no {sect}.{key}") from None
+            json_types = {float: (int, float), _bool: (bool,)}.get(conv, (conv,))
+            if not (val is None and default is None or type(val) in json_types):
+                raise ConfigError(f"config snapshot {sect}.{key} has the wrong type: {val!r}")
+            _check_value(sect, key, val)
+            cfg[sect][key] = val
     return cfg
 
 

@@ -15,11 +15,10 @@ the softmax weights and the value rows of the selected slots only, and
 sub-keys receive gradient only through their selected additive scores.
 There is no straight-through approximation.
 
-The value-table gradient uses the deduplicated scatter: per-contribution
-gradients are pre-aggregated over the unique slot ids touched in the batch,
-then written to the full table in one indexed pass. The result is bitwise
-identical to the naive one-write-per-contribution scatter because each
-slot's contributions accumulate in the same order either way.
+The value-table gradient is one indexed add of every weighted (row, head,
+slot) contribution into a zeroed table, so each slot sums its contributions
+in (row, head, k) order. The GradStore also carries the unique value-table
+slot count and, when asked for, the head-importance probes.
 """
 
 from __future__ import annotations
@@ -45,12 +44,17 @@ class GradStore(dict):
 
     Backwards ask `wants(path)` before forming a gradient, so frozen paths
     cost no arithmetic; `add` still drops paths outside `allowed`, which keeps
-    frozen parameter groups at exactly zero accumulated gradient.
+    frozen parameter groups at exactly zero accumulated gradient. writes
+    counts the unique value-table slots written; probes, when a dict,
+    receives each attention's (per-head outputs, their gradients).
     """
 
-    def __init__(self, allowed: set[str] | None = None):
+    def __init__(self, allowed: set[str] | None = None,
+                 probes: dict | None = None):
         super().__init__()
         self.allowed = allowed
+        self.probes = probes
+        self.writes = 0
 
     def wants(self, path: str) -> bool:
         return self.allowed is None or path in self.allowed
@@ -68,44 +72,21 @@ class GradStore(dict):
         if self.wants(path):
             self.add(path, a.T @ b)
 
-    def total_abs(self) -> float:
-        return float(sum(np.sum(np.abs(g)) for g in self.values()))
-
 
 # ---------------------------------------------------------------------------
 # scatter kernels
 
 def dedup_scatter_backward(g_out: np.ndarray, idx: np.ndarray, w: np.ndarray,
-                           table_size: int, counter: dict | None = None) -> np.ndarray:
+                           table_size: int) -> np.ndarray:
     """Gradient of out[b] = sum_k w[b, k] * table[idx[b, k]] w.r.t. the table.
 
-    g_out [B, D], idx [B, K], w [B, K] -> [table_size, D]. Contributions are
-    expanded to one row per (b, k), pre-aggregated over the unique ids via an
-    indexed add, and written to the table in a single pass over those unique
-    rows. counter, when given, tallies 'writes' (unique ids, the global-table
-    touches) and 'contributions' (B * K).
+    g_out [B, D], idx [B, K], w [B, K] -> [table_size, D]. One indexed add
+    of the B*K weighted contributions into a zeroed table: each slot sums
+    its contributions in (b, k) order, however often it repeats.
     """
     B, K = idx.shape
-    D = g_out.shape[-1]
     if np.any(idx < 0) or np.any(idx >= table_size):
         raise ValueError(f"slot index out of range for table of {table_size}")
-    g_token = (g_out[:, None, :] * w[:, :, None]).reshape(B * K, D)
-    flat = idx.reshape(B * K)
-    uniq, inv = np.unique(flat, return_inverse=True)
-    g_agg = np.zeros((uniq.size, D), dtype=g_out.dtype)
-    np.add.at(g_agg, inv, g_token)
-    g_table = np.zeros((table_size, D), dtype=g_out.dtype)
-    g_table[uniq] = g_agg
-    if counter is not None:
-        counter["writes"] = counter.get("writes", 0) + int(uniq.size)
-        counter["contributions"] = counter.get("contributions", 0) + B * K
-    return g_table
-
-
-def naive_scatter_backward(g_out: np.ndarray, idx: np.ndarray, w: np.ndarray,
-                           table_size: int) -> np.ndarray:
-    """Reference scatter: one indexed add per contribution, no dedup."""
-    B, K = idx.shape
     g_token = (g_out[:, None, :] * w[:, :, None]).reshape(B * K, -1)
     g_table = np.zeros((table_size, g_out.shape[-1]), dtype=g_out.dtype)
     np.add.at(g_table, idx.reshape(B * K), g_token)
@@ -174,13 +155,12 @@ def batchnorm_backward(dy: np.ndarray, cache: dict, with_params: bool = True):
 
 
 def attention_backward(dout: np.ndarray, cache: dict, p: AttentionParams,
-                       grads: GradStore, prefix: str,
-                       probe: dict | None = None) -> np.ndarray:
+                       grads: GradStore, prefix: str) -> np.ndarray:
     """Backward of causal_attention; returns the gradient w.r.t. xn.
 
-    probe, when given, records (per-head outputs, their gradients) under
-    `prefix`, shaped like the cache's ctx, which is what head-importance
-    scoring reads.
+    When grads.probes is a dict, records (per-head outputs, their gradients)
+    there under `prefix`, shaped like the cache's ctx, which is what
+    head-importance scoring reads.
     """
     xn = cache["xn"]
     d_h = xn.shape[1] // p.heads
@@ -190,8 +170,8 @@ def attention_backward(dout: np.ndarray, cache: dict, p: AttentionParams,
     else:
         dcat = dout
     dctx = split_heads(dcat, p.heads, cache["seq_len"])  # [B, H, s, d_h]
-    if probe is not None:
-        probe[prefix] = (cache["ctx"], dctx)
+    if grads.probes is not None:
+        grads.probes[prefix] = (cache["ctx"], dctx)
     attn, v, qr, kr = cache["attn"], cache["v"], cache["qr"], cache["kr"]
     dattn = dctx @ v.swapaxes(-1, -2)  # [B, H, s, s]
     dv = attn.swapaxes(-1, -2) @ dctx
@@ -220,11 +200,10 @@ def ffn_backward(dy: np.ndarray, cache: dict, p, grads: GradStore,
 
 
 def transformer_block_backward(dy: np.ndarray, cache: dict, p: TransformerBlockParams,
-                               grads: GradStore, prefix: str,
-                               probe: dict | None = None) -> np.ndarray:
+                               grads: GradStore, prefix: str) -> np.ndarray:
     dxn2 = ffn_backward(dy, cache["ffn"], p.ffn, grads, f"{prefix}.ffn")
     da = dy + _norm_backward(dxn2, cache["norm2"], grads, f"{prefix}.ffn_gain")
-    dxn1 = attention_backward(da, cache["attn"], p.attn, grads, f"{prefix}.attn", probe)
+    dxn1 = attention_backward(da, cache["attn"], p.attn, grads, f"{prefix}.attn")
     return da + _norm_backward(dxn1, cache["norm1"], grads, f"{prefix}.attn_gain")
 
 
@@ -264,8 +243,7 @@ def _query_pipeline_backward(dq: np.ndarray, mcache: dict, p: MemoryBlockParams,
 
 
 def retrieve_backward(dm: np.ndarray, mcache: dict, p: MemoryBlockParams,
-                      grads: GradStore, prefix: str,
-                      counter: dict | None = None) -> np.ndarray:
+                      grads: GradStore, prefix: str) -> np.ndarray:
     """Backward of layers.retrieve for every kind; returns the gradient
     w.r.t. its input rows a.
 
@@ -291,7 +269,9 @@ def retrieve_backward(dm: np.ndarray, mcache: dict, p: MemoryBlockParams,
     g_out = g_out.reshape(rows * heads, table.shape[1])
     idx_f, w_f = idx.reshape(rows * heads, k), w.reshape(rows * heads, k)
     if grads.wants(table_path):
-        grads.add(table_path, dedup_scatter_backward(g_out, idx_f, w_f, cfg.N, counter))
+        grads.add(table_path, dedup_scatter_backward(g_out, idx_f, w_f, cfg.N))
+        # unique slots written; idx is range-checked, so N bins count them exactly
+        grads.writes += int(np.count_nonzero(np.bincount(idx.ravel(), minlength=cfg.N)))
     dw = weight_grad_backward(g_out, idx_f, table)
     dsums = softmax_backward(w, dw.reshape(rows, heads, k))
     qh = mcache["q"].reshape(rows, heads, cfg.d_h)
@@ -312,11 +292,9 @@ def retrieve_backward(dm: np.ndarray, mcache: dict, p: MemoryBlockParams,
 
 
 def memory_block_backward(dy: np.ndarray, cache: dict, p: MemoryBlockParams,
-                          grads: GradStore, prefix: str,
-                          probe: dict | None = None,
-                          counter: dict | None = None) -> np.ndarray:
-    da = retrieve_backward(dy, cache["mem"], p, grads, prefix, counter)
-    dxn = attention_backward(da, cache["attn"], p.attn, grads, f"{prefix}.attn", probe)
+                          grads: GradStore, prefix: str) -> np.ndarray:
+    da = retrieve_backward(dy, cache["mem"], p, grads, prefix)
+    dxn = attention_backward(da, cache["attn"], p.attn, grads, f"{prefix}.attn")
     dx = dy + _norm_backward(dxn, cache["norm"], grads, f"{prefix}.norm_gain")
     if cache["residual"]:
         dx = dx + da
@@ -328,18 +306,17 @@ def memory_block_backward(dy: np.ndarray, cache: dict, p: MemoryBlockParams,
 
 def model_backward(dlogits: np.ndarray, caches: dict, model: ModelSpec,
                    allowed: set[str] | None = None,
-                   probes: dict | None = None,
-                   counter: dict | None = None) -> GradStore:
+                   probes: dict | None = None) -> GradStore:
     """Reverse pass over the whole stack; returns accumulated GradStore.
 
     dlogits: [s, V] or [B, s, V], the shape model_forward returned. allowed
     restricts which parameter paths get gradients: no other weight gradient
     is formed, and unless the embedding is allowed or probes are requested
     the walk stops at the lowest block with an allowed parameter. probes
-    collects per-head attention outputs and gradients by block prefix.
-    counter tallies value-table scatter statistics.
+    collects per-head attention outputs and gradients by block prefix. The
+    returned store's writes counts the unique value-table slots written.
     """
-    grads = GradStore(allowed)
+    grads = GradStore(allowed, probes)
     dlogits = dlogits.reshape(-1, model.vocab)
     grads.add_matmul("unembed", caches["xf"], dlogits)
     dx = _norm_backward(dlogits @ model.unembed.T, caches["final"], grads, "final_gain")
@@ -352,10 +329,9 @@ def model_backward(dlogits: np.ndarray, caches: dict, model: ModelSpec,
         block = model.blocks[i]
         cache = caches["blocks"][i]
         if isinstance(block, TransformerBlockParams):
-            dx = transformer_block_backward(dx, cache, block, grads, f"blocks.{i}", probes)
+            dx = transformer_block_backward(dx, cache, block, grads, f"blocks.{i}")
         else:
-            dx = memory_block_backward(dx, cache, block, grads, f"blocks.{i}", probes,
-                                       counter)
+            dx = memory_block_backward(dx, cache, block, grads, f"blocks.{i}")
     if grads.wants("embed"):
         demb = np.zeros_like(model.embed)
         np.add.at(demb, caches["tokens"], dx)

@@ -186,8 +186,7 @@ class ByteCorpus:
 # loss / gradient plumbing
 
 def loss_and_grads(model: ModelSpec, inputs: np.ndarray, targets: np.ndarray,
-                   allowed: set[str] | None = None, counter: dict | None = None,
-                   loss_scale: float = 1.0):
+                   allowed: set[str] | None = None, loss_scale: float = 1.0):
     """Scalar loss plus parameter gradients, in one forward and one backward.
 
     inputs, targets: one sequence [s] or B equal-length sequences [B, s].
@@ -206,9 +205,7 @@ def loss_and_grads(model: ModelSpec, inputs: np.ndarray, targets: np.ndarray,
     dlogits = lm_loss_backward(logits, targets)
     if loss_scale != 1.0:
         dlogits = dlogits * loss_scale
-    grads = model_backward(dlogits, caches, model, allowed=allowed,
-                           counter=counter)
-    return loss, grads
+    return loss, model_backward(dlogits, caches, model, allowed=allowed)
 
 
 def _calls(batch: int, seq_len: int) -> list[slice]:
@@ -276,7 +273,6 @@ def train(model: ModelSpec, corpus, groups: list[OptimGroup], steps: int,
     for step in range(steps):
         inputs, targets = corpus.batch(rng, batch_size)
         batch = inputs.shape[0]
-        counter: dict = {}
         mean_loss = 0.0
         acc: GradStore | None = None
         for part in _calls(*inputs.shape):
@@ -284,12 +280,13 @@ def train(model: ModelSpec, corpus, groups: list[OptimGroup], steps: int,
             # of the sequences; the weight rides on the loss scale
             share = (part.stop - part.start) / batch
             loss, grads = loss_and_grads(model, inputs[part], targets[part],
-                                         allowed=allowed, counter=counter,
+                                         allowed=allowed,
                                          loss_scale=loss_scale * share)
             mean_loss += loss * share
             if acc is None:
                 acc = grads
             else:
+                acc.writes += grads.writes
                 for path, g in grads.items():
                     acc.add(path, g)
         if not np.isfinite(mean_loss):
@@ -309,7 +306,7 @@ def train(model: ModelSpec, corpus, groups: list[OptimGroup], steps: int,
         report.losses.append(float(mean_loss))
         report.lr_inserted_dense.append(lrs.get("inserted_dense", 0.0))
         report.lr_memory_keys_values.append(lrs.get("memory_keys_values", 0.0))
-        report.unique_index_writes.append(int(counter.get("writes", 0)))
+        report.unique_index_writes.append(acc.writes)
     return report
 
 

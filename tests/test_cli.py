@@ -195,6 +195,17 @@ def test_bench_topk_csv(capsys, tmp_path, small_cfg):
         assert equal == "true"
 
 
+@pytest.mark.parametrize("command", ["bench-topk", "bench-prefill"])
+def test_repeats_below_one_exit_2(capsys, tmp_path, small_cfg, command):
+    out_dir = tmp_path / "bench"
+    code, out, err = run(capsys, command, "--config", small_cfg, "--repeats", "0",
+                         "--out", str(out_dir))
+    assert code == 2
+    assert "error: repeats must be >= 1, got 0" in err
+    assert "Traceback" not in out + err
+    assert not out_dir.exists()  # no CSV of empty timings
+
+
 def test_bench_prefill_csv(capsys, tmp_path, small_cfg):
     out_dir = tmp_path / "bench"
     code, _, _ = run(capsys, "bench-prefill", "--config", small_cfg,
@@ -261,6 +272,13 @@ def _old_route_keys(header):
     header["config"]["memory"].update(route="auto", fused_threshold=16)
 
 
+def _first_block(kind, key, value):
+    def edit(header):
+        desc = next(d for d in header["model"]["blocks"] if d["type"] == kind)
+        desc[key] = value
+    return edit
+
+
 CHECKPOINT_CASES = {
     "truncated_0": lambda b: b[:0],
     "truncated_10": lambda b: b[:10],
@@ -272,6 +290,23 @@ CHECKPOINT_CASES = {
     "bad_dtype": lambda b: _rewrite_header(
         b, lambda h: h["tensors"][0].update(dtype="int8")),
     "old_route_keys": lambda b: _rewrite_header(b, _old_route_keys),
+    "rope_base_string": lambda b: _rewrite_header(
+        b, _first_block("transformer", "rope_base", "x")),
+    "memory_rope_base_zero": lambda b: _rewrite_header(
+        b, _first_block("memory", "rope_base", 0)),
+    "heads_zero": lambda b: _rewrite_header(
+        b, lambda h: h["model"].update(heads=0)),
+    "snapshot_missing_key": lambda b: _rewrite_header(
+        b, lambda h: h["config"]["train"].pop("num_pairs")),
+    "snapshot_list": lambda b: _rewrite_header(
+        b, lambda h: h.update(config=[1, 2])),
+    "snapshot_mistyped": lambda b: _rewrite_header(
+        b, lambda h: h["config"]["train"].update(num_pairs="many")),
+    "snapshot_out_of_range": lambda b: _rewrite_header(
+        b, lambda h: h["config"]["run"].update(precision="f16")),
+    "memory_sizes_mismatch": lambda b: _rewrite_header(
+        b, lambda h: next(d for d in h["model"]["blocks"]
+                          if d["type"] == "memory")["cfg"].update(n=9)),
 }
 
 
@@ -293,3 +328,65 @@ def test_checkpoint_table_exits_2_or_loads_bitwise(capsys, tmp_path, small_cfg, 
     want = dict(named_params(model))
     for name, arr in named_params(loaded):
         assert arr.dtype == want[name].dtype and np.array_equal(arr, want[name]), name
+
+
+def _header_leaves(node, path=()):
+    """Paths of every leaf of a JSON tree (empty lists and dicts included)."""
+    if isinstance(node, dict) and node:
+        for key, child in node.items():
+            yield from _header_leaves(child, path + (key,))
+    elif isinstance(node, list) and node:
+        for i, child in enumerate(node):
+            yield from _header_leaves(child, path + (i,))
+    else:
+        yield path
+
+
+def _replace_leaf(path, value):
+    def edit(header):
+        node = header
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = value
+    return edit
+
+
+def _fuzz_blobs(good: bytes, kind: str):
+    if kind == "truncate":
+        for end in np.linspace(0, len(good) - 1, 48).astype(int):
+            yield good[:end]
+    elif kind == "flip":
+        rng = np.random.default_rng(11)
+        hlen, = struct.unpack_from("<Q", good, 12)
+        for i in range(96):
+            # half the flips land in the preamble or header
+            pos = int(rng.integers(0, 20 + hlen if i % 2 else len(good)))
+            blob = bytearray(good)
+            blob[pos] ^= int(rng.integers(1, 256))
+            yield bytes(blob)
+    else:
+        hlen, = struct.unpack_from("<Q", good, 12)
+        for path in _header_leaves(json.loads(good[20:20 + hlen])):
+            for value in ("x", [1], None, 0, -1, 1e12):
+                yield _rewrite_header(good, _replace_leaf(path, value))
+
+
+@pytest.mark.parametrize("kind", ["truncate", "flip", "leaf"])
+def test_checkpoint_fuzz_exits_0_or_2(capsys, tmp_path, kind):
+    # a pkm block carries every descriptor field: toggles, batchnorm, w_o
+    cfg_path = tmp_path / "pkm.cfg"
+    cfg_path.write_text(SMALL_HEAD.replace("[memory]\n", "[memory]\nkind = pkm\n")
+                        + SMALL_TRAIN)
+    cfg = parse_config(str(cfg_path))
+    _, model = build_model(cfg)
+    good = tmp_path / "good.ckpt"
+    save_checkpoint(str(good), model, cfg)
+    path = tmp_path / "fuzzed.ckpt"
+    codes = []
+    for blob in _fuzz_blobs(good.read_bytes(), kind):
+        path.write_bytes(blob)
+        codes.append(main(["eval", "--ckpt", str(path)]))
+        out, err = capsys.readouterr()
+        assert "Traceback" not in out + err
+    assert set(codes) <= {0, 2}, codes
+    assert 2 in codes

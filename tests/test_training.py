@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from headmem.gradients import GradStore
-from headmem.layers import MemoryLayerKind
+from headmem.layers import MemoryBlockParams, MemoryLayerKind
 from headmem.memory import MemoryConfig
 from headmem.model import init_base_model, model_forward, named_params
 from headmem.numerics import NumericsError, make_rng, precision
@@ -149,6 +149,42 @@ def test_train_reduces_loss_and_freezes_base():
     assert _hash_params(model, frozen) == before  # base never written
     assert all(w >= 0 for w in report.unique_index_writes)
     assert report.unique_index_writes[0] > 0
+
+
+def test_unique_index_writes_sum_forward_unique_slots(monkeypatch):
+    # each step's count is the sum, over its model calls and memory blocks,
+    # of the unique slots the forward selected; a block whose value table is
+    # frozen writes nothing and counts 0
+    from headmem import training
+    base = init_base_model(vocab=256, d=16, heads=2, d_ff=24, depth=3,
+                           rng=make_rng(6))
+    plan = UpscalePlan(policy=PlacementPolicy("distributed", 3, 2),
+                       insert_kind="memory_block",
+                       memory_kind=MemoryLayerKind.defaults("pkm"),
+                       memory_cfg=MemoryConfig(heads=2, n=6, k=3, d=16), seed=7)
+    model = build_memory_dus(base, plan)
+    mem = [i for i, b in enumerate(model.blocks) if isinstance(b, MemoryBlockParams)]
+    assert len(mem) == 2
+    frozen_table = f"blocks.{mem[1]}.bank.values"
+    groups = build_optim_groups(model, "cpt")
+    for g in groups:
+        g.paths = [p for p in g.paths if p != frozen_table]
+    text = make_rng(8).integers(0, 256, 4096).astype(np.uint8)
+    corpus = ByteCorpus(text, seq_len=64)  # two sequences per call
+    calls = []
+
+    def recording_forward(*args, **kwargs):
+        logits, caches = model_forward(*args, **kwargs)
+        calls.append([np.unique(caches["blocks"][i]["mem"]["idx"]).size
+                      for i in mem])
+        return logits, caches
+
+    monkeypatch.setattr(training, "model_forward", recording_forward)
+    report = train(model, corpus, groups, steps=3, batch_size=5, seed=2)
+    assert len(calls) == 3 * 3  # ceil(5 / 2) calls a step
+    want = [sum(c[0] for c in calls[s:s + 3]) for s in range(0, 9, 3)]
+    assert report.unique_index_writes == want
+    assert all(w > 0 for w in want)
 
 
 def test_train_is_deterministic():
