@@ -17,17 +17,18 @@ import struct
 
 import numpy as np
 
-from .layers import (
-    BatchNorm,
-    HeadwiseBank,
-    LinearMemoryBank,
-    MemoryBlockParams,
-    MemoryLayerKind,
-    PkmBank,
+from .layers import MemoryLayerKind
+from .memory import MemoryConfig
+from .model import (
+    ModelSpec,
+    init_base_model,
+    init_transformer_block,
+    named_buffers,
+    named_params,
+    tensor_slots,
 )
-from .memory import MemoryConfig, ProductKeyBank, ValueBank
-from .model import ModelSpec, named_buffers, named_params
-from .transformer import AttentionParams, FfnParams, TransformerBlockParams
+from .transformer import TransformerBlockParams
+from .upscale import _init_memory_block
 
 MAGIC = b"HDMEMCK\x00"
 FORMAT_VERSION = 1
@@ -98,7 +99,7 @@ def save_checkpoint(path: str, model: ModelSpec, config: dict | None = None):
         f.write(payload)
 
 
-def _read_tensors(header: dict, payload: bytes) -> dict[str, np.ndarray]:
+def _read_tensors(header: dict, payload: memoryview) -> dict[str, np.ndarray]:
     if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
         raise CheckpointError("payload checksum mismatch")
     out, offset = {}, 0
@@ -118,79 +119,60 @@ def _read_tensors(header: dict, payload: bytes) -> dict[str, np.ndarray]:
     return out
 
 
-def _take(tensors: dict, name: str, *shape: int) -> np.ndarray:
-    """Pops a tensor, which must have the shape the header's numbers give."""
-    try:
-        arr = tensors.pop(name)
-    except KeyError:
-        raise CheckpointError(f"missing tensor {name}") from None
-    _require(arr.shape == shape, f"{name} has shape {arr.shape}, expected {shape}")
-    return arr
+class _ZeroDraws:
+    """The rng of the load skeleton. Every slot then takes the file's
+    tensor, so the draws are zeros; a draw larger than the whole payload is
+    refused, so header sizes cannot make the skeleton outgrow the file."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+
+    def standard_normal(self, shape) -> np.ndarray:
+        _require(math.prod(shape) <= self.limit,
+                 f"sizes give a {shape} tensor, larger than the payload")
+        # float32: the draw is cast to the default dtype and then discarded
+        return np.zeros(shape, dtype=np.float32)
 
 
-def _load_attention(tensors, prefix, d, heads, rope_base, with_projection):
-    return AttentionParams(
-        w_q=_take(tensors, f"{prefix}.w_q", d, d),
-        w_k=_take(tensors, f"{prefix}.w_k", d, d),
-        w_v=_take(tensors, f"{prefix}.w_v", d, d),
-        w_o=_take(tensors, f"{prefix}.w_o", d, d) if with_projection else None,
-        heads=heads, rope_base=rope_base)
+def _fill(node, tensors: dict, prefix: str = ""):
+    """Puts each file tensor, dtype kept, into the slot of the same path,
+    after checking it has that slot's shape."""
+    for path, owner, name in tensor_slots(node, prefix):
+        try:
+            arr = tensors.pop(path)
+        except KeyError:
+            raise CheckpointError(f"missing tensor {path}") from None
+        want = getattr(owner, name).shape
+        _require(arr.shape == want, f"{path} has shape {arr.shape}, expected {want}")
+        setattr(owner, name, arr)
+    return node
 
 
-def _load_block(desc: dict, tensors: dict, prefix: str, sizes: dict):
+def _skeleton_block(desc: dict, prefix: str, sizes: dict, rng: _ZeroDraws):
     d, heads = sizes["d"], sizes["heads"]
     rope_base = _positive(desc["rope_base"], f"{prefix} rope_base")
     if desc["type"] == "transformer":
-        attn = _load_attention(tensors, f"{prefix}.attn", d, heads, rope_base, True)
-        f = sizes["d_ff"]
-        ffn = FfnParams(w_gate=_take(tensors, f"{prefix}.ffn.w_gate", d, f),
-                        w_up=_take(tensors, f"{prefix}.ffn.w_up", d, f),
-                        w_down=_take(tensors, f"{prefix}.ffn.w_down", f, d))
-        return TransformerBlockParams(
-            attn=attn, ffn=ffn, attn_gain=_take(tensors, f"{prefix}.attn_gain", d),
-            ffn_gain=_take(tensors, f"{prefix}.ffn_gain", d))
-    if desc["type"] != "memory":
-        raise CheckpointError(f"unknown block type {desc['type']!r}")
-    lk = MemoryLayerKind(**desc["toggles"])
-    _require(all(type(v) is bool for v in dataclasses.astuple(lk)[1:]),
-             f"{prefix} toggles are not booleans")
-    # older files carry selection-route fields in cfg too; they are ignored
-    cfg = MemoryConfig(**{key: _size(desc["cfg"][key], f"{prefix} cfg.{key}")
-                          for key in ("heads", "n", "k", "d")})
-    _require((cfg.heads, cfg.d) == (heads, d), f"{prefix} memory sizes differ from the model's")
-    attn = _load_attention(tensors, f"{prefix}.attn", d, heads, rope_base,
-                           lk.output_projection)
-    n, N, d_h, d_p = cfg.n, cfg.N, cfg.d_h, cfg.d_p
-    if lk.kind == "linear":
-        bank = LinearMemoryBank(w_q=_take(tensors, f"{prefix}.bank.w_q", d, d),
-                                keys=_take(tensors, f"{prefix}.bank.keys", heads, N, d_h),
-                                values=_take(tensors, f"{prefix}.bank.values", N, d))
+        block = init_transformer_block(d, heads, sizes["d_ff"], rng)
+    elif desc["type"] == "memory":
+        lk = MemoryLayerKind(**desc["toggles"])
+        _require(all(type(v) is bool for v in dataclasses.astuple(lk)[1:]),
+                 f"{prefix} toggles are not booleans")
+        # older files carry selection-route fields in cfg too; they are ignored
+        cfg = MemoryConfig(**{key: _size(desc["cfg"][key], f"{prefix} cfg.{key}")
+                              for key in ("heads", "n", "k", "d")})
+        _require((cfg.heads, cfg.d) == (heads, d),
+                 f"{prefix} memory sizes differ from the model's")
+        # a memory block copies only the attention and gain of its source,
+        # so the source's FFN width is irrelevant
+        block = _init_memory_block(init_transformer_block(d, heads, 1, rng), lk, cfg, rng)
+        if lk.query_batchnorm:
+            block.query_bn.momentum = _positive(desc.get("bn_momentum", 0.1),
+                                                f"{prefix} bn_momentum", 1)
+            block.query_bn.eps = _positive(desc.get("bn_eps", 1e-5), f"{prefix} bn_eps")
     else:
-        pk = ProductKeyBank(k_row=_take(tensors, f"{prefix}.bank.pk.k_row", heads, n, d_p),
-                            k_col=_take(tensors, f"{prefix}.bank.pk.k_col", heads, n, d_p))
-        if lk.kind == "pkm":
-            bank = PkmBank(w_q=_take(tensors, f"{prefix}.bank.w_q", d, d), pk=pk,
-                           values=_take(tensors, f"{prefix}.bank.values", N, d))
-        else:
-            values = ValueBank(
-                v_base=_take(tensors, f"{prefix}.bank.values.v_base", N, d_h),
-                w_heads=_take(tensors, f"{prefix}.bank.values.w_heads", heads, d_h, d_h))
-            bank = HeadwiseBank(pk=pk, values=values)
-    query_bn = None
-    if lk.query_batchnorm:
-        query_bn = BatchNorm(
-            gamma=_take(tensors, f"{prefix}.query_bn.gamma", d),
-            beta=_take(tensors, f"{prefix}.query_bn.beta", d),
-            running_mean=_take(tensors, f"{prefix}.query_bn.running_mean", d),
-            running_var=_take(tensors, f"{prefix}.query_bn.running_var", d),
-            momentum=_positive(desc.get("bn_momentum", 0.1), f"{prefix} bn_momentum", 1),
-            eps=_positive(desc.get("bn_eps", 1e-5), f"{prefix} bn_eps"))
-    query_ln_gain = (_take(tensors, f"{prefix}.query_ln_gain", d)
-                     if lk.query_layernorm else None)
-    return MemoryBlockParams(kind=lk, cfg=cfg, attn=attn,
-                             norm_gain=_take(tensors, f"{prefix}.norm_gain", d),
-                             bank=bank, query_bn=query_bn,
-                             query_ln_gain=query_ln_gain)
+        raise CheckpointError(f"unknown block type {desc['type']!r}")
+    block.attn.rope_base = rope_base
+    return block
 
 
 def load_checkpoint(path: str):
@@ -216,23 +198,30 @@ def load_checkpoint(path: str):
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"unreadable header: {e}") from e
     try:
-        return _build_model(header, blob[header_end:])
+        # a view: the payload is hashed and read in place, not copied
+        return _build_model(header, memoryview(blob)[header_end:])
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"malformed header: {type(e).__name__} {e}") from e
 
 
-def _build_model(header: dict, payload: bytes):
+def _build_model(header: dict, payload: memoryview):
+    """The header's model, built by the library's own constructors from zero
+    draws, then filled from the file block by block, so a header that
+    disagrees with the payload fails before the next block is allocated."""
     tensors = _read_tensors(header, payload)
     info = header["model"]
     sizes = {key: _size(info[key], f"model.{key}", 0 if key == "base_depth" else 1)
              for key in ("vocab", "d", "heads", "d_ff", "base_depth")}
-    blocks = [_load_block(desc, tensors, f"blocks.{i}", sizes)
-              for i, desc in enumerate(info["blocks"])]
-    vocab, d = sizes["vocab"], sizes["d"]
-    model = ModelSpec(**sizes, embed=_take(tensors, "embed", vocab, d),
-                      unembed=_take(tensors, "unembed", d, vocab),
-                      final_gain=_take(tensors, "final_gain", d),
-                      blocks=blocks, trainable=list(info["trainable"]))
+    rng = _ZeroDraws(sum(arr.size for arr in tensors.values()))
+    shell = _fill(init_base_model(sizes["vocab"], sizes["d"], sizes["heads"],
+                                  sizes["d_ff"], 0, rng), tensors)
+    blocks = [_fill(_skeleton_block(desc, f"blocks.{i}", sizes, rng), tensors,
+                    f"blocks.{i}") for i, desc in enumerate(info["blocks"])]
+    trainable = info["trainable"]
+    _require(type(trainable) is list and all(type(t) is bool for t in trainable),
+             "model.trainable is not a list of booleans")
+    model = dataclasses.replace(shell, base_depth=sizes["base_depth"], blocks=blocks,
+                                trainable=trainable)
     if tensors:
         raise CheckpointError(f"unused tensors in file: {sorted(tensors)[:3]}")
     return model, header["config"]

@@ -111,6 +111,20 @@ def _fd_compare(name: str, loss_fn, targets, h: float, rng=None,
                        params=tuple(seen))
 
 
+def _walk_targets(node, grads: GradStore, prefix: str) -> list:
+    """Every parameter the model walk yields for node, with its analytic
+    gradient from a backward that named node's tensors under prefix."""
+    return [(path, arr, grads[f"{prefix}.{path}"]) for path, arr in named_params(node)]
+
+
+def _fill_value_tables(node, rng, scale: float) -> None:
+    """Nonzero value tables (zero at init), so retrieval carries gradient
+    into the tables and the weights that read them."""
+    for path, arr in named_params(node):
+        if path.endswith(("values", "v_base")):
+            arr[...] = scale * rng.standard_normal(arr.shape)
+
+
 # ---------------------------------------------------------------------------
 # layer-level checks (all coordinates, float64)
 
@@ -174,12 +188,8 @@ def check_attention(seed: int = 0, h: float = DEFAULT_H,
     _, cache = causal_attention(xn, p, project_output=project_output)
     grads = GradStore()
     dxn = attention_backward(r, cache, p, grads, "attn")
-    targets = [("xn", xn, dxn), ("w_q", p.w_q, grads["attn.w_q"]),
-               ("w_k", p.w_k, grads["attn.w_k"]), ("w_v", p.w_v, grads["attn.w_v"])]
-    if project_output:
-        targets.append(("w_o", p.w_o, grads["attn.w_o"]))
     name = "attention_projected" if project_output else "attention_raw_heads"
-    return _fd_compare(name, loss, targets, h)
+    return _fd_compare(name, loss, [("xn", xn, dxn)] + _walk_targets(p, grads, "attn"), h)
 
 
 def check_ffn(seed: int = 0, h: float = DEFAULT_H) -> CheckResult:
@@ -197,10 +207,7 @@ def check_ffn(seed: int = 0, h: float = DEFAULT_H) -> CheckResult:
     _, cache = ffn_forward(z, p)
     grads = GradStore()
     dz = ffn_backward(r, cache, p, grads, "ffn")
-    return _fd_compare("ffn", loss, [
-        ("z", z, dz), ("w_gate", p.w_gate, grads["ffn.w_gate"]),
-        ("w_up", p.w_up, grads["ffn.w_up"]), ("w_down", p.w_down, grads["ffn.w_down"]),
-    ], h)
+    return _fd_compare("ffn", loss, [("z", z, dz)] + _walk_targets(p, grads, "ffn"), h)
 
 
 def check_transformer_block(seed: int = 0, h: float = DEFAULT_H) -> CheckResult:
@@ -218,12 +225,8 @@ def check_transformer_block(seed: int = 0, h: float = DEFAULT_H) -> CheckResult:
     _, cache = transformer_block_forward(x, p)
     grads = GradStore()
     dx = transformer_block_backward(r, cache, p, grads, "b")
-    targets = [("x", x, dx)]
-    targets += [(k, arr, grads[f"b.{k}"]) for k, arr in (
-        ("attn.w_q", p.attn.w_q), ("attn.w_o", p.attn.w_o),
-        ("attn_gain", p.attn_gain), ("ffn.w_gate", p.ffn.w_gate),
-        ("ffn.w_down", p.ffn.w_down), ("ffn_gain", p.ffn_gain))]
-    return _fd_compare("transformer_block", loss, targets, h)
+    return _fd_compare("transformer_block", loss,
+                       [("x", x, dx)] + _walk_targets(p, grads, "b"), h)
 
 
 def _memory_block_fixture(kind: str, toggles: MemoryLayerKind | None, seed: int):
@@ -235,11 +238,7 @@ def _memory_block_fixture(kind: str, toggles: MemoryLayerKind | None, seed: int)
         source = init_transformer_block(12, 2, 16, rng)
         lk = toggles if toggles is not None else MemoryLayerKind.defaults(kind)
         p = _init_memory_block(source, lk, cfg, rng)
-        # nonzero values so value-table and weight gradients are exercised
-        if kind == "headwise":
-            p.bank.values.v_base[...] = rng.standard_normal(p.bank.values.v_base.shape)
-        else:
-            p.bank.values[...] = rng.standard_normal(p.bank.values.shape)
+    _fill_value_tables(p, rng, 1.0)
     return p, cfg, rng
 
 
@@ -259,26 +258,8 @@ def check_memory_block(kind: str, seed: int = 0, h: float = DEFAULT_H,
     _, cache = memory_block_forward(x, p, training=True, seq_len=5)
     grads = GradStore()
     dx = memory_block_backward(r, cache, p, grads, "m")
-    targets = [("x", x, dx), ("norm_gain", p.norm_gain, grads["m.norm_gain"]),
-               ("attn.w_q", p.attn.w_q, grads["m.attn.w_q"]),
-               ("attn.w_v", p.attn.w_v, grads["m.attn.w_v"])]
-    if kind == "headwise":
-        targets += [("k_row", p.bank.pk.k_row, grads["m.bank.pk.k_row"]),
-                    ("k_col", p.bank.pk.k_col, grads["m.bank.pk.k_col"]),
-                    ("v_base", p.bank.values.v_base, grads["m.bank.values.v_base"]),
-                    ("w_heads", p.bank.values.w_heads, grads["m.bank.values.w_heads"])]
-    else:
-        targets += [("w_q", p.bank.w_q, grads["m.bank.w_q"]),
-                    ("values", p.bank.values, grads["m.bank.values"])]
-        if kind == "pkm":
-            targets += [("k_row", p.bank.pk.k_row, grads["m.bank.pk.k_row"]),
-                        ("k_col", p.bank.pk.k_col, grads["m.bank.pk.k_col"])]
-        else:
-            targets += [("keys", p.bank.keys, grads["m.bank.keys"])]
-        if p.query_bn is not None:
-            targets += [("bn.gamma", p.query_bn.gamma, grads["m.query_bn.gamma"]),
-                        ("bn.beta", p.query_bn.beta, grads["m.query_bn.beta"])]
-    return _fd_compare(name or f"memory_block_{kind}", loss, targets, h)
+    return _fd_compare(name or f"memory_block_{kind}", loss,
+                       [("x", x, dx)] + _walk_targets(p, grads, "m"), h)
 
 
 def check_full_model(kind: str = "headwise", seed: int = 0, h: float = DEFAULT_H,
@@ -295,10 +276,7 @@ def check_full_model(kind: str = "headwise", seed: int = 0, h: float = DEFAULT_H
                            memory_kind=MemoryLayerKind.defaults(kind),
                            memory_cfg=cfg, seed=seed + 1)
         model = build_memory_dus(base, plan)
-    # seed the tables so retrieval carries gradient
-    for path, arr in named_params(model):
-        if arr.size and (path.endswith("v_base") or path.endswith(".values")):
-            arr[...] = 0.1 * rng.standard_normal(arr.shape)
+    _fill_value_tables(model, rng, 0.1)
     shape = (batch, 9) if batch else (9,)
     tokens = rng.integers(0, model.vocab, shape)
     targets_tok = rng.integers(0, model.vocab, shape).reshape(-1)
@@ -350,6 +328,8 @@ def run_gradcheck(seed: int = 0, h: float = DEFAULT_H, tol: float = DEFAULT_TOL,
                   checks=None) -> list[CheckResult]:
     """Run the full registry, a subset of registered names, or a custom
     dict of name -> check fn; returns one result per check."""
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be a finite number > 0, got {tol}")
     if checks is None:
         registry = LAYER_CHECKS
     elif isinstance(checks, dict):

@@ -8,18 +8,11 @@ by gradients, optimizer state, checkpoints and accounting alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from .layers import (
-    BatchNorm,
-    HeadwiseBank,
-    LinearMemoryBank,
-    MemoryBlockParams,
-    PkmBank,
-    memory_block_forward,
-)
+from .layers import HeadwiseBank, MemoryBlockParams, memory_block_forward
 from .memory import ValueCache, build_value_cache
 from .numerics import assert_finite, gaussian, ones
 from .transformer import (
@@ -148,64 +141,47 @@ def build_value_caches(model: ModelSpec) -> dict[int, ValueCache]:
 # ---------------------------------------------------------------------------
 # parameter walking
 
-def _attn_params(prefix: str, p: AttentionParams):
-    yield f"{prefix}.w_q", p.w_q
-    yield f"{prefix}.w_k", p.w_k
-    yield f"{prefix}.w_v", p.w_v
-    if p.w_o is not None:
-        yield f"{prefix}.w_o", p.w_o
+# leaves that checkpoints carry but no optimizer touches
+_BUFFER_LEAVES = ("running_mean", "running_var")
 
 
-def _block_params(prefix: str, block):
-    if isinstance(block, TransformerBlockParams):
-        yield from _attn_params(f"{prefix}.attn", block.attn)
-        yield f"{prefix}.attn_gain", block.attn_gain
-        yield f"{prefix}.ffn.w_gate", block.ffn.w_gate
-        yield f"{prefix}.ffn.w_up", block.ffn.w_up
-        yield f"{prefix}.ffn.w_down", block.ffn.w_down
-        yield f"{prefix}.ffn_gain", block.ffn_gain
-        return
-    yield from _attn_params(f"{prefix}.attn", block.attn)
-    yield f"{prefix}.norm_gain", block.norm_gain
-    bank = block.bank
-    if isinstance(bank, LinearMemoryBank):
-        yield f"{prefix}.bank.w_q", bank.w_q
-        yield f"{prefix}.bank.keys", bank.keys
-        yield f"{prefix}.bank.values", bank.values
-    elif isinstance(bank, PkmBank):
-        yield f"{prefix}.bank.w_q", bank.w_q
-        yield f"{prefix}.bank.pk.k_row", bank.pk.k_row
-        yield f"{prefix}.bank.pk.k_col", bank.pk.k_col
-        yield f"{prefix}.bank.values", bank.values
-    elif isinstance(bank, HeadwiseBank):
-        yield f"{prefix}.bank.pk.k_row", bank.pk.k_row
-        yield f"{prefix}.bank.pk.k_col", bank.pk.k_col
-        yield f"{prefix}.bank.values.v_base", bank.values.v_base
-        yield f"{prefix}.bank.values.w_heads", bank.values.w_heads
-    else:
-        raise TypeError(f"unknown bank type {type(bank).__name__}")
-    if block.query_bn is not None:
-        yield f"{prefix}.query_bn.gamma", block.query_bn.gamma
-        yield f"{prefix}.query_bn.beta", block.query_bn.beta
-    if block.query_ln_gain is not None:
-        yield f"{prefix}.query_ln_gain", block.query_ln_gain
+def tensor_slots(node, prefix: str = ""):
+    """(dotted path, owner, field name) of every array under a model or block.
+
+    The one place that knows tensor paths: dataclass fields recurse in
+    declaration order, list items by index (blocks.3), and None or
+    non-array fields yield nothing. Gradients, optimizer state, checkpoints
+    and gradcheck all name tensors by these paths, in this order.
+    """
+    for f in fields(node):
+        value = getattr(node, f.name)
+        path = f"{prefix}.{f.name}" if prefix else f.name
+        if isinstance(value, np.ndarray):
+            yield path, node, f.name
+        elif isinstance(value, list):
+            for i, item in enumerate(value):
+                if is_dataclass(item):
+                    yield from tensor_slots(item, f"{path}.{i}")
+        elif is_dataclass(value):
+            yield from tensor_slots(value, path)
 
 
-def named_params(model: ModelSpec):
-    """Learnable parameters as (dotted path, array), in a stable order."""
-    yield "embed", model.embed
-    yield "unembed", model.unembed
-    yield "final_gain", model.final_gain
-    for i, block in enumerate(model.blocks):
-        yield from _block_params(f"blocks.{i}", block)
+def _named(node, prefix: str, buffers: bool):
+    for path, owner, name in tensor_slots(node, prefix):
+        if (name in _BUFFER_LEAVES) == buffers:
+            yield path, getattr(owner, name)
 
 
-def named_buffers(model: ModelSpec):
+def named_params(node, prefix: str = ""):
+    """Learnable parameters of a model, or of one block with paths under
+    prefix, as (dotted path, array) in walk order: the checkpoint payload
+    and optimizer state order."""
+    return _named(node, prefix, False)
+
+
+def named_buffers(node, prefix: str = ""):
     """Non-learnable state that checkpoints must still carry (BN statistics)."""
-    for i, block in enumerate(model.blocks):
-        if isinstance(block, MemoryBlockParams) and block.query_bn is not None:
-            yield f"blocks.{i}.query_bn.running_mean", block.query_bn.running_mean
-            yield f"blocks.{i}.query_bn.running_var", block.query_bn.running_var
+    return _named(node, prefix, True)
 
 
 def param_count_total(model: ModelSpec) -> int:
@@ -213,7 +189,7 @@ def param_count_total(model: ModelSpec) -> int:
 
 
 def block_param_paths(model: ModelSpec, index: int) -> list[str]:
-    return [path for path, _ in _block_params(f"blocks.{index}", model.blocks[index])]
+    return [path for path, _ in named_params(model.blocks[index], f"blocks.{index}")]
 
 
 def trainable_paths(model: ModelSpec, mode: str = "cpt") -> set[str]:
@@ -224,10 +200,7 @@ def trainable_paths(model: ModelSpec, mode: str = "cpt") -> set[str]:
     """
     if mode not in ("cpt", "sft"):
         raise ValueError(f"unknown training mode {mode!r}")
-    paths = set()
     if mode == "sft":
-        paths.update(("embed", "unembed", "final_gain"))
-    for i, block in enumerate(model.blocks):
-        if mode == "sft" or model.trainable[i]:
-            paths.update(path for path, _ in _block_params(f"blocks.{i}", block))
-    return paths
+        return {path for path, _ in named_params(model)}
+    return {path for i, on in enumerate(model.trainable) if on
+            for path in block_param_paths(model, i)}

@@ -56,7 +56,11 @@ def make_rng(seed: int) -> np.random.Generator:
 
 def gaussian(rng: np.random.Generator, shape, std: float) -> np.ndarray:
     """N(0, std^2) init in the current default dtype."""
-    return (rng.standard_normal(shape) * std).astype(_default_dtype)
+    draw = rng.standard_normal(shape)
+    # in place: one array per tensor, not three; a Python float keeps a
+    # float32 draw in float32 arithmetic
+    draw *= float(std)
+    return draw.astype(_default_dtype, copy=False)
 
 
 def zeros(shape) -> np.ndarray:

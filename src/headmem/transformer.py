@@ -35,8 +35,8 @@ class FfnParams:
 @dataclass
 class TransformerBlockParams:
     attn: AttentionParams
-    ffn: FfnParams
     attn_gain: np.ndarray  # [d]
+    ffn: FfnParams
     ffn_gain: np.ndarray  # [d]
 
 

@@ -234,6 +234,14 @@ def test_gradcheck_subcommand(capsys):
     assert "nonsense" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_bad_gradcheck_tol_exits_2(capsys, tol):
+    code, out, err = run(capsys, "gradcheck", "--tol", tol, "--checks", "softmax")
+    assert code == 2
+    assert "error: tol must be" in err
+    assert "FAIL" not in out and "Traceback" not in out + err
+
+
 @pytest.mark.parametrize("line", ["route = fused", "fused_threshold = 4"])
 def test_removed_route_keys_exit_2(capsys, tmp_path, line):
     cfg = tmp_path / "route.cfg"

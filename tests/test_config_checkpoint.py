@@ -1,7 +1,14 @@
 """Config parsing, model builders, and the checkpoint container format."""
 
+import json
+import os
+import struct
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from headmem.checkpoint import (
     FORMAT_VERSION,
@@ -20,9 +27,24 @@ from headmem.config import (
     parse_config,
     parse_config_text,
 )
-from headmem.model import model_forward, named_buffers, named_params
-from headmem.numerics import make_rng
+from headmem.layers import MEMORY_KINDS, MemoryLayerKind
+from headmem.memory import MemoryConfig
+from headmem.model import (
+    init_base_model,
+    init_transformer_block,
+    model_forward,
+    named_buffers,
+    named_params,
+)
+from headmem.numerics import make_rng, precision
 from headmem.training import ByteCorpus, RecallCorpus
+from headmem.upscale import (
+    POLICY_NAMES,
+    PlacementPolicy,
+    UpscalePlan,
+    _init_memory_block,
+    build_memory_dus,
+)
 
 
 def test_defaults_are_complete():
@@ -188,6 +210,96 @@ def test_checkpoint_roundtrip_bitwise(kind, tmp_path):
     assert np.array_equal(a, b)
 
 
+# The walk order is the checkpoint payload order and the optimizer state
+# order; these lists are the order files were written in before the walk
+# became generic.
+_ATTN = ["attn.w_q", "attn.w_k", "attn.w_v"]
+_QUERY = ["query_bn.gamma", "query_bn.beta", "query_ln_gain"]
+_BN = ["query_bn.running_mean", "query_bn.running_var"]
+WALK_ORDER = {
+    "transformer": (_ATTN + ["attn.w_o", "attn_gain", "ffn.w_gate", "ffn.w_up",
+                             "ffn.w_down", "ffn_gain"], []),
+    ("linear", False): (_ATTN + ["norm_gain", "bank.w_q", "bank.keys", "bank.values"], []),
+    ("linear", True): (_ATTN + ["attn.w_o", "norm_gain", "bank.w_q", "bank.keys",
+                                "bank.values"] + _QUERY, _BN),
+    ("pkm", False): (_ATTN + ["norm_gain", "bank.w_q", "bank.pk.k_row", "bank.pk.k_col",
+                              "bank.values"], []),
+    ("pkm", True): (_ATTN + ["attn.w_o", "norm_gain", "bank.w_q", "bank.pk.k_row",
+                             "bank.pk.k_col", "bank.values"] + _QUERY, _BN),
+    ("headwise", False): (_ATTN + ["norm_gain", "bank.pk.k_row", "bank.pk.k_col",
+                                   "bank.values.v_base", "bank.values.w_heads"], []),
+    ("headwise", True): (_ATTN + ["attn.w_o", "norm_gain", "bank.pk.k_row",
+                                  "bank.pk.k_col", "bank.values.v_base",
+                                  "bank.values.w_heads"] + _QUERY, _BN),
+}
+
+
+@pytest.mark.parametrize("case", list(WALK_ORDER), ids=str)
+def test_walk_order_is_pinned(case):
+    source = init_transformer_block(8, 2, 12, make_rng(0))
+    block = source
+    if case != "transformer":
+        kind, on = case
+        block = _init_memory_block(source, MemoryLayerKind(kind, *[on] * 4),
+                                   MemoryConfig(heads=2, n=4, k=2, d=8), make_rng(1))
+    params, buffers = WALK_ORDER[case]
+    assert [p for p, _ in named_params(block)] == params
+    assert [p for p, _ in named_buffers(block)] == buffers
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(MEMORY_KINDS), toggles=st.tuples(*[st.booleans()] * 4),
+       prec=st.sampled_from(("f32", "f64")), policy=st.sampled_from(POLICY_NAMES),
+       heads=st.integers(1, 3), half=st.integers(1, 2), n=st.integers(1, 4),
+       k=st.integers(1, 4), depth=st.integers(1, 3), inserted=st.integers(0, 3),
+       seed=st.integers(0, 2 ** 16))
+def test_checkpoint_roundtrip_property(kind, toggles, prec, policy, heads, half, n, k,
+                                       depth, inserted, seed):
+    """Random small shapes, every kind, toggle set, precision and placement,
+    with every tensor, mask bit and descriptor value moved off its init:
+    the loaded model is the saved one, bitwise and dtype for dtype."""
+    d = 2 * half * heads
+    rng = make_rng(seed)
+    with precision(prec):
+        base = init_base_model(vocab=11, d=d, heads=heads, d_ff=6, depth=depth, rng=rng)
+        plan = UpscalePlan(policy=PlacementPolicy(policy, depth, min(inserted, depth)),
+                           insert_kind="memory_block",
+                           memory_kind=MemoryLayerKind(kind, *toggles),
+                           memory_cfg=MemoryConfig(heads=heads, n=n, k=min(k, n), d=d),
+                           seed=seed)
+        model = build_memory_dus(base, plan)
+    for _, arr in named_params(model):
+        arr += 0.1 * rng.standard_normal(arr.shape).astype(arr.dtype)
+    model.trainable = [bool(b) for b in rng.integers(0, 2, len(model.blocks))]
+    bns = [b.query_bn for b in model.blocks if getattr(b, "query_bn", None) is not None]
+    for block in model.blocks:
+        block.attn.rope_base = float(rng.uniform(10.0, 1e5))
+    for bn in bns:
+        bn.momentum = float(rng.uniform(0.01, 1.0))
+        bn.eps = float(rng.uniform(1e-8, 1e-2))
+    tokens = rng.integers(0, 11, (2, 5))
+    model_forward(tokens, model, training=True)  # moves the batchnorm buffers
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.ckpt")
+        save_checkpoint(path, model)
+        loaded, _ = load_checkpoint(path)
+
+    for walk in (named_params, named_buffers):
+        want, got = list(walk(model)), list(walk(loaded))
+        assert [p for p, _ in got] == [p for p, _ in want]
+        for (name, a), (_, b) in zip(want, got):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert loaded.trainable == model.trainable
+    assert ([b.attn.rope_base for b in loaded.blocks]
+            == [b.attn.rope_base for b in model.blocks])
+    assert ([(bn.momentum, bn.eps) for bn in bns]
+            == [(b.query_bn.momentum, b.query_bn.eps) for b in loaded.blocks
+                if getattr(b, "query_bn", None) is not None])
+    want, _ = model_forward(tokens, model)
+    got, _ = model_forward(tokens, loaded)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_checkpoint_without_config(tmp_path):
     _, model = _small_model("headwise")
     path = str(tmp_path / "bare.ckpt")
@@ -229,6 +341,27 @@ def test_checkpoint_rejects_bad_version(tmp_path):
     raw[8] = FORMAT_VERSION + 1
     open(path, "wb").write(bytes(raw))
     with pytest.raises(CheckpointError, match="version"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit,match", [
+    # the embedding alone would be larger than the whole payload; the load
+    # refuses before allocating it
+    (lambda h: h["model"].update(d=2 ** 16), "larger than the payload"),
+    (lambda h: h["model"].update(trainable=["x", None, 7]), "trainable"),
+], ids=["sizes_beyond_payload", "trainable_not_bool"])
+def test_checkpoint_rejects_header_edit(tmp_path, edit, match):
+    _, model = _small_model("pkm")
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(path, model)
+    raw = open(path, "rb").read()
+    hlen, = struct.unpack_from("<Q", raw, 12)
+    header = json.loads(raw[20:20 + hlen])
+    edit(header)
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    open(path, "wb").write(raw[:12] + struct.pack("<Q", len(text)) + text
+                           + raw[20 + hlen:])
+    with pytest.raises(CheckpointError, match=match):
         load_checkpoint(path)
 
 

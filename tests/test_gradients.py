@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from headmem.gradcheck import (
     LAYER_CHECKS,
     CheckResult,
+    _memory_block_fixture,
     check_full_model,
     format_report,
     run_gradcheck,
@@ -17,6 +18,8 @@ from headmem.gradients import (
     dedup_scatter_backward,
     weight_grad_backward,
 )
+from headmem.layers import MemoryLayerKind
+from headmem.model import init_transformer_block, named_params
 from headmem.numerics import make_rng
 
 
@@ -132,6 +135,21 @@ def test_every_layer_backward_passes_finite_differences():
             "memory_block_linear_batch3", "memory_block_pkm_batch3",
             "memory_block_headwise_batch3", "full_model_headwise_batch3"} <= names
     assert all(r.coords > 0 for r in results)
+    # block checks cover x and every parameter the model walk yields
+    for res in results:
+        if res.name.startswith(("memory_block_", "transformer_block")):
+            assert res.params == ("x",) + _walked_block_paths(res.name), res.name
+
+
+def _walked_block_paths(check_name):
+    if check_name == "transformer_block":
+        block = init_transformer_block(16, 2, 24, make_rng(0))
+    else:
+        kind = check_name.split("_")[2]
+        toggles = (MemoryLayerKind("headwise", True, True, True, True)
+                   if check_name.endswith("all_toggles") else None)
+        block = _memory_block_fixture(kind, toggles, 0)[0]
+    return tuple(path for path, _ in named_params(block))
 
 
 def test_corrupted_backward_is_caught():

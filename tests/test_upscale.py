@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from headmem.layers import MemoryBlockParams, MemoryLayerKind
+from headmem.layers import MEMORY_KINDS, MemoryBlockParams, MemoryLayerKind
 from headmem.memory import MemoryConfig
 from headmem.model import init_base_model, model_forward, named_params
 from headmem.numerics import make_rng, precision
 from headmem.transformer import TransformerBlockParams
 from headmem.upscale import (
+    POLICY_NAMES,
     PlacementPolicy,
     UpscalePlan,
     average_transformer_blocks,
@@ -186,6 +189,32 @@ def test_memory_dus_identity_at_init(kind, policy):
         a, _ = model_forward(toks, base)
         b, _ = model_forward(toks, model)
     assert np.array_equal(a, b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(MEMORY_KINDS), toggles=st.tuples(*[st.booleans()] * 4),
+       prec=st.sampled_from(("f32", "f64")), policy=st.sampled_from(POLICY_NAMES),
+       heads=st.integers(1, 3), half=st.integers(1, 2), n=st.integers(1, 4),
+       k=st.integers(1, 4), depth=st.integers(1, 4), inserted=st.integers(0, 4),
+       batch=st.integers(1, 3), seq=st.integers(1, 6), seed=st.integers(0, 2 ** 16))
+def test_memory_dus_identity_at_init_property(kind, toggles, prec, policy, heads, half,
+                                              n, k, depth, inserted, batch, seq, seed):
+    """Random small shapes, every kind, toggle set, precision and placement:
+    the expanded model's logits are the base model's, bitwise."""
+    d = 2 * half * heads
+    rng = make_rng(seed)
+    with precision(prec):
+        base = init_base_model(vocab=13, d=d, heads=heads, d_ff=6, depth=depth, rng=rng)
+        plan = UpscalePlan(policy=PlacementPolicy(policy, depth, min(inserted, depth)),
+                           insert_kind="memory_block",
+                           memory_kind=MemoryLayerKind(kind, *toggles),
+                           memory_cfg=MemoryConfig(heads=heads, n=n, k=min(k, n), d=d),
+                           seed=seed)
+        model = build_memory_dus(base, plan)
+    tokens = rng.integers(0, 13, (batch, seq))
+    want, _ = model_forward(tokens, base)
+    got, _ = model_forward(tokens, model)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_memory_dus_block_structure():
