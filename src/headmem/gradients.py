@@ -17,8 +17,13 @@ There is no straight-through approximation.
 
 The value-table gradient is one indexed add of every weighted (row, head,
 slot) contribution into a zeroed table, so each slot sums its contributions
-in (row, head, k) order. The GradStore also carries the unique value-table
-slot count and, when asked for, the head-importance probes.
+in (row, head, k) order. The add runs on the flat table, indexed by cell
+(slot * width + column) in blocks of at most 2^14 cells: numpy >= 1.25 has
+a fast path for 1-D ufunc.at, and each table element still receives its
+contributions in the same order, so the sums are the ones a row-wise
+indexed add gives, bit for bit. The embedding gradient uses the same add.
+The GradStore also carries the unique value-table slot count and, when
+asked for, the head-importance probes.
 """
 
 from __future__ import annotations
@@ -76,21 +81,45 @@ class GradStore(dict):
 # ---------------------------------------------------------------------------
 # scatter kernels
 
+# flat cells indexed per add: bounds the int64 index's memory (128 KiB)
+_CELL_BLOCK = 1 << 14
+
+
+def _scatter_rows(rows: np.ndarray, values: np.ndarray, size: int,
+                  dtype) -> np.ndarray:
+    """A zeroed [size, D] table plus np.add.at(table, rows, values).
+
+    rows [R] ints, values [R, D]. The add runs on the flat table at cells
+    rows[r] * D + column, a block of rows at a time; every element still
+    sums its contributions in r order, so the result is bitwise the
+    row-wise add's.
+    """
+    rows = rows.astype(np.intp, copy=False)  # narrow ints would wrap in rows * D
+    width = values.shape[1]
+    table = np.zeros(size * width, dtype=dtype)
+    cols = np.arange(width)
+    step = max(1, _CELL_BLOCK // max(width, 1))
+    for start in range(0, rows.shape[0], step):
+        cells = rows[start:start + step, None] * width + cols
+        np.add.at(table, cells.ravel(), values[start:start + step].ravel())
+    return table.reshape(size, width)
+
+
 def dedup_scatter_backward(g_out: np.ndarray, idx: np.ndarray, w: np.ndarray,
                            table_size: int) -> np.ndarray:
     """Gradient of out[b] = sum_k w[b, k] * table[idx[b, k]] w.r.t. the table.
 
     g_out [B, D], idx [B, K], w [B, K] -> [table_size, D]. One indexed add
-    of the B*K weighted contributions into a zeroed table: each slot sums
-    its contributions in (b, k) order, however often it repeats.
+    of the B*K weighted contributions into a zeroed table, run on flat cells
+    idx * D + column (_scatter_rows): each table element sums its
+    contributions in (b, k) order, however often its slot repeats, exactly
+    as a row-wise np.add.at would.
     """
     B, K = idx.shape
     if np.any(idx < 0) or np.any(idx >= table_size):
         raise ValueError(f"slot index out of range for table of {table_size}")
     g_token = (g_out[:, None, :] * w[:, :, None]).reshape(B * K, -1)
-    g_table = np.zeros((table_size, g_out.shape[-1]), dtype=g_out.dtype)
-    np.add.at(g_table, idx.reshape(B * K), g_token)
-    return g_table
+    return _scatter_rows(idx.reshape(B * K), g_token, table_size, g_out.dtype)
 
 
 def weight_grad_backward(g_out: np.ndarray, idx: np.ndarray,
@@ -333,7 +362,6 @@ def model_backward(dlogits: np.ndarray, caches: dict, model: ModelSpec,
         else:
             dx = memory_block_backward(dx, cache, block, grads, f"blocks.{i}")
     if grads.wants("embed"):
-        demb = np.zeros_like(model.embed)
-        np.add.at(demb, caches["tokens"], dx)
-        grads.add("embed", demb)
+        grads.add("embed", _scatter_rows(caches["tokens"], dx, model.vocab,
+                                         model.embed.dtype))
     return grads

@@ -6,9 +6,17 @@ additive pair score sigma(i, j) = S_row[i] + S_col[j] ranges over an n x n
 grid of N = n^2 composite slots addressed by the flat id i * n + j.
 
 Every layer scores all heads in one call and selects with one route,
-two_stage_topk: top-k per axis, then top-k over the k^2 candidate sums
-(exact, because any globally top-k pair has both coordinates inside the
-per-axis top-k sets, ties included under the shared tie-break rule).
+two_stage_topk: top-k per axis, then top-k over the k^2 candidate sums,
+ranked by (descending rounded sum, ascending flat id) as a scan of the whole
+grid ranks them. In exact arithmetic every globally top-k pair has both
+coordinates inside the per-axis top-k sets. In floating point it need not:
+two row scores that differ can round to one sum with the same column score,
+and the tie then goes to the smaller flat id, which may lie outside the row
+top-k. So each axis also yields its (k+1)-th score. Sums round
+monotonically, so no pair outside the candidates sums to more than
+fl(r[k] + c[0]) or fl(r[0] + c[k]) (r, c: axis scores in descending order).
+Where the k-th selected sum is strictly above both bounds, the selection is
+exact; every other (token, head) is re-selected from its full grid.
 fused_cartesian_topk materializes the full additive grid and takes a single
 top-k; it is the reference the tests and benchmarks compare against.
 
@@ -199,7 +207,9 @@ def two_stage_topk(s_row: np.ndarray, s_col: np.ndarray, k: int):
     softmax weights [..., k]). Each axis's top-k ids are put in ascending
     order, so the k^2 candidates come out in ascending flat id; the stable
     final top-k then breaks ties (descending score, ascending flat id)
-    exactly as a scan of the whole grid does.
+    exactly as a scan of the whole grid does. Where a pair outside the
+    candidates could reach the k-th sum (see the module docstring), the
+    selection is redone over the full grid.
     """
     if s_row.shape != s_col.shape:
         raise ValueError(f"axis score shapes differ: {s_row.shape} vs {s_col.shape}")
@@ -207,18 +217,30 @@ def two_stage_topk(s_row: np.ndarray, s_col: np.ndarray, k: int):
     if k > n:
         raise ValueError(f"two-stage selection needs k <= n, got k={k}, n={n}")
     lead = s_row.shape[:-1]
-    ri, rv = _ascending_ids(*topk(s_row, k))
-    ci, cv = _ascending_ids(*topk(s_col, k))
-    sums = (rv[..., :, None] + cv[..., None, :]).reshape(lead + (k * k,))
-    flat = (ri[..., :, None] * n + ci[..., None, :]).reshape(lead + (k * k,))
+    m = min(k + 1, n)
+    ri, rv = topk(s_row, m)
+    ci, cv = topk(s_col, m)
+    rk = np.sort(ri[..., :k], axis=-1)
+    ck = np.sort(ci[..., :k], axis=-1)
+    rvk = np.take_along_axis(s_row, rk, axis=-1)
+    cvk = np.take_along_axis(s_col, ck, axis=-1)
+    sums = (rvk[..., :, None] + cvk[..., None, :]).reshape(lead + (k * k,))
+    flat = (rk[..., :, None] * n + ck[..., None, :]).reshape(lead + (k * k,))
     pos, vals = topk(sums, k)
     idx = np.take_along_axis(flat, pos, axis=-1)
+    if k < n:
+        reach = np.maximum(rv[..., k] + cv[..., 0], rv[..., 0] + cv[..., k])
+        redo = reach >= vals[..., -1]
+        if np.any(redo):
+            idx[redo], vals[redo] = _grid_topk(s_row[redo], s_col[redo], k)
     return idx, softmax(vals, axis=-1)
 
 
-def _ascending_ids(ids: np.ndarray, vals: np.ndarray):
-    order = np.argsort(ids, axis=-1)  # ids are distinct per row
-    return np.take_along_axis(ids, order, axis=-1), np.take_along_axis(vals, order, axis=-1)
+def _grid_topk(s_row: np.ndarray, s_col: np.ndarray, k: int):
+    """(flat ids, sums) of the top-k of each row's materialized n x n grid."""
+    s, n = s_row.shape
+    grid = (s_row[:, :, None] + s_col[:, None, :]).reshape(s, n * n)
+    return topk(grid, k)
 
 
 def fused_cartesian_topk(s_row: np.ndarray, s_col: np.ndarray, k: int):
@@ -233,8 +255,7 @@ def fused_cartesian_topk(s_row: np.ndarray, s_col: np.ndarray, k: int):
         raise ValueError(f"axis score shapes differ: {s_row.shape} vs {s_col.shape}")
     if k > n * n:
         raise ValueError(f"k={k} exceeds slot count {n * n}")
-    grid = (s_row[:, :, None] + s_col[:, None, :]).reshape(s, n * n)
-    idx, vals = topk(grid, k)
+    idx, vals = _grid_topk(s_row, s_col, k)
     return idx, softmax(vals, axis=-1)
 
 

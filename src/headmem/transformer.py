@@ -41,13 +41,11 @@ class TransformerBlockParams:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # branch on sign to stay overflow-free on both tails
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # e = exp(-|x|) never overflows: x >= 0 takes 1 / (1 + e), the rest
+    # e / (1 + e), the same arithmetic as branching on the sign. min(x, -x)
+    # passes a NaN through with its own sign, as exp(x) on that branch does.
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def rms_norm_fwd(x: np.ndarray, gain: np.ndarray, eps: float = 1e-6):

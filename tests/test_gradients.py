@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from headmem.gradcheck import (
@@ -35,17 +35,23 @@ def scatter_oracle(g_out, idx, w, size):
 @settings(max_examples=200, deadline=None)
 @given(B=st.integers(1, 24), K=st.integers(1, 8), D=st.integers(1, 9),
        size=st.integers(1, 12), zero_weights=st.floats(0.0, 1.0),
+       dtype=st.sampled_from([np.float32, np.float64]),
        seed=st.integers(0, 2 ** 32 - 1))
+# B*K*D above 2^14: the flat-cell add spans several index blocks, the last
+# one partial; D = 20,000 leaves one row per block
+@example(B=300, K=8, D=16, size=50, zero_weights=0.2, dtype=np.float32, seed=1)
+@example(B=500, K=4, D=15, size=7, zero_weights=0.0, dtype=np.float64, seed=2)
+@example(B=3, K=2, D=20_000, size=4, zero_weights=0.0, dtype=np.float32, seed=3)
 def test_dedup_scatter_matches_naive_oracle_bitwise(B, K, D, size, zero_weights,
-                                                    seed):
+                                                    dtype, seed):
     # tiny tables force colliding slots; a share of the weights is exactly 0
     rng = np.random.default_rng(seed)
-    g_out = rng.standard_normal((B, D))
+    g_out = rng.standard_normal((B, D)).astype(dtype)
     idx = rng.integers(0, size, (B, K))
     w = np.where(rng.random((B, K)) < zero_weights, 0.0,
-                 rng.standard_normal((B, K)))
+                 rng.standard_normal((B, K))).astype(dtype)
     got = dedup_scatter_backward(g_out, idx, w, size)
-    assert got.dtype == np.float64 and got.shape == (size, D)
+    assert got.dtype == dtype and got.shape == (size, D)
     assert np.array_equal(got, scatter_oracle(g_out, idx, w, size))
 
 
@@ -188,6 +194,54 @@ def test_zero_init_copy_block_backward_is_identity():
     dy = rng.standard_normal((4, 8))
     dx = transformer_block_backward(dy, cache, p, GradStore(), "b")
     assert np.array_equal(dx, dy)
+
+
+@pytest.mark.parametrize("prec", ["f32", "f64"])
+def test_embedding_gradient_matches_loop_oracle_bitwise(prec):
+    import dataclasses
+    from headmem.model import init_base_model, trainable_paths
+    from headmem.memory import MemoryConfig
+    from headmem.numerics import precision
+    from headmem.training import loss_and_grads
+    from headmem.upscale import PlacementPolicy, UpscalePlan, build_memory_dus
+
+    with precision(prec):
+        base = init_base_model(vocab=40, d=16, heads=2, d_ff=24, depth=2,
+                               rng=make_rng(6))
+        plan = UpscalePlan(policy=PlacementPolicy("distributed", 2, 1),
+                           insert_kind="memory_block",
+                           memory_kind=MemoryLayerKind.defaults("pkm"),
+                           memory_cfg=MemoryConfig(heads=2, n=4, k=2, d=16),
+                           seed=7)
+        model = build_memory_dus(base, plan)
+    rng = make_rng(8)
+    inputs = 30 + rng.integers(0, 5, (3, 8))  # 24 positions over 5 tokens
+    targets = rng.integers(0, 40, (3, 8))
+    allowed = trainable_paths(model, "sft")
+    assert "embed" in allowed
+    loss, grads = loss_and_grads(model, inputs, targets, allowed=allowed)
+    # dx, the gradient at the embedding output: give every position its own
+    # embedding row (the forward is unchanged bit for bit), so each row of
+    # that model's embedding gradient takes exactly one contribution
+    embed = model.embed.copy()
+    embed[:inputs.size] = model.embed[inputs.ravel()]
+    spread = dataclasses.replace(model, embed=embed)
+    positions = np.arange(inputs.size).reshape(inputs.shape)
+    loss2, grads2 = loss_and_grads(spread, positions, targets, allowed=allowed)
+    assert loss2 == loss
+    dx = grads2["embed"][:inputs.size]
+    want = np.zeros_like(model.embed)
+    for p, tok in enumerate(inputs.ravel()):
+        want[tok] += dx[p]
+    got = grads["embed"]
+    assert got.dtype == model.embed.dtype == dx.dtype
+    assert np.array_equal(got, want)
+    used = np.isin(np.arange(40), inputs)
+    assert np.all(got[~used] == 0.0) and np.all(np.abs(got[used]).sum(axis=1) > 0.0)
+    # narrow token ints (token * d overflows uint8) give the same gradient
+    _, grads8 = loss_and_grads(model, inputs.astype(np.uint8), targets,
+                               allowed=allowed)
+    assert np.array_equal(grads8["embed"], got)
 
 
 def test_frozen_paths_accumulate_nothing():

@@ -24,19 +24,30 @@ from test_acceptance import grid_topk_oracle
 
 @settings(max_examples=150, deadline=None)
 @given(rows=st.integers(1, 6), heads=st.integers(1, 4), n=st.integers(1, 12),
-       k_frac=st.floats(0.0, 1.0), tie_heavy=st.booleans(),
+       k_frac=st.floats(0.0, 1.0),
+       mode=st.sampled_from(["normal", "tie_heavy", "rounding_collision"]),
+       dtype=st.sampled_from([np.float32, np.float64]),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_select_topk_equals_grid_oracle_per_head(rows, heads, n, k_frac,
-                                                 tie_heavy, seed):
+                                                 mode, dtype, seed):
     k = 1 + int(k_frac * (n - 1))
     rng = np.random.default_rng(seed)
     shape = (rows, heads, n)
-    if tie_heavy:
-        s_row = rng.integers(0, 3, shape).astype(float)
-        s_col = rng.integers(0, 3, shape).astype(float)
+    if mode == "tie_heavy":
+        s_row = rng.integers(0, 3, shape).astype(dtype)
+        s_col = rng.integers(0, 3, shape).astype(dtype)
+    elif mode == "rounding_collision":
+        # scores one ulp apart on one axis round to one sum with a large
+        # score on the other, so the tie falls to the smaller flat id
+        s_row = rng.integers(0, 3, shape).astype(dtype)
+        nudge = rng.random(shape) < 0.5
+        s_row[nudge] = np.nextafter(s_row[nudge], dtype(np.inf))
+        s_col = (rng.integers(0, 3, shape) * 64).astype(dtype)
+        if rng.random() < 0.5:
+            s_row, s_col = s_col, s_row
     else:
-        s_row = rng.standard_normal(shape)
-        s_col = rng.standard_normal(shape)
+        s_row = rng.standard_normal(shape).astype(dtype)
+        s_col = rng.standard_normal(shape).astype(dtype)
     idx, w = select_topk(s_row, s_col, k)
     assert idx.shape == w.shape == (rows, heads, k)
     for h in range(heads):

@@ -120,6 +120,31 @@ def test_sigmoid_extremes_and_ffn_gating():
     assert cache["z"] is z
 
 
+def _two_branch_sigmoid(x):
+    """The masked two-branch sigmoid, kept as the oracle of the branch-free one."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_equals_two_branch_formula_bitwise(dtype):
+    special = np.array([0.0, -0.0, np.inf, -np.inf, 800.0, -800.0,
+                        np.nan, -np.nan, 1e-30, -1e-30], dtype=dtype)
+    rand = (make_rng(10).standard_normal((64, 33)) * 30).astype(dtype)
+    bits = np.uint32 if dtype is np.float32 else np.uint64
+    assert np.signbit(special[7]) and not np.signbit(special[6])
+    # exp(-800) underflows to 0 in both formulas; no other flag may rise
+    with np.errstate(all="raise", under="ignore"):
+        for x in (special, rand, rand[:, ::2].T):
+            got, want = sigmoid(x), _two_branch_sigmoid(x)
+            assert got.dtype == dtype and got.shape == x.shape
+            assert np.array_equal(got.view(bits), want.view(bits))
+
+
 def test_lm_loss_matches_manual_cross_entropy():
     rng = make_rng(9)
     logits = rng.standard_normal((5, 11))
