@@ -8,6 +8,7 @@ head-importance, gradcheck. Exit codes: 0 success, 1 gradcheck failure,
 from __future__ import annotations
 
 import argparse
+import copy
 import os
 import sys
 
@@ -26,6 +27,7 @@ from .config import (
     parse_config,
 )
 from .gradcheck import DEFAULT_TOL, format_report, run_gradcheck
+from .layers import MEMORY_TOGGLES
 from .model import named_params, param_count_total, trainable_paths
 from .numerics import NumericsError, set_default_dtype
 from .training import RecallCorpus, evaluate, head_importance, train
@@ -174,13 +176,11 @@ def cmd_params(args) -> int:
                 ("mem_linear", "memory_block", "linear"),
                 ("mem_pkm", "memory_block", "pkm"),
                 ("mem_headwise", "memory_block", "headwise")]
-    import copy
     for method, insert_kind, kind in variants:
         vcfg = copy.deepcopy(cfg)
         if kind is not None:
             vcfg["memory"]["kind"] = kind
-            for toggle in ("query_batchnorm", "query_layernorm",
-                           "internal_residual", "output_projection"):
+            for toggle in MEMORY_TOGGLES:
                 vcfg["memory"][toggle] = None
         vcfg["upscale"]["insert_kind"] = insert_kind
         _, model = build_model(vcfg)

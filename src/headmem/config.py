@@ -11,7 +11,7 @@ import configparser
 import dataclasses
 import os
 
-from .layers import MEMORY_KINDS, MemoryLayerKind
+from .layers import MEMORY_KINDS, MEMORY_TOGGLES, MemoryLayerKind
 from .memory import MemoryConfig
 from .model import ModelSpec, init_base_model
 from .numerics import make_rng
@@ -64,8 +64,7 @@ SCHEMA = {
     },
     "memory": {
         "kind": (str, "headwise"), "n": (int, 16, _POSITIVE), "k": (int, 4, _POSITIVE),
-        "query_batchnorm": (_bool, None), "query_layernorm": (_bool, None),
-        "internal_residual": (_bool, None), "output_projection": (_bool, None),
+        **{name: (_bool, None) for name in MEMORY_TOGGLES},
     },
     "upscale": {
         "policy": (str, "distributed"), "inserted": (int, 2, _NONNEG),
@@ -169,9 +168,7 @@ def parse_config(path: str) -> dict:
 def memory_layer_kind(cfg: dict) -> MemoryLayerKind:
     m = cfg["memory"]
     lk = MemoryLayerKind.defaults(m["kind"])
-    overrides = {name: m[name] for name in
-                 ("query_batchnorm", "query_layernorm", "internal_residual",
-                  "output_projection") if m[name] is not None}
+    overrides = {name: m[name] for name in MEMORY_TOGGLES if m[name] is not None}
     return dataclasses.replace(lk, **overrides) if overrides else lk
 
 
@@ -193,9 +190,9 @@ def build_base(cfg: dict) -> ModelSpec:
         raise ConfigError(str(e)) from e
 
 
-def build_plan(cfg: dict, insert_kind: str | None = None) -> UpscalePlan:
+def build_plan(cfg: dict) -> UpscalePlan:
     up = cfg["upscale"]
-    kind = insert_kind if insert_kind is not None else up["insert_kind"]
+    kind = up["insert_kind"]
     try:
         policy = PlacementPolicy(up["policy"], cfg["model"]["depth"],
                                  up["inserted"])

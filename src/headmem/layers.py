@@ -21,7 +21,7 @@ output projection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -67,6 +67,10 @@ class MemoryLayerKind:
             return MemoryLayerKind(kind, query_batchnorm=True, query_layernorm=False,
                                    internal_residual=True, output_projection=True)
         return MemoryLayerKind(kind)
+
+
+# names of the boolean ablation toggles, in declaration order
+MEMORY_TOGGLES = tuple(f.name for f in fields(MemoryLayerKind) if f.name != "kind")
 
 
 @dataclass

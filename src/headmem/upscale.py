@@ -19,6 +19,11 @@ adjacent base blocks (optionally zero-initialized so each copy starts as an
 identity map). build_memory_dus inserts memory blocks whose attention is
 copied from the subsequent base block and whose value tables start at zero,
 so the expanded model's function is exactly the base model's at init.
+
+Both take a plain transformer stack exactly as deep as the policy's base
+depth, and raise ValueError otherwise. Copies, averages and the copy of the
+base itself all go through model.map_tensors, the model's own tensor walk:
+no code here lists a block's tensors.
 """
 
 from __future__ import annotations
@@ -28,20 +33,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import (
-    HeadwiseBank,
-    LinearMemoryBank,
     MemoryBlockParams,
     MemoryLayerKind,
-    PkmBank,
     init_batchnorm,
     init_headwise_bank,
     init_linear_bank,
     init_pkm_bank,
 )
 from .memory import MemoryConfig
-from .model import ModelSpec
+from .model import ModelSpec, map_tensors
 from .numerics import make_rng, ones
-from .transformer import AttentionParams, FfnParams, TransformerBlockParams
+from .transformer import TransformerBlockParams
 
 POLICY_NAMES = ("top_heavy", "distributed", "bottom_heavy", "llama_pro")
 INIT_SOURCES = ("preceding", "subsequent", "average_adjacent")
@@ -128,102 +130,62 @@ class UpscalePlan:
 
 
 # ---------------------------------------------------------------------------
-# parameter copies
-
-def copy_attention(p: AttentionParams, keep_projection: bool = True) -> AttentionParams:
-    return AttentionParams(
-        w_q=p.w_q.copy(), w_k=p.w_k.copy(), w_v=p.w_v.copy(),
-        w_o=p.w_o.copy() if (keep_projection and p.w_o is not None) else None,
-        heads=p.heads, rope_base=p.rope_base,
-    )
-
-
-def copy_transformer_block(b: TransformerBlockParams) -> TransformerBlockParams:
-    return TransformerBlockParams(
-        attn=copy_attention(b.attn),
-        ffn=FfnParams(w_gate=b.ffn.w_gate.copy(), w_up=b.ffn.w_up.copy(),
-                      w_down=b.ffn.w_down.copy()),
-        attn_gain=b.attn_gain.copy(),
-        ffn_gain=b.ffn_gain.copy(),
-    )
-
-
-def average_transformer_blocks(a: TransformerBlockParams,
-                               b: TransformerBlockParams) -> TransformerBlockParams:
-    avg = lambda u, v: (u + v) / 2
-    return TransformerBlockParams(
-        attn=AttentionParams(
-            w_q=avg(a.attn.w_q, b.attn.w_q), w_k=avg(a.attn.w_k, b.attn.w_k),
-            w_v=avg(a.attn.w_v, b.attn.w_v), w_o=avg(a.attn.w_o, b.attn.w_o),
-            heads=a.attn.heads, rope_base=a.attn.rope_base,
-        ),
-        ffn=FfnParams(w_gate=avg(a.ffn.w_gate, b.ffn.w_gate),
-                      w_up=avg(a.ffn.w_up, b.ffn.w_up),
-                      w_down=avg(a.ffn.w_down, b.ffn.w_down)),
-        attn_gain=avg(a.attn_gain, b.attn_gain),
-        ffn_gain=avg(a.ffn_gain, b.ffn_gain),
-    )
-
+# parameter copies: every tensor goes through model.map_tensors, so a field
+# added to a block is copied, averaged or carried without a change here
 
 def zero_init_dus_copy(block: TransformerBlockParams) -> TransformerBlockParams:
     """Copy with W_o and W_down zeroed: both sublayers then add exactly zero,
     so the copied block computes the identity map."""
-    out = copy_transformer_block(block)
+    out = map_tensors(np.copy, block)
     out.attn.w_o[...] = 0.0
     out.ffn.w_down[...] = 0.0
     return out
 
 
-def _copy_model_shell(base: ModelSpec) -> ModelSpec:
-    return ModelSpec(
-        vocab=base.vocab, d=base.d, heads=base.heads, d_ff=base.d_ff,
-        base_depth=base.base_depth,
-        embed=base.embed.copy(), unembed=base.unembed.copy(),
-        final_gain=base.final_gain.copy(),
-        blocks=[], trainable=[],
-    )
+def _check_base(base: ModelSpec, plan: UpscalePlan, insert_kind: str) -> None:
+    # prologue of both builders: the plan's kind, and a plain transformer
+    # stack exactly as deep as the policy's base depth
+    if plan.insert_kind != insert_kind:
+        raise ValueError(f"expected a {insert_kind} plan, got {plan.insert_kind}")
+    if any(not isinstance(b, TransformerBlockParams) for b in base.blocks):
+        raise ValueError("base model must be a plain transformer stack")
+    if plan.policy.base_depth != len(base.blocks):
+        raise ValueError(f"policy base depth {plan.policy.base_depth} does not match "
+                         f"the base stack's {len(base.blocks)} blocks")
 
 
 def _assemble(base: ModelSpec, positions: list[int], inserted: list) -> ModelSpec:
-    at = dict(zip(positions, inserted))
-    out = _copy_model_shell(base)
-    base_iter = iter(base.blocks)
-    for q in range(len(base.blocks) + len(inserted)):
-        if q in at:
-            out.blocks.append(at[q])
-            out.trainable.append(True)
-        else:
-            out.blocks.append(copy_transformer_block(next(base_iter)))
-            out.trainable.append(False)
+    # a copy of the whole base, frozen; inserting in ascending order puts
+    # each new block at its final expanded-stack position
+    out = map_tensors(np.copy, base)
+    out.trainable = [False] * len(out.blocks)
+    for q, block in zip(positions, inserted):
+        out.blocks.insert(q, block)
+        out.trainable.insert(q, True)
     return out
 
 
 def build_dus(base: ModelSpec, plan: UpscalePlan) -> ModelSpec:
     """Expand by inserting transformer-block copies; only copies trainable."""
-    if plan.insert_kind != "transformer_copy":
-        raise ValueError("build_dus expects a transformer_copy plan")
-    if any(not isinstance(b, TransformerBlockParams) for b in base.blocks):
-        raise ValueError("base model must be a plain transformer stack")
-    positions = policy_indices(plan.policy)
-    neighbors = neighbor_base_indices(plan.policy)
+    _check_base(base, plan, "transformer_copy")
     inserted = []
-    for (pre, sub) in neighbors:
+    for (pre, sub) in neighbor_base_indices(plan.policy):
         if plan.init_source == "preceding":
             if pre is None:
                 raise ValueError("insert at stack start has no preceding block to copy")
-            blk = copy_transformer_block(base.blocks[pre])
+            blk = map_tensors(np.copy, base.blocks[pre])
         elif plan.init_source == "subsequent":
             if sub is None:
                 raise ValueError("insert at stack end has no subsequent block to copy")
-            blk = copy_transformer_block(base.blocks[sub])
+            blk = map_tensors(np.copy, base.blocks[sub])
         else:
             if pre is None or sub is None:
                 raise ValueError("average_adjacent needs both neighbors")
-            blk = average_transformer_blocks(base.blocks[pre], base.blocks[sub])
+            blk = map_tensors(lambda u, v: (u + v) / 2, base.blocks[pre], base.blocks[sub])
         if plan.zero_init_copies:
             blk = zero_init_dus_copy(blk)
         inserted.append(blk)
-    return _assemble(base, positions, inserted)
+    return _assemble(base, policy_indices(plan.policy), inserted)
 
 
 def _init_memory_block(source: TransformerBlockParams, kind: MemoryLayerKind,
@@ -231,7 +193,9 @@ def _init_memory_block(source: TransformerBlockParams, kind: MemoryLayerKind,
     # The block sees the same normalized context as its source block's
     # attention: gain and attention weights are copied together. The output
     # projection travels only when the variant consumes projected outputs.
-    attn = copy_attention(source.attn, keep_projection=kind.output_projection)
+    attn = map_tensors(np.copy, source.attn)
+    if not kind.output_projection:
+        attn.w_o = None
     if kind.kind == "linear":
         bank = init_linear_bank(cfg, rng)
     elif kind.kind == "pkm":
@@ -253,20 +217,15 @@ def build_memory_dus(base: ModelSpec, plan: UpscalePlan) -> ModelSpec:
     llama_pro-placed tail insert has no subsequent block and copies the
     preceding one instead.
     """
-    if plan.insert_kind != "memory_block":
-        raise ValueError("build_memory_dus expects a memory_block plan")
-    if any(not isinstance(b, TransformerBlockParams) for b in base.blocks):
-        raise ValueError("base model must be a plain transformer stack")
+    _check_base(base, plan, "memory_block")
     cfg = plan.memory_cfg
     if cfg.d != base.d or cfg.heads != base.heads:
         raise ValueError(
             f"memory config ({cfg.d}, {cfg.heads} heads) does not match the base "
             f"model ({base.d}, {base.heads} heads)")
     rng = make_rng(plan.seed)
-    positions = policy_indices(plan.policy)
-    neighbors = neighbor_base_indices(plan.policy)
     inserted = []
-    for (pre, sub) in neighbors:
+    for (pre, sub) in neighbor_base_indices(plan.policy):
         src = base.blocks[sub] if sub is not None else base.blocks[pre]
         inserted.append(_init_memory_block(src, plan.memory_kind, cfg, rng))
-    return _assemble(base, positions, inserted)
+    return _assemble(base, policy_indices(plan.policy), inserted)

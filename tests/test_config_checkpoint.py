@@ -1,5 +1,6 @@
 """Config parsing, model builders, and the checkpoint container format."""
 
+import itertools
 import json
 import os
 import struct
@@ -27,14 +28,16 @@ from headmem.config import (
     parse_config,
     parse_config_text,
 )
-from headmem.layers import MEMORY_KINDS, MemoryLayerKind
+from headmem.layers import MEMORY_KINDS, MemoryBlockParams, MemoryLayerKind
 from headmem.memory import MemoryConfig
 from headmem.model import (
     init_base_model,
     init_transformer_block,
+    map_tensors,
     model_forward,
     named_buffers,
     named_params,
+    tensor_slots,
 )
 from headmem.numerics import make_rng, precision
 from headmem.training import ByteCorpus, RecallCorpus
@@ -245,6 +248,65 @@ def test_walk_order_is_pinned(case):
     params, buffers = WALK_ORDER[case]
     assert [p for p, _ in named_params(block)] == params
     assert [p for p, _ in named_buffers(block)] == buffers
+
+
+def _walk_cases():
+    source = init_transformer_block(8, 2, 12, make_rng(0))
+    source.attn.rope_base = 500.0  # off the default, so a reset would show
+    yield "transformer", source
+    for kind in MEMORY_KINDS:
+        for toggles in itertools.product((False, True), repeat=4):
+            block = _init_memory_block(source, MemoryLayerKind(kind, *toggles),
+                                       MemoryConfig(heads=2, n=4, k=2, d=8), make_rng(1))
+            yield (kind, toggles), block
+    base = init_base_model(vocab=11, d=8, heads=2, d_ff=12, depth=3, rng=make_rng(2))
+    plan = UpscalePlan(policy=PlacementPolicy("distributed", 3, 2),
+                       insert_kind="memory_block",
+                       memory_kind=MemoryLayerKind("pkm", True, True, True, False),
+                       memory_cfg=MemoryConfig(heads=2, n=4, k=2, d=8), seed=3)
+    yield "model", build_memory_dus(base, plan)
+
+
+def test_map_tensors_follows_the_walk():
+    """map_tensors hands fn the arrays tensor_slots walks, in its order, with
+    the arrays at the same paths in the others, and puts each result at
+    that path; None and non-array fields are carried over."""
+    for case, node in _walk_cases():
+        other = map_tensors(lambda a: a + 1, node)
+        calls = []
+
+        def record(a, b):
+            calls.append((a, b))
+            return a.copy()
+
+        out = map_tensors(record, node, other)
+        slots = list(tensor_slots(node))
+        assert [p for p, _, _ in tensor_slots(out)] == [p for p, _, _ in slots], case
+        assert [p for p, _, _ in tensor_slots(other)] == [p for p, _, _ in slots], case
+        assert len(calls) == len(slots), case
+        results = [getattr(o, n) for _, o, n in tensor_slots(out)]
+        for (a, b), (_, o, n), (_, oo, on), r in zip(
+                calls, slots, tensor_slots(other), results):
+            assert a is getattr(o, n) and b is getattr(oo, on), case
+            assert np.array_equal(r, a) and not np.shares_memory(r, a), case
+        blocks = out.blocks if case == "model" else [out]
+        sources = node.blocks if case == "model" else [node]
+        for got, src in zip(blocks, sources):
+            assert type(got) is type(src)
+            assert (got.attn.heads, got.attn.rope_base) == (src.attn.heads, src.attn.rope_base)
+            assert (got.attn.w_o is None) == (src.attn.w_o is None), case
+            if isinstance(src, MemoryBlockParams):
+                assert got.kind is src.kind and got.cfg is src.cfg
+                assert (got.query_bn is None) == (src.query_bn is None), case
+                assert (got.query_ln_gain is None) == (src.query_ln_gain is None), case
+                if src.query_bn is not None:
+                    assert (got.query_bn.momentum, got.query_bn.eps) == (
+                        src.query_bn.momentum, src.query_bn.eps)
+        if case == "model":
+            for name in ("vocab", "d", "heads", "d_ff", "base_depth"):
+                assert getattr(out, name) == getattr(node, name)
+            assert out.trainable == node.trainable
+            assert out.blocks is not node.blocks and out.trainable is not node.trainable
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,5 +1,7 @@
 """Placement policies, copy initialization, and identity-preserving expansion."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,20 +9,18 @@ from hypothesis import strategies as st
 
 from headmem.layers import MEMORY_KINDS, MemoryBlockParams, MemoryLayerKind
 from headmem.memory import MemoryConfig
-from headmem.model import init_base_model, model_forward, named_params
+from headmem.model import init_base_model, model_forward, named_buffers, named_params
 from headmem.numerics import make_rng, precision
 from headmem.transformer import TransformerBlockParams
 from headmem.upscale import (
+    INIT_SOURCES,
     POLICY_NAMES,
     PlacementPolicy,
     UpscalePlan,
-    average_transformer_blocks,
     build_dus,
     build_memory_dus,
-    copy_transformer_block,
     neighbor_base_indices,
     policy_indices,
-    zero_init_dus_copy,
 )
 
 # expanded-stack index sets for the two reference shapes
@@ -86,23 +86,6 @@ def test_neighbor_base_indices():
     assert neighbor_base_indices(head) == [(None, 0)]
 
 
-def test_copy_and_average_helpers():
-    rng = make_rng(1)
-    with precision("f64"):
-        from headmem.model import init_transformer_block
-        a = init_transformer_block(8, 2, 12, rng)
-        b = init_transformer_block(8, 2, 12, rng)
-    c = copy_transformer_block(a)
-    assert np.array_equal(c.attn.w_q, a.attn.w_q)
-    c.attn.w_q[0, 0] += 1.0
-    assert c.attn.w_q[0, 0] != a.attn.w_q[0, 0]  # deep copy
-    avg = average_transformer_blocks(a, b)
-    assert np.allclose(avg.ffn.w_up, 0.5 * (a.ffn.w_up + b.ffn.w_up), atol=0)
-    z = zero_init_dus_copy(a)
-    assert np.all(z.attn.w_o == 0) and np.all(z.ffn.w_down == 0)
-    assert np.array_equal(z.attn.w_q, a.attn.w_q)
-
-
 def _base(depth=4, seed=0, d=16, heads=2, vocab=50, d_ff=24):
     return init_base_model(vocab=vocab, d=d, heads=heads, d_ff=d_ff,
                            depth=depth, rng=make_rng(seed))
@@ -137,26 +120,106 @@ def test_dus_raw_copies_change_the_function():
     assert not np.array_equal(a, b)
 
 
+def _arrays(model):
+    return [a for walk in (named_params, named_buffers) for _, a in walk(model)]
+
+
+def _assert_detached(model, base, base_arrays, base_blocks):
+    """No array of model shares memory with the base, and the base's block
+    list and mask are the ones it had before the build."""
+    for arr in _arrays(model):
+        assert not any(np.shares_memory(arr, b) for b in base_arrays)
+    assert len(base.blocks) == len(base_blocks)
+    assert all(a is b for a, b in zip(base.blocks, base_blocks))
+    assert base.trainable == [True] * len(base_blocks)
+
+
+def _dus_oracle(base, plan, positions, neighbors):
+    """(path, array) of the model build_dus must return, in walk order:
+    every tensor of an insert is its source's (preceding, subsequent, or
+    0.5 * (pre + sub)), zeroed at attn.w_o and ffn.w_down for zero-init
+    copies; every other tensor is the base's."""
+    zeroed = ("attn.w_o", "ffn.w_down") if plan.zero_init_copies else ()
+    want = [(p, a) for p, a in named_params(base) if not p.startswith("blocks.")]
+    base_iter = iter(range(len(base.blocks)))
+    for q in range(len(base.blocks) + len(positions)):
+        if q not in positions:
+            i = next(base_iter)
+            want += [(f"blocks.{q}.{p}", a) for p, a in named_params(base.blocks[i])]
+            continue
+        pre, sub = neighbors[positions.index(q)]
+        pre_p = dict(named_params(base.blocks[pre])) if pre is not None else {}
+        sub_p = dict(named_params(base.blocks[sub])) if sub is not None else {}
+        for p, _ in named_params(base.blocks[0]):
+            if plan.init_source == "preceding":
+                a = pre_p[p]
+            elif plan.init_source == "subsequent":
+                a = sub_p[p]
+            else:
+                a = 0.5 * (pre_p[p] + sub_p[p])
+            want.append((f"blocks.{q}.{p}", np.zeros_like(a) if p in zeroed else a))
+    return want
+
+
 def test_dus_init_sources():
-    with precision("f64"):
-        base = _base(seed=5)
-        for source in ("preceding", "subsequent", "average_adjacent"):
-            plan = UpscalePlan(policy=PlacementPolicy("distributed", 4, 2),
+    """Every tensor of every build_dus model, bitwise, over every policy x
+    init source x zero_init_copies x inserted count, in f32 and f64; no
+    array of a build_dus or build_memory_dus model aliases the base."""
+    for prec in ("f32", "f64"):
+        with precision(prec):
+            base = _base(seed=5)
+        base_arrays, base_blocks = _arrays(base), list(base.blocks)
+        for policy, source, zero, inserted in itertools.product(
+                POLICY_NAMES, INIT_SOURCES, (False, True), (1, 2, 4)):
+            plan = UpscalePlan(policy=PlacementPolicy(policy, 4, inserted),
                                insert_kind="transformer_copy",
-                               init_source=source, seed=1)
-            model = build_dus(base, plan)
+                               init_source=source, zero_init_copies=zero, seed=1)
             positions = policy_indices(plan.policy)
             neighbors = neighbor_base_indices(plan.policy)
-            for pos, (pre, sub) in zip(positions, neighbors):
-                got = model.blocks[pos].attn.w_q
-                if source == "preceding":
-                    want = base.blocks[pre].attn.w_q
-                elif source == "subsequent":
-                    want = base.blocks[sub].attn.w_q
-                else:
-                    want = 0.5 * (base.blocks[pre].attn.w_q
-                                  + base.blocks[sub].attn.w_q)
-                assert np.allclose(got, want, atol=0)
+            needs = {"preceding": (0,), "subsequent": (1,),
+                     "average_adjacent": (0, 1)}[source]
+            if any(pair[j] is None for pair in neighbors for j in needs):
+                with pytest.raises(ValueError):
+                    build_dus(base, plan)
+                continue
+            model = build_dus(base, plan)
+            want = _dus_oracle(base, plan, positions, neighbors)
+            got = list(named_params(model))
+            assert [p for p, _ in got] == [p for p, _ in want]
+            for (path, a), (_, b) in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b), (plan, path)
+            assert model.trainable == [q in positions for q in range(4 + inserted)]
+            _assert_detached(model, base, base_arrays, base_blocks)
+        for kind, toggles, policy in itertools.product(
+                MEMORY_KINDS, itertools.product((False, True), repeat=4), POLICY_NAMES):
+            plan = UpscalePlan(policy=PlacementPolicy(policy, 4, 2),
+                               insert_kind="memory_block",
+                               memory_kind=MemoryLayerKind(kind, *toggles),
+                               memory_cfg=MemoryConfig(heads=2, n=4, k=2, d=16), seed=3)
+            with precision(prec):
+                model = build_memory_dus(base, plan)
+            _assert_detached(model, base, base_arrays, base_blocks)
+        with precision(prec):
+            fresh = _base(seed=5)
+        for (p, a), (_, b) in zip(named_params(base), named_params(fresh)):
+            assert np.array_equal(a, b), p  # the builds wrote nothing into the base
+
+
+@pytest.mark.parametrize("builder", ["build_dus", "build_memory_dus"])
+@pytest.mark.parametrize("depth,inserted", [(2, 1), (6, 6), (8, 2), (3, 3)])
+def test_builders_reject_policy_depth_mismatch(builder, depth, inserted):
+    base = _base()  # 4 blocks
+    policy = PlacementPolicy("distributed", depth, inserted)
+    if builder == "build_dus":
+        plan = UpscalePlan(policy=policy, insert_kind="transformer_copy", seed=1)
+        build = build_dus
+    else:
+        plan = UpscalePlan(policy=policy, insert_kind="memory_block",
+                           memory_kind=MemoryLayerKind.defaults("headwise"),
+                           memory_cfg=MemoryConfig(heads=2, n=4, k=2, d=16), seed=1)
+        build = build_memory_dus
+    with pytest.raises(ValueError, match="policy base depth"):
+        build(base, plan)
 
 
 def test_dus_rejects_unavailable_neighbor():
