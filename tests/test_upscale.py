@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 from headmem.layers import MEMORY_KINDS, MemoryBlockParams, MemoryLayerKind
 from headmem.memory import MemoryConfig
-from headmem.model import init_base_model, model_forward, named_buffers, named_params
+from headmem.model import (
+    init_base_model,
+    map_tensors,
+    model_forward,
+    named_buffers,
+    named_params,
+)
 from headmem.numerics import make_rng, precision
 from headmem.transformer import TransformerBlockParams
 from headmem.upscale import (
@@ -21,6 +27,7 @@ from headmem.upscale import (
     build_memory_dus,
     neighbor_base_indices,
     policy_indices,
+    zero_init_dus_copy,
 )
 
 # expanded-stack index sets for the two reference shapes
@@ -84,6 +91,26 @@ def test_neighbor_base_indices():
     head = PlacementPolicy("bottom_heavy", 3, 1)
     assert policy_indices(head) == [0]
     assert neighbor_base_indices(head) == [(None, 0)]
+
+
+def test_copy_and_average_helpers():
+    """The copy, average and zero-init that the builders run through
+    map_tensors: a deep copy, an exact mean, and zeroed output projections."""
+    rng = make_rng(1)
+    with precision("f64"):
+        from headmem.model import init_transformer_block
+        a = init_transformer_block(8, 2, 12, rng)
+        b = init_transformer_block(8, 2, 12, rng)
+    c = map_tensors(np.copy, a)
+    assert np.array_equal(c.attn.w_q, a.attn.w_q)
+    c.attn.w_q[0, 0] += 1.0
+    assert c.attn.w_q[0, 0] != a.attn.w_q[0, 0]  # deep copy
+    avg = map_tensors(lambda u, v: (u + v) / 2, a, b)
+    assert np.allclose(avg.ffn.w_up, 0.5 * (a.ffn.w_up + b.ffn.w_up), atol=0)
+    z = zero_init_dus_copy(a)
+    assert np.all(z.attn.w_o == 0) and np.all(z.ffn.w_down == 0)
+    assert np.array_equal(z.attn.w_q, a.attn.w_q)
+    assert not np.shares_memory(z.attn.w_q, a.attn.w_q)
 
 
 def _base(depth=4, seed=0, d=16, heads=2, vocab=50, d_ff=24):
