@@ -17,7 +17,7 @@ import numpy as np
 
 from .layers import MemoryBlockParams, memory_block_forward
 from .memory import fused_cartesian_topk, lookup_cost, two_stage_topk
-from .numerics import make_rng
+from .numerics import gaussian, make_rng
 from .transformer import TransformerBlockParams, transformer_block_forward
 
 DEFAULT_TOKEN_SWEEP = (1, 4, 16, 64, 256)
@@ -52,8 +52,8 @@ def bench_topk(n: int, k: int, token_counts=DEFAULT_TOKEN_SWEEP,
     rng = make_rng(seed)
     rows = []
     for tokens in sorted(token_counts):
-        s_row = rng.standard_normal((tokens, n))
-        s_col = rng.standard_normal((tokens, n))
+        s_row = gaussian(rng, (tokens, n), 1.0)  # the run's precision
+        s_col = gaussian(rng, (tokens, n), 1.0)
         a_idx, a_w = two_stage_topk(s_row, s_col, k)
         b_idx, b_w = fused_cartesian_topk(s_row, s_col, k)
         equal = bool(np.array_equal(a_idx, b_idx) and np.array_equal(a_w, b_w))
@@ -112,14 +112,12 @@ def bench_prefill(blocks: dict[str, object], lengths=DEFAULT_LENGTHS,
     rows = []
     for length in sorted(lengths):
         for name, p in blocks.items():
+            x = rng.standard_normal((length, p.attn.w_q.shape[0]))
+            x = x.astype(p.attn.w_q.dtype)
             if isinstance(p, TransformerBlockParams):
-                x = rng.standard_normal((length, p.attn.w_q.shape[0]))
-                x = x.astype(p.attn.w_q.dtype)
                 fn = lambda: transformer_block_forward(x, p)
                 macs = transformer_block_macs(p, length)
             else:
-                x = rng.standard_normal((length, p.cfg.d))
-                x = x.astype(p.attn.w_q.dtype)
                 fn = lambda: memory_block_forward(x, p, training=False)
                 macs = memory_block_macs(p, length)
             rows.append(PrefillRow(length=length, block_kind=name,

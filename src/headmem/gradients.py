@@ -134,8 +134,8 @@ def weight_grad_backward(g_out: np.ndarray, idx: np.ndarray,
 # dense layer backwards
 
 def softmax_backward(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    dot = np.sum(dy * y, axis=-1, keepdims=True)
-    return y * (dy - dot)
+    g = dy - np.sum(dy * y, axis=-1, keepdims=True)
+    return np.multiply(g, y, out=g)
 
 
 def rms_norm_backward(dy: np.ndarray, cache: dict, with_gain: bool = True):
@@ -204,7 +204,8 @@ def attention_backward(dout: np.ndarray, cache: dict, p: AttentionParams,
     attn, v, qr, kr = cache["attn"], cache["v"], cache["qr"], cache["kr"]
     dattn = dctx @ v.swapaxes(-1, -2)  # [B, H, s, s]
     dv = attn.swapaxes(-1, -2) @ dctx
-    dscores = softmax_backward(attn, dattn) / math.sqrt(d_h)
+    dscores = softmax_backward(attn, dattn)
+    dscores /= math.sqrt(d_h)
     dqr = dscores @ kr
     dkr = dscores.swapaxes(-1, -2) @ qr
     dq = merge_heads(apply_rope(dqr, cache["cos"], cache["sin"], inverse=True))

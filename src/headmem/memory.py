@@ -8,15 +8,16 @@ grid of N = n^2 composite slots addressed by the flat id i * n + j.
 Every layer scores all heads in one call and selects with one route,
 two_stage_topk: top-k per axis, then top-k over the k^2 candidate sums,
 ranked by (descending rounded sum, ascending flat id) as a scan of the whole
-grid ranks them. In exact arithmetic every globally top-k pair has both
-coordinates inside the per-axis top-k sets. In floating point it need not:
-two row scores that differ can round to one sum with the same column score,
-and the tie then goes to the smaller flat id, which may lie outside the row
-top-k. So each axis also yields its (k+1)-th score. Sums round
-monotonically, so no pair outside the candidates sums to more than
-fl(r[k] + c[0]) or fl(r[0] + c[k]) (r, c: axis scores in descending order).
-Where the k-th selected sum is strictly above both bounds, the selection is
-exact; every other (token, head) is re-selected from its full grid.
+grid ranks them. The final top-k takes the flat ids as tie-break ids, so
+candidate order is free. In exact arithmetic every globally top-k pair has
+both coordinates inside the per-axis top-k sets. In floating point it need
+not: two row scores that differ can round to one sum with the same column
+score, and the tie then goes to the smaller flat id, which may lie outside
+the row top-k. So each axis also yields its (k+1)-th score. Sums round
+monotonically, so no pair outside the candidates sums to more than fl(r[k] +
+c[0]) or fl(r[0] + c[k]) (r, c: axis scores in descending order). Where the
+k-th selected sum is strictly above both bounds, the selection is exact;
+every other (token, head) is re-selected from its full grid.
 fused_cartesian_topk materializes the full additive grid and takes a single
 top-k; it is the reference the tests and benchmarks compare against.
 
@@ -204,12 +205,11 @@ def two_stage_topk(s_row: np.ndarray, s_col: np.ndarray, k: int):
     """Exact top-k over all n^2 additive pair scores via per-axis pre-selection.
 
     s_row, s_col: [..., n] with any leading shape. Returns (flat ids [..., k],
-    softmax weights [..., k]). Each axis's top-k ids are put in ascending
-    order, so the k^2 candidates come out in ascending flat id; the stable
-    final top-k then breaks ties (descending score, ascending flat id)
-    exactly as a scan of the whole grid does. Where a pair outside the
-    candidates could reach the k-th sum (see the module docstring), the
-    selection is redone over the full grid.
+    softmax weights [..., k]). The final top-k takes the flat ids as its
+    tie-break ids, so the k^2 candidates may come in any order and ties fall
+    (descending sum, ascending flat id) as in a scan of the whole grid. Where
+    a pair outside the candidates could reach the k-th sum (see the module
+    docstring), the selection is redone over the full grid.
     """
     if s_row.shape != s_col.shape:
         raise ValueError(f"axis score shapes differ: {s_row.shape} vs {s_col.shape}")
@@ -217,17 +217,11 @@ def two_stage_topk(s_row: np.ndarray, s_col: np.ndarray, k: int):
     if k > n:
         raise ValueError(f"two-stage selection needs k <= n, got k={k}, n={n}")
     lead = s_row.shape[:-1]
-    m = min(k + 1, n)
-    ri, rv = topk(s_row, m)
-    ci, cv = topk(s_col, m)
-    rk = np.sort(ri[..., :k], axis=-1)
-    ck = np.sort(ci[..., :k], axis=-1)
-    rvk = np.take_along_axis(s_row, rk, axis=-1)
-    cvk = np.take_along_axis(s_col, ck, axis=-1)
-    sums = (rvk[..., :, None] + cvk[..., None, :]).reshape(lead + (k * k,))
-    flat = (rk[..., :, None] * n + ck[..., None, :]).reshape(lead + (k * k,))
-    pos, vals = topk(sums, k)
-    idx = np.take_along_axis(flat, pos, axis=-1)
+    ri, rv = topk(s_row, min(k + 1, n))
+    ci, cv = topk(s_col, min(k + 1, n))
+    sums = (rv[..., :k, None] + cv[..., None, :k]).reshape(lead + (k * k,))
+    flat = (ri[..., :k, None] * n + ci[..., None, :k]).reshape(lead + (k * k,))
+    idx, vals = topk(sums, k, ids=flat)
     if k < n:
         reach = np.maximum(rv[..., k] + cv[..., 0], rv[..., 0] + cv[..., k])
         redo = reach >= vals[..., -1]
@@ -246,9 +240,9 @@ def _grid_topk(s_row: np.ndarray, s_col: np.ndarray, k: int):
 def fused_cartesian_topk(s_row: np.ndarray, s_col: np.ndarray, k: int):
     """Reference selection: one top-k over the materialized n x n grid.
 
-    Same selected set, same order, same weights as two_stage_topk (flat ids
-    of the grid are already ascending, so the stable sort shares its
-    tie-break). No layer calls it; tests and benchmarks compare against it.
+    Same selected set, same order, same weights as two_stage_topk (a grid
+    position is its flat id, so the default tie-break ids are the flat
+    ids). No layer calls it; tests and benchmarks compare against it.
     """
     s, n = s_row.shape
     if s_col.shape != (s, n):

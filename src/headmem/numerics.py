@@ -3,8 +3,11 @@
 Tensors are plain numpy arrays (row-major, float32 by default). A global
 precision switch flips newly created parameters and activations to float64,
 which the gradient verifier relies on. All ops here are bit-deterministic for
-a fixed precision and input: no threading knobs, no data-dependent branching,
-and top-k breaks ties by ascending index so equal scores never reorder.
+a fixed precision and input: no threading knobs, and top-k breaks ties by
+ascending id so equal scores never reorder. Top-k over float32 is one SIMD
+np.sort of packed uint64 keys (an order-reversing map of the score above the
+id); float64 and ids too wide to pack take a stable argsort by score, with
+np.lexsort for the rows whose ties reach the cut.
 """
 
 from __future__ import annotations
@@ -80,22 +83,46 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Max-subtracted softmax; rows of the result sum to 1."""
     if x.shape[axis] == 0:
         raise ValueError("softmax over an empty axis")
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    e = x - np.max(x, axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=axis, keepdims=True)
+    return e
 
 
-def topk(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices and values of the k largest entries along the last axis.
+def topk(scores: np.ndarray, k: int, ids: np.ndarray | None = None):
+    """(ids, values) of the k largest entries along the last axis.
 
-    Descending by score; exact ties resolve to the ascending index (stable
-    argsort over negated scores), so the result is a deterministic function
-    of the input. Works on any leading batch shape.
+    Descending by score, exact ties to the ascending id, then position:
+    np.lexsort((ids, -scores)) cut to k, whatever order the entries come in.
+    ids (non-negative ints, scores' shape) default to the positions.
+    float32 packs a uint64 per entry: descending key, id, position. Other
+    dtypes and ids too wide for the low 32 bits take a stable argsort by
+    score; rows with a tie or NaN among the first k + 1 re-sort by lexsort.
     """
     c = scores.shape[-1]
     if not 1 <= k <= c:
         raise ValueError(f"k={k} out of range for axis of size {c}")
-    order = np.argsort(-scores, axis=-1, kind="stable")
-    idx = order[..., :k]
-    vals = np.take_along_axis(scores, idx, axis=-1)
-    return idx, vals
+    pos = np.arange(c, dtype=np.uint64)
+    tie = pos if ids is None else ids
+    bits = (c - 1).bit_length()  # the position packs below the id
+    if (scores.dtype == np.float32 and tie.min(initial=0) >= 0
+            and tie.max(initial=0) < 1 << (32 - bits)):
+        # keys ascend as scores descend; + 0.0 ties -0 with +0, NaNs go last;
+        # C order makes the results C-contiguous whatever scores' strides are
+        b = np.add(scores, np.float32(0.0), order="C").view(np.int32)
+        b ^= ~((b >> 31) | np.int32(-0x80000000))
+        b[np.isnan(scores)] = -1
+        packed = b.view(np.uint32).astype(np.uint64)
+        packed <<= np.uint64(32)
+        packed |= (tie.astype(np.uint64) << np.uint64(bits)) | pos
+        packed.sort(axis=-1)
+        order = (packed[..., :k] & np.uint64((1 << bits) - 1)).astype(np.intp)
+    else:
+        order = np.argsort(-scores, axis=-1, kind="stable")
+        if ids is not None:  # exact unless a tie or NaN reaches the cut
+            v = np.take_along_axis(scores, order[..., :k + 1], axis=-1)
+            redo = ~np.all(v[..., :-1] > v[..., 1:], axis=-1)
+            order[redo] = np.lexsort((tie[redo], -scores[redo]), axis=-1)
+        order = order[..., :k]
+    idx = order if ids is None else np.take_along_axis(ids, order, axis=-1)
+    return idx, np.take_along_axis(scores, order, axis=-1)

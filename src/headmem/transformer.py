@@ -63,6 +63,25 @@ def rope_tables(s: int, d_h: int, base: float, dtype):
     return np.cos(ang).astype(dtype), np.sin(ang).astype(dtype)
 
 
+_TABLES: dict = {}  # read-only attention tables, see attention_tables
+
+
+def attention_tables(s: int, d_h: int, base: float, dtype):
+    """cos, sin [s, d_h/2] and the additive causal mask [s, s] (-inf above
+    the diagonal), sliced from read-only tables grown to the longest length
+    seen: one mask per dtype, one cos/sin pair per (d_h, base, dtype). Both
+    are prefix-consistent, so a slice is bitwise the table of that length."""
+    dtype = np.dtype(dtype)
+    rope, mask = _TABLES.get((d_h, base, dtype)), _TABLES.get(dtype)
+    if rope is None or len(rope[0]) < s:
+        rope = _TABLES[(d_h, base, dtype)] = rope_tables(s, d_h, base, dtype)
+    if mask is None or len(mask) < s:
+        mask = _TABLES[dtype] = np.triu(np.full((s, s), -np.inf, dtype=dtype), k=1)
+    for t in (*rope, mask):
+        t.flags.writeable = False
+    return rope[0][:s], rope[1][:s], mask[:s, :s]
+
+
 def apply_rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray, inverse: bool = False):
     """Rotate half-split pairs (x[i], x[i + d_h/2]) by the position angle.
 
@@ -116,13 +135,14 @@ def causal_attention(xn: np.ndarray, p: AttentionParams, project_output: bool = 
     q = split_heads(xn @ p.w_q, p.heads, s)  # [B, H, s, d_h]
     k = split_heads(xn @ p.w_k, p.heads, s)
     v = split_heads(xn @ p.w_v, p.heads, s)
-    cos, sin = rope_tables(s, d_h, p.rope_base, xn.dtype)
+    cos, sin, mask = attention_tables(s, d_h, p.rope_base, xn.dtype)
     qr = apply_rope(q, cos, sin)
     kr = apply_rope(k, cos, sin)
-    # python-float scale and typed mask keep f32 streams in f32
-    scores = qr @ kr.swapaxes(-1, -2) / math.sqrt(d_h)  # [B, H, s, s]
-    mask = np.triu(np.full((s, s), -np.inf, dtype=xn.dtype), k=1)
-    attn = softmax(scores + mask, axis=-1)
+    # in place on the fresh scores; a python-float scale keeps f32 in f32
+    scores = qr @ kr.swapaxes(-1, -2)  # [B, H, s, s]
+    scores /= math.sqrt(d_h)
+    scores += mask
+    attn = softmax(scores, axis=-1)
     ctx = attn @ v  # [B, H, s, d_h]
     cat = merge_heads(ctx)
     out = cat @ p.w_o if project_output else cat

@@ -6,10 +6,12 @@ import struct
 import numpy as np
 import pytest
 
+from headmem import bench
 from headmem.checkpoint import load_checkpoint, save_checkpoint
 from headmem.cli import main
 from headmem.config import build_model, parse_config
 from headmem.model import named_params
+from headmem.numerics import precision
 
 
 def run(capsys, *argv):
@@ -193,6 +195,31 @@ def test_bench_topk_csv(capsys, tmp_path, small_cfg):
         assert (n, k) == ("8", "2")
         assert int(a_ns) > 0 and int(b_ns) > 0
         assert equal == "true"
+
+
+@pytest.mark.parametrize("mode", ["f32", "f64"])
+def test_bench_topk_times_the_run_precision(capsys, monkeypatch, small_cfg, mode):
+    """Both kernels get scores in the run's dtype, from the library call
+    under precision() and from the subcommand's --precision."""
+    seen = []
+
+    def spy(kernel):
+        def wrapped(s_row, s_col, k):
+            seen.append((s_row.dtype, s_col.dtype))
+            return kernel(s_row, s_col, k)
+        return wrapped
+
+    monkeypatch.setattr(bench, "two_stage_topk", spy(bench.two_stage_topk))
+    monkeypatch.setattr(bench, "fused_cartesian_topk", spy(bench.fused_cartesian_topk))
+    want = np.dtype(np.float32 if mode == "f32" else np.float64)
+    with precision(mode):
+        rows = bench.bench_topk(8, 2, token_counts=(1, 5), repeats=1)
+    assert all(r.equal for r in rows)
+    code, _, _ = run(capsys, "bench-topk", "--config", small_cfg, "--precision", mode,
+                     "--tokens", "1,4", "--repeats", "1")
+    assert code == 0
+    assert len(seen) == 2 * 2 * (1 + 1) * 2  # 2 kernels, 2 sizes, check + timing, 2 runs
+    assert all(pair == (want, want) for pair in seen)
 
 
 @pytest.mark.parametrize("command", ["bench-topk", "bench-prefill"])

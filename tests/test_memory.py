@@ -132,6 +132,19 @@ def test_select_topk_batched_shapes():
         select_topk(s_row, s_col, 7)  # k > n is rejected
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_select_topk_returns_row_major_results(dtype):
+    """score_subkeys hands over head-major views; the ids and weights still
+    come back C-contiguous, the layout the value gather reads fastest."""
+    rng = make_rng(35)
+    s_row, s_col = (rng.standard_normal((4, 50, 16)).astype(dtype).swapaxes(0, 1)
+                    for _ in range(2))
+    idx, w = select_topk(s_row, s_col, 4)
+    assert idx.flags.c_contiguous and w.flags.c_contiguous
+    want_idx, want_w = select_topk(s_row.copy(), s_col.copy(), 4)
+    assert np.array_equal(idx, want_idx) and np.array_equal(w, want_w)
+
+
 def test_score_subkeys_halves_and_counter():
     cfg = MemoryConfig(heads=2, n=8, k=2, d=16)
     rng = make_rng(4)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from headmem.numerics import (
     NumericsError,
@@ -105,6 +107,48 @@ def test_topk_batched_and_k_range():
         topk(x, 0)
     with pytest.raises(ValueError):
         topk(x, 7)
+
+
+# tie-heavy integers, both zeros, both infinities and NaNs of both signs;
+# float32 draws also take NaNs with payloads
+_SPECIAL_SCORES = [-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, np.inf, -np.inf, np.nan, -np.nan]
+
+
+@settings(max_examples=300, deadline=None)
+@given(dtype=st.sampled_from([np.float32, np.float64]),
+       lead=st.lists(st.integers(1, 3), max_size=3),
+       c=st.integers(1, 40), k_frac=st.floats(0.0, 1.0),
+       ids_mode=st.sampled_from(["default", "permutation", "packable_sparse",
+                                 "above_2_32"]),
+       specials=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_topk_matches_lexsort_oracle(dtype, lead, c, k_frac, ids_mode, specials,
+                                     seed):
+    """ids and value bits of topk equal np.lexsort((ids, -scores)) cut to k,
+    the oracle of the (descending score, ascending id) order."""
+    rng = np.random.default_rng(seed)
+    shape = tuple(lead) + (c,)
+    k = 1 + int(k_frac * (c - 1))
+    scores = rng.standard_normal(shape).astype(dtype)
+    pick = rng.random(shape) < specials
+    scores[pick] = rng.choice(np.array(_SPECIAL_SCORES, dtype=dtype), int(pick.sum()))
+    if dtype == np.float32 and pick.any():
+        payload = np.array([0xFFC00001, 0x7FC00123], dtype=np.uint32).view(np.float32)
+        where = pick & (rng.random(shape) < 0.2)
+        scores[where] = rng.choice(payload, int(where.sum()))
+    if ids_mode == "default":
+        ids, tie = None, np.broadcast_to(np.arange(c), shape)
+    else:
+        top = {"permutation": c, "packable_sparse": 1 << 20, "above_2_32": 1 << 40}[ids_mode]
+        low = (1 << 32) - c if ids_mode == "above_2_32" and rng.random() < 0.5 else 0
+        draw = [low + rng.choice(top - low, c, replace=False) for _ in range(int(np.prod(lead)))]
+        ids = tie = np.array(draw, dtype=np.int64).reshape(shape)
+    want = np.lexsort((tie, -scores), axis=-1)[..., :k]
+    got_ids, got_vals = topk(scores, k, ids)
+    assert got_ids.shape == got_vals.shape == shape[:-1] + (k,)
+    assert got_vals.dtype == dtype
+    assert np.array_equal(got_ids, np.take_along_axis(tie, want, axis=-1))
+    want_vals = np.take_along_axis(scores, want, axis=-1)
+    assert got_vals.tobytes() == want_vals.tobytes()
 
 
 def test_assert_finite_raises():

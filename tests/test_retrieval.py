@@ -56,6 +56,23 @@ def test_select_topk_equals_grid_oracle_per_head(rows, heads, n, k_frac,
         assert np.array_equal(w[:, h], ref_w)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_select_topk_breaks_ties_by_flat_id_not_candidate_order(dtype):
+    """Axis scores rising with the id put the k^2 candidates in descending
+    flat-id order, and k = n leaves no pair outside them, so no grid
+    re-selection runs: only the final top-k's tie-break by flat id (not by
+    candidate position) ranks the many tied sums as the grid scan does."""
+    rng = np.random.default_rng(40)
+    for n in range(2, 9):
+        rising = np.arange(n, dtype=dtype)
+        s_row = np.stack([rising, rising * 2, rng.permutation(rising)])[:, None]
+        s_col = np.stack([rising, rising, rng.permutation(rising)])[:, None]
+        idx, w = select_topk(s_row, s_col, n)
+        assert np.array_equal(idx[:, 0], grid_topk_oracle(s_row[:, 0], s_col[:, 0], n))
+        _, ref_w = fused_cartesian_topk(s_row[:, 0], s_col[:, 0], n)
+        assert np.array_equal(w[:, 0], ref_w)
+
+
 def _block(kind, seed):
     rng = make_rng(seed)
     cfg = MemoryConfig(heads=4, n=6, k=3, d=24)

@@ -1,10 +1,14 @@
 """Decoder backbone pieces: rotary embedding, causal attention, gated FFN."""
 
+import math
+
 import numpy as np
 import pytest
 
+from headmem import transformer
+from headmem.gradients import GradStore, attention_backward
 from headmem.model import init_attention, init_transformer_block
-from headmem.numerics import make_rng, precision
+from headmem.numerics import make_rng, precision, softmax
 from headmem.transformer import (
     apply_rope,
     causal_attention,
@@ -92,6 +96,106 @@ def test_attention_raw_heads_output():
     out, cache = causal_attention(rng.standard_normal((4, 8)), p,
                                   project_output=False)
     assert np.array_equal(out, merge_heads(cache["ctx"]))
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _reference_attention(xn, p, s):
+    """Forward with the scores, the mask and each softmax step as separate
+    arrays, the tables built for this length; returns (out, attn, saved)."""
+    d_h = xn.shape[1] // p.heads
+    q, k, v = (split_heads(xn @ w, p.heads, s) for w in (p.w_q, p.w_k, p.w_v))
+    cos, sin = rope_tables(s, d_h, p.rope_base, xn.dtype)
+    qr, kr = apply_rope(q, cos, sin), apply_rope(k, cos, sin)
+    scores = qr @ kr.swapaxes(-1, -2) / math.sqrt(d_h)
+    mask = np.triu(np.full((s, s), -np.inf, dtype=xn.dtype), k=1)
+    shifted = scores + mask
+    shifted = shifted - np.max(shifted, axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    attn = e / np.sum(e, axis=-1, keepdims=True)
+    return merge_heads(attn @ v) @ p.w_o, attn, (qr, kr, v, cos, sin)
+
+
+def _reference_attention_backward(dout, xn, p, s, attn, saved):
+    """(dxn, weight gradients) with dscores = attn * (dattn - dot) / sqrt(d_h)
+    formed out of place."""
+    qr, kr, v, cos, sin = saved
+    d_h = xn.shape[1] // p.heads
+    dctx = split_heads(dout @ p.w_o.T, p.heads, s)
+    dattn = dctx @ v.swapaxes(-1, -2)
+    dv = merge_heads(attn.swapaxes(-1, -2) @ dctx)
+    dot = np.sum(dattn * attn, axis=-1, keepdims=True)
+    dscores = attn * (dattn - dot) / math.sqrt(d_h)
+    dq = merge_heads(apply_rope(dscores @ kr, cos, sin, inverse=True))
+    dk = merge_heads(apply_rope(dscores.swapaxes(-1, -2) @ qr, cos, sin, inverse=True))
+    grads = {"w_q": xn.T @ dq, "w_k": xn.T @ dk, "w_v": xn.T @ dv,
+             "w_o": merge_heads(attn @ v).T @ dout}
+    return dq @ p.w_q.T + dk @ p.w_k.T + dv @ p.w_v.T, grads
+
+
+@pytest.mark.parametrize("mode", ["f32", "f64"])
+def test_attention_is_bitwise_the_reference_formula(mode, monkeypatch):
+    """Forward, attention weights and backward equal the out-of-place
+    formula bit for bit, while the cached tables are sliced (short after
+    long) and grown (longer than any before); the tables stay read-only and
+    unchanged, and are rebuilt only when a length exceeds the longest."""
+    monkeypatch.setattr(transformer, "_TABLES", {})
+    builds, build = [], transformer.rope_tables
+
+    def counted_build(s, *rest):
+        builds.append(s)
+        return build(s, *rest)
+
+    monkeypatch.setattr(transformer, "rope_tables", counted_build)
+    rng = make_rng(30)
+    dtype = np.float32 if mode == "f32" else np.float64
+    lengths = [48, 5, 1, *rng.integers(2, 48, 3).tolist(), 80, 3, 64, 80, 97, 1]
+    longest = 0
+    for s in lengths:
+        heads = int(rng.choice([1, 2, 4]))
+        with precision(mode):
+            p = init_attention(8 * heads, heads, rng)  # d_h = 8: one RoPE table
+        xn = rng.standard_normal((int(rng.integers(1, 4)) * s, 8 * heads)).astype(dtype)
+        before = {key: tuple(np.copy(t) for t in (v if isinstance(v, tuple) else (v,)))
+                  for key, v in transformer._TABLES.items()}
+        mask_before, builds_before = transformer._TABLES.get(np.dtype(dtype)), len(builds)
+        out, cache = causal_attention(xn, p, seq_len=s)
+        grown, longest = s > longest, max(longest, s)
+        if grown:
+            assert builds[builds_before:] == [s]
+        else:
+            assert len(builds) == builds_before
+            assert transformer._TABLES[np.dtype(dtype)] is mask_before
+        want_out, want_attn, saved = _reference_attention(xn, p, s)
+        assert _same_bits(out, want_out) and _same_bits(cache["attn"], want_attn)
+        dout = rng.standard_normal(out.shape).astype(dtype)
+        grads = GradStore()
+        dxn = attention_backward(dout, cache, p, grads, "a")
+        want_dxn, want_grads = _reference_attention_backward(dout, xn, p, s, want_attn, saved)
+        assert _same_bits(dxn, want_dxn)
+        for name, g in want_grads.items():
+            assert _same_bits(grads[f"a.{name}"], g), name
+        cos, sin, mask = transformer.attention_tables(s, 8, p.rope_base, dtype)
+        assert _same_bits(cos, saved[3]) and _same_bits(sin, saved[4])
+        assert _same_bits(mask, np.triu(np.full((s, s), -np.inf, dtype=dtype), k=1))
+        for key, value in transformer._TABLES.items():
+            tables = value if isinstance(value, tuple) else (value,)
+            assert not any(t.flags.writeable for t in tables)
+            assert len(tables[0]) == longest
+            if not grown:
+                assert all(_same_bits(t, u) for t, u in zip(tables, before[key]))
+
+
+def test_softmax_leaves_its_input_unchanged():
+    x = make_rng(31).standard_normal((3, 5, 7)).astype(np.float32)
+    x[0, 0, :3] = [np.inf, -np.inf, -0.0]
+    keep = x.copy()
+    with np.errstate(invalid="ignore"):  # inf - inf in the row holding inf
+        softmax(x, axis=-1)
+        softmax(x, axis=1)
+    assert _same_bits(x, keep)
 
 
 def test_rms_norm_fwd_matches_functional():
