@@ -17,7 +17,7 @@ import struct
 
 import numpy as np
 
-from .layers import MemoryLayerKind
+from .layers import BN_EPS, BN_MOMENTUM, MemoryLayerKind
 from .memory import MemoryConfig
 from .model import (
     ModelSpec,
@@ -27,13 +27,17 @@ from .model import (
     named_params,
     tensor_slots,
 )
-from .transformer import TransformerBlockParams
+from .transformer import ROPE_BASE, TransformerBlockParams
 from .upscale import _init_memory_block
 
 MAGIC = b"HDMEMCK\x00"
 FORMAT_VERSION = 1
 
 _DTYPES = {"float32": np.float32, "float64": np.float64}
+
+# descriptor fields of files written while these were settable; a file may
+# still carry one, at the constant's value
+_FIXED = {"rope_base": ROPE_BASE, "bn_momentum": BN_MOMENTUM, "bn_eps": BN_EPS}
 
 
 class CheckpointError(Exception):
@@ -50,23 +54,12 @@ def _size(v, what: str, lo: int = 1) -> int:
     return v
 
 
-def _positive(v, what: str, hi: float = math.inf) -> float:
-    _require(type(v) in (int, float) and 0 < v <= hi and v < math.inf,
-             f"{what} {v!r} is not in (0, {hi}]")
-    return v
-
-
 def _block_descriptor(block) -> dict:
     if isinstance(block, TransformerBlockParams):
-        return {"type": "transformer", "rope_base": block.attn.rope_base}
-    toggles = dataclasses.asdict(block.kind)
+        return {"type": "transformer"}
     cfg = block.cfg
-    desc = {"type": "memory", "toggles": toggles, "rope_base": block.attn.rope_base,
+    return {"type": "memory", "toggles": dataclasses.asdict(block.kind),
             "cfg": {"heads": cfg.heads, "n": cfg.n, "k": cfg.k, "d": cfg.d}}
-    if block.query_bn is not None:
-        desc["bn_momentum"] = block.query_bn.momentum
-        desc["bn_eps"] = block.query_bn.eps
-    return desc
 
 
 def save_checkpoint(path: str, model: ModelSpec, config: dict | None = None):
@@ -150,7 +143,9 @@ def _fill(node, tensors: dict, prefix: str = ""):
 
 def _skeleton_block(desc: dict, prefix: str, sizes: dict, rng: _ZeroDraws):
     d, heads = sizes["d"], sizes["heads"]
-    rope_base = _positive(desc["rope_base"], f"{prefix} rope_base")
+    for key, value in _FIXED.items():
+        if key in desc:
+            _require(desc[key] == value, f"{prefix} {key} {desc[key]!r} is not {value}")
     if desc["type"] == "transformer":
         block = init_transformer_block(d, heads, sizes["d_ff"], rng)
     elif desc["type"] == "memory":
@@ -165,13 +160,8 @@ def _skeleton_block(desc: dict, prefix: str, sizes: dict, rng: _ZeroDraws):
         # a memory block copies only the attention and gain of its source,
         # so the source's FFN width is irrelevant
         block = _init_memory_block(init_transformer_block(d, heads, 1, rng), lk, cfg, rng)
-        if lk.query_batchnorm:
-            block.query_bn.momentum = _positive(desc.get("bn_momentum", 0.1),
-                                                f"{prefix} bn_momentum", 1)
-            block.query_bn.eps = _positive(desc.get("bn_eps", 1e-5), f"{prefix} bn_eps")
     else:
         raise CheckpointError(f"unknown block type {desc['type']!r}")
-    block.attn.rope_base = rope_base
     return block
 
 

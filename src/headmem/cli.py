@@ -85,8 +85,7 @@ def cmd_train(args) -> int:
     groups = build_groups(cfg, model)
     report = train(model, corpus, groups, steps=cfg["train"]["steps"],
                    batch_size=cfg["train"]["batch_size"],
-                   seed=cfg["train"]["seed"],
-                   loss_scale=cfg["train"]["loss_scale"])
+                   seed=cfg["train"]["seed"])
     _write(os.path.join(out, "train_report.csv"), report.to_csv())
     ckpt = os.path.join(out, "model.ckpt")
     save_checkpoint(ckpt, model, cfg)

@@ -34,21 +34,19 @@ def _bool(raw: str) -> bool:
 
 @dataclasses.dataclass(frozen=True)
 class Range:
-    """Admitted numbers: lo <= v (lo < v when lo_open) and v <= hi; a None
-    bound is open-ended. NaN is never admitted."""
+    """Admitted numbers: lo <= v and v <= hi; a None hi is open-ended. NaN
+    is never admitted."""
 
-    lo: float | None = None
+    lo: float
     hi: float | None = None
-    lo_open: bool = False
 
     def admits(self, v) -> bool:
-        above = self.lo is None or (v > self.lo if self.lo_open else v >= self.lo)
-        return above and (self.hi is None or v <= self.hi)
+        return v >= self.lo and (self.hi is None or v <= self.hi)
 
     def __str__(self) -> str:
         if self.hi is not None:
             return f"in [{self.lo}, {self.hi}]"
-        return f"{'>' if self.lo_open else '>='} {self.lo}"
+        return f">= {self.lo}"
 
 
 _NONNEG = Range(0)
@@ -79,7 +77,6 @@ SCHEMA = {
         "memory_lr": (float, 1e-2, _NONNEG),
         "weight_decay": (float, 0.01, _NONNEG),
         "warmup_ratio": (float, 0.1, Range(0, 1)),
-        "loss_scale": (float, 1.0, Range(0, lo_open=True)),
         "seed": (int, 7, _NONNEG),
         "corpus": (str, "recall"), "corpus_seed": (int, 5, _NONNEG),
         "num_pairs": (int, 256, _POSITIVE), "corpus_path": (str, ""),
@@ -141,8 +138,8 @@ def parse_config_text(text: str) -> dict:
 def config_from_snapshot(snapshot) -> dict:
     """The config a checkpoint header carries, checked like a config file:
     every SCHEMA key must be there with a value of its type. Keys SCHEMA no
-    longer has (older files carry memory.route, memory.fused_threshold) are
-    dropped."""
+    longer has (older files carry memory.route, memory.fused_threshold and
+    train.loss_scale) are dropped."""
     cfg = default_config()
     for sect, keys in SCHEMA.items():
         for key, (conv, default, *_) in keys.items():

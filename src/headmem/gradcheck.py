@@ -15,6 +15,7 @@ is exact differentiation territory.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -31,13 +32,20 @@ from .gradients import (
     transformer_block_backward,
 )
 from .layers import (
+    MEMORY_TOGGLES,
     MemoryLayerKind,
     batchnorm_query,
     init_batchnorm,
     memory_block_forward,
 )
 from .memory import MemoryConfig
-from .model import init_base_model, model_forward, named_params
+from .model import (
+    init_attention,
+    init_base_model,
+    init_transformer_block,
+    model_forward,
+    named_params,
+)
 from .numerics import make_rng, precision, softmax
 from .transformer import (
     FfnParams,
@@ -47,7 +55,7 @@ from .transformer import (
     rms_norm_fwd,
     transformer_block_forward,
 )
-from .upscale import PlacementPolicy, UpscalePlan, build_memory_dus
+from .upscale import PlacementPolicy, UpscalePlan, _init_memory_block, build_memory_dus
 
 DEFAULT_H = 1e-5
 DEFAULT_TOL = 1e-4
@@ -90,7 +98,7 @@ def _sample_coords(rng, shape, count: int) -> list[tuple]:
     return [tuple(int(v) for v in np.unravel_index(p, shape)) for p in picks]
 
 
-def _fd_compare(name: str, loss_fn, targets, h: float, rng=None,
+def _fd_compare(name: str, loss_fn, targets, rng=None,
                 coords_per_param: int | None = None) -> CheckResult:
     """targets: iterable of (param name, array, analytic gradient array)."""
     max_rel, worst_param, worst_coord, total = 0.0, "", (), 0
@@ -102,7 +110,7 @@ def _fd_compare(name: str, loss_fn, targets, h: float, rng=None,
         else:
             coords = _sample_coords(rng, arr.shape, coords_per_param)
         for c in coords:
-            numeric = central_difference(loss_fn, arr, c, h)
+            numeric = central_difference(loss_fn, arr, c, DEFAULT_H)
             r = rel_err(float(analytic[c]), numeric)
             total += 1
             if r > max_rel:
@@ -125,10 +133,22 @@ def _fill_value_tables(node, rng, scale: float) -> None:
             arr[...] = scale * rng.standard_normal(arr.shape)
 
 
+def _check_block(name: str, forward, backward, p, x: np.ndarray, r: np.ndarray,
+                 x_name: str = "x") -> CheckResult:
+    """All coordinates of x and of every parameter the walk yields for p,
+    under the loss sum(forward(x, p) * r); backward has the signature of
+    the library's block backwards."""
+    loss = lambda: float(np.sum(forward(x, p)[0] * r))
+    _, cache = forward(x, p)
+    grads = GradStore()
+    dx = backward(r, cache, p, grads, "p")
+    return _fd_compare(name, loss, [(x_name, x, dx)] + _walk_targets(p, grads, "p"))
+
+
 # ---------------------------------------------------------------------------
 # layer-level checks (all coordinates, float64)
 
-def check_rms_norm(seed: int = 0, h: float = DEFAULT_H) -> CheckResult:
+def check_rms_norm(seed: int = 0) -> CheckResult:
     rng = make_rng(seed)
     x = rng.standard_normal((5, 7))
     gain = rng.standard_normal(7)
@@ -136,21 +156,20 @@ def check_rms_norm(seed: int = 0, h: float = DEFAULT_H) -> CheckResult:
     loss = lambda: float(np.sum(rms_norm_fwd(x, gain)[0] * r))
     _, cache = rms_norm_fwd(x, gain)
     dx, dgain = rms_norm_backward(r, cache)
-    return _fd_compare("rms_norm", loss, [("x", x, dx), ("gain", gain, dgain)], h)
+    return _fd_compare("rms_norm", loss, [("x", x, dx), ("gain", gain, dgain)])
 
 
-def check_softmax(seed: int = 0, h: float = DEFAULT_H) -> CheckResult:
+def check_softmax(seed: int = 0) -> CheckResult:
     rng = make_rng(seed)
     x = rng.standard_normal((4, 9))
     r = rng.standard_normal((4, 9))
     loss = lambda: float(np.sum(softmax(x, axis=-1) * r))
     y = softmax(x, axis=-1)
     dx = softmax_backward(y, r)
-    return _fd_compare("softmax", loss, [("x", x, dx)], h)
+    return _fd_compare("softmax", loss, [("x", x, dx)])
 
 
-def check_batchnorm(seed: int = 0, h: float = DEFAULT_H,
-                    training: bool = True) -> CheckResult:
+def check_batchnorm(seed: int = 0, training: bool = True) -> CheckResult:
     rng = make_rng(seed)
     with precision("f64"):
         bn = init_batchnorm(6)
@@ -169,100 +188,67 @@ def check_batchnorm(seed: int = 0, h: float = DEFAULT_H,
     dx, dgamma, dbeta = batchnorm_backward(r, cache)
     name = "batchnorm_train" if training else "batchnorm_eval"
     return _fd_compare(name, loss, [("x", x, dx), ("gamma", bn.gamma, dgamma),
-                                    ("beta", bn.beta, dbeta)], h)
+                                    ("beta", bn.beta, dbeta)])
 
 
-def check_attention(seed: int = 0, h: float = DEFAULT_H,
-                    project_output: bool = True) -> CheckResult:
-    from .model import init_attention
+def check_attention(seed: int = 0, project_output: bool = True) -> CheckResult:
     rng = make_rng(seed)
     with precision("f64"):
         p = init_attention(16, 2, rng, with_projection=project_output)
     xn = rng.standard_normal((6, 16))
     r = rng.standard_normal((6, 16))
-
-    def loss():
-        out, _ = causal_attention(xn, p, project_output=project_output)
-        return float(np.sum(out * r))
-
-    _, cache = causal_attention(xn, p, project_output=project_output)
-    grads = GradStore()
-    dxn = attention_backward(r, cache, p, grads, "attn")
     name = "attention_projected" if project_output else "attention_raw_heads"
-    return _fd_compare(name, loss, [("xn", xn, dxn)] + _walk_targets(p, grads, "attn"), h)
+    return _check_block(name, partial(causal_attention, project_output=project_output),
+                        attention_backward, p, xn, r, x_name="xn")
 
 
-def check_ffn(seed: int = 0, h: float = DEFAULT_H) -> CheckResult:
+def check_ffn(seed: int = 0) -> CheckResult:
     rng = make_rng(seed)
     p = FfnParams(w_gate=rng.standard_normal((10, 14)) * 0.3,
                   w_up=rng.standard_normal((10, 14)) * 0.3,
                   w_down=rng.standard_normal((14, 10)) * 0.3)
     z = rng.standard_normal((5, 10))
     r = rng.standard_normal((5, 10))
-
-    def loss():
-        out, _ = ffn_forward(z, p)
-        return float(np.sum(out * r))
-
-    _, cache = ffn_forward(z, p)
-    grads = GradStore()
-    dz = ffn_backward(r, cache, p, grads, "ffn")
-    return _fd_compare("ffn", loss, [("z", z, dz)] + _walk_targets(p, grads, "ffn"), h)
+    return _check_block("ffn", ffn_forward, ffn_backward, p, z, r, x_name="z")
 
 
-def check_transformer_block(seed: int = 0, h: float = DEFAULT_H) -> CheckResult:
-    from .model import init_transformer_block
+def check_transformer_block(seed: int = 0) -> CheckResult:
     rng = make_rng(seed)
     with precision("f64"):
         p = init_transformer_block(16, 2, 24, rng)
     x = rng.standard_normal((5, 16))
     r = rng.standard_normal((5, 16))
-
-    def loss():
-        out, _ = transformer_block_forward(x, p)
-        return float(np.sum(out * r))
-
-    _, cache = transformer_block_forward(x, p)
-    grads = GradStore()
-    dx = transformer_block_backward(r, cache, p, grads, "b")
-    return _fd_compare("transformer_block", loss,
-                       [("x", x, dx)] + _walk_targets(p, grads, "b"), h)
+    return _check_block("transformer_block", transformer_block_forward,
+                        transformer_block_backward, p, x, r)
 
 
-def _memory_block_fixture(kind: str, toggles: MemoryLayerKind | None, seed: int):
-    from .upscale import _init_memory_block
-    from .model import init_transformer_block
+def _memory_block_fixture(kind: str, all_toggles: bool, seed: int):
     rng = make_rng(seed)
     with precision("f64"):
         cfg = MemoryConfig(heads=2, n=6, k=3, d=12)
         source = init_transformer_block(12, 2, 16, rng)
-        lk = toggles if toggles is not None else MemoryLayerKind.defaults(kind)
+        lk = (MemoryLayerKind(kind, *[True] * len(MEMORY_TOGGLES)) if all_toggles
+              else MemoryLayerKind.defaults(kind))
         p = _init_memory_block(source, lk, cfg, rng)
     _fill_value_tables(p, rng, 1.0)
     return p, cfg, rng
 
 
-def check_memory_block(kind: str, seed: int = 0, h: float = DEFAULT_H,
-                       toggles: MemoryLayerKind | None = None,
-                       name: str | None = None, batch: int = 1) -> CheckResult:
-    """batch > 1 stacks that many 5-token sequences into one call, which
-    exercises per-sequence attention and query batchnorm over token rows."""
-    p, cfg, rng = _memory_block_fixture(kind, toggles, seed)
+def check_memory_block(kind: str, seed: int = 0, all_toggles: bool = False,
+                       batch: int = 1) -> CheckResult:
+    """all_toggles switches every ablation toggle on; batch > 1 stacks that
+    many 5-token sequences into one call, which exercises per-sequence
+    attention and query batchnorm over token rows."""
+    p, cfg, rng = _memory_block_fixture(kind, all_toggles, seed)
     x = rng.standard_normal((batch * 5, cfg.d))
     r = rng.standard_normal((batch * 5, cfg.d))
-
-    def loss():
-        out, _ = memory_block_forward(x, p, training=True, seq_len=5)
-        return float(np.sum(out * r))
-
-    _, cache = memory_block_forward(x, p, training=True, seq_len=5)
-    grads = GradStore()
-    dx = memory_block_backward(r, cache, p, grads, "m")
-    return _fd_compare(name or f"memory_block_{kind}", loss,
-                       [("x", x, dx)] + _walk_targets(p, grads, "m"), h)
+    name = (f"memory_block_{kind}" + ("_all_toggles" if all_toggles else "")
+            + (f"_batch{batch}" if batch > 1 else ""))
+    return _check_block(name, partial(memory_block_forward, training=True, seq_len=5),
+                        memory_block_backward, p, x, r)
 
 
-def check_full_model(kind: str = "headwise", seed: int = 0, h: float = DEFAULT_H,
+def check_full_model(kind: str = "headwise", seed: int = 0,
                      coords_per_param: int = 6, batch: int = 0) -> CheckResult:
     """Loss-level check over an expanded model; samples coordinates from
     every parameter tensor, memory tables and attention and FFN included.
@@ -291,40 +277,32 @@ def check_full_model(kind: str = "headwise", seed: int = 0, h: float = DEFAULT_H
     fd_rng = make_rng(seed + 7)
     targets = [(path, arr, grads[path]) for path, arr in named_params(model)]
     name = f"full_model_{kind}" + (f"_batch{batch}" if batch else "")
-    return _fd_compare(name, loss, targets, h,
-                       rng=fd_rng, coords_per_param=coords_per_param)
+    return _fd_compare(name, loss, targets, rng=fd_rng, coords_per_param=coords_per_param)
 
 
 LAYER_CHECKS = {
     "rms_norm": check_rms_norm,
     "softmax": check_softmax,
-    "batchnorm_train": lambda seed=0, h=DEFAULT_H: check_batchnorm(seed, h, True),
-    "batchnorm_eval": lambda seed=0, h=DEFAULT_H: check_batchnorm(seed, h, False),
-    "attention_projected": lambda seed=0, h=DEFAULT_H: check_attention(seed, h, True),
-    "attention_raw_heads": lambda seed=0, h=DEFAULT_H: check_attention(seed, h, False),
+    "batchnorm_train": partial(check_batchnorm, training=True),
+    "batchnorm_eval": partial(check_batchnorm, training=False),
+    "attention_projected": partial(check_attention, project_output=True),
+    "attention_raw_heads": partial(check_attention, project_output=False),
     "ffn": check_ffn,
     "transformer_block": check_transformer_block,
-    "memory_block_linear": lambda seed=0, h=DEFAULT_H: check_memory_block("linear", seed, h),
-    "memory_block_pkm": lambda seed=0, h=DEFAULT_H: check_memory_block("pkm", seed, h),
-    "memory_block_headwise": lambda seed=0, h=DEFAULT_H: check_memory_block("headwise", seed, h),
-    "memory_block_headwise_all_toggles": lambda seed=0, h=DEFAULT_H: check_memory_block(
-        "headwise", seed, h,
-        toggles=MemoryLayerKind("headwise", query_batchnorm=True, query_layernorm=True,
-                                internal_residual=True, output_projection=True),
-        name="memory_block_headwise_all_toggles"),
-    "memory_block_linear_batch3": lambda seed=0, h=DEFAULT_H: check_memory_block(
-        "linear", seed, h, name="memory_block_linear_batch3", batch=3),
-    "memory_block_pkm_batch3": lambda seed=0, h=DEFAULT_H: check_memory_block(
-        "pkm", seed, h, name="memory_block_pkm_batch3", batch=3),
-    "memory_block_headwise_batch3": lambda seed=0, h=DEFAULT_H: check_memory_block(
-        "headwise", seed, h, name="memory_block_headwise_batch3", batch=3),
-    "full_model_headwise": lambda seed=0, h=DEFAULT_H: check_full_model("headwise", seed, h),
-    "full_model_headwise_batch3": lambda seed=0, h=DEFAULT_H: check_full_model(
-        "headwise", seed, h, batch=3),
+    "memory_block_linear": partial(check_memory_block, "linear"),
+    "memory_block_pkm": partial(check_memory_block, "pkm"),
+    "memory_block_headwise": partial(check_memory_block, "headwise"),
+    "memory_block_headwise_all_toggles": partial(check_memory_block, "headwise",
+                                                 all_toggles=True),
+    "memory_block_linear_batch3": partial(check_memory_block, "linear", batch=3),
+    "memory_block_pkm_batch3": partial(check_memory_block, "pkm", batch=3),
+    "memory_block_headwise_batch3": partial(check_memory_block, "headwise", batch=3),
+    "full_model_headwise": partial(check_full_model, "headwise"),
+    "full_model_headwise_batch3": partial(check_full_model, "headwise", batch=3),
 }
 
 
-def run_gradcheck(seed: int = 0, h: float = DEFAULT_H, tol: float = DEFAULT_TOL,
+def run_gradcheck(seed: int = 0, tol: float = DEFAULT_TOL,
                   checks=None) -> list[CheckResult]:
     """Run the full registry, a subset of registered names, or a custom
     dict of name -> check fn; returns one result per check."""
@@ -339,7 +317,7 @@ def run_gradcheck(seed: int = 0, h: float = DEFAULT_H, tol: float = DEFAULT_TOL,
         if unknown:
             raise ValueError(f"unknown gradcheck names: {', '.join(unknown)}")
         registry = {n: LAYER_CHECKS[n] for n in checks}
-    return [fn(seed=seed, h=h) for fn in registry.values()]
+    return [fn(seed=seed) for fn in registry.values()]
 
 
 def format_report(results: list[CheckResult], tol: float = DEFAULT_TOL) -> str:

@@ -73,6 +73,10 @@ class MemoryLayerKind:
 MEMORY_TOGGLES = tuple(f.name for f in fields(MemoryLayerKind) if f.name != "kind")
 
 
+BN_MOMENTUM = 0.1  # query batchnorm: weight of a sequence in the running statistics
+BN_EPS = 1e-5  # query batchnorm: variance floor
+
+
 @dataclass
 class BatchNorm:
     """Feature-wise batch normalization with running statistics.
@@ -92,8 +96,6 @@ class BatchNorm:
     beta: np.ndarray  # [f]
     running_mean: np.ndarray  # [f]
     running_var: np.ndarray  # [f]
-    momentum: float = 0.1
-    eps: float = 1e-5
 
 
 def init_batchnorm(features: int) -> BatchNorm:
@@ -112,14 +114,14 @@ def batchnorm_query(q: np.ndarray, bn: BatchNorm, training: bool,
         mean = np.mean(qs, axis=1, keepdims=True)  # [B, 1, f]
         var = np.var(qs, axis=1, keepdims=True)
         for b in range(qs.shape[0]):
-            bn.running_mean[...] = ((1.0 - bn.momentum) * bn.running_mean
-                                    + bn.momentum * mean[b, 0])
-            bn.running_var[...] = ((1.0 - bn.momentum) * bn.running_var
-                                   + bn.momentum * var[b, 0])
-        inv = 1.0 / np.sqrt(var + bn.eps)
+            bn.running_mean[...] = ((1.0 - BN_MOMENTUM) * bn.running_mean
+                                    + BN_MOMENTUM * mean[b, 0])
+            bn.running_var[...] = ((1.0 - BN_MOMENTUM) * bn.running_var
+                                   + BN_MOMENTUM * var[b, 0])
+        inv = 1.0 / np.sqrt(var + BN_EPS)
         xhat = ((qs - mean) * inv).reshape(rows, f)
     else:
-        inv = 1.0 / np.sqrt(bn.running_var + bn.eps)
+        inv = 1.0 / np.sqrt(bn.running_var + BN_EPS)
         xhat = (q - bn.running_mean) * inv
     out = bn.gamma * xhat + bn.beta
     cache = {"xhat": xhat, "inv": inv, "gamma": bn.gamma, "training": training,

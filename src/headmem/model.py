@@ -42,8 +42,7 @@ class ModelSpec:
             raise ValueError("trainable mask length must match block count")
 
 
-def init_attention(d: int, heads: int, rng, with_projection: bool = True,
-                   rope_base: float = 10000.0) -> AttentionParams:
+def init_attention(d: int, heads: int, rng, with_projection: bool = True) -> AttentionParams:
     std = 1.0 / np.sqrt(d)
     return AttentionParams(
         w_q=gaussian(rng, (d, d), std),
@@ -51,7 +50,6 @@ def init_attention(d: int, heads: int, rng, with_projection: bool = True,
         w_v=gaussian(rng, (d, d), std),
         w_o=gaussian(rng, (d, d), std) if with_projection else None,
         heads=heads,
-        rope_base=rope_base,
     )
 
 

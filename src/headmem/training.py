@@ -36,11 +36,14 @@ SCHEDULES = ("constant", "cosine_with_warmup")
 # sequences: sixty-four 2-token recall sequences, or one 128-byte window.
 ROWS = 128
 
+ADAM_BETAS = (0.9, 0.95)  # AdamW moment decay rates
+ADAM_EPS = 1e-8  # AdamW denominator floor
+
 
 def schedule_lr(kind: str, step: int, total_steps: int, max_lr: float,
-                warmup_ratio: float = 0.1, min_lr: float = 0.0) -> float:
+                warmup_ratio: float = 0.1) -> float:
     """Learning rate at a zero-based step. Warmup is linear from zero over
-    ceil(total * ratio) steps; decay is half-cosine down to min_lr."""
+    ceil(total * ratio) steps; decay is half-cosine down to zero."""
     if kind == "constant":
         return max_lr
     if kind != "cosine_with_warmup":
@@ -50,7 +53,7 @@ def schedule_lr(kind: str, step: int, total_steps: int, max_lr: float,
         return max_lr * (step + 1) / warm
     span = max(1, total_steps - warm)
     t = min(1.0, (step - warm) / span)
-    return min_lr + 0.5 * (max_lr - min_lr) * (1.0 + math.cos(math.pi * t))
+    return 0.5 * max_lr * (1.0 + math.cos(math.pi * t))
 
 
 @dataclass
@@ -83,18 +86,15 @@ def build_optim_groups(model: ModelSpec, mode: str = "cpt",
 class AdamW:
     """Decoupled-weight-decay adaptive moments, betas (0.9, 0.95), eps 1e-8."""
 
-    def __init__(self, params: dict[str, np.ndarray],
-                 betas: tuple[float, float] = (0.9, 0.95), eps: float = 1e-8):
+    def __init__(self, params: dict[str, np.ndarray]):
         self.params = params
-        self.betas = betas
-        self.eps = eps
         self.t = 0
         self.m = {p: np.zeros_like(a) for p, a in params.items()}
         self.v = {p: np.zeros_like(a) for p, a in params.items()}
 
     def step(self, grads: GradStore, lr_wd: dict[str, tuple[float, float]]):
         self.t += 1
-        b1, b2 = self.betas
+        b1, b2 = ADAM_BETAS
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         for path, arr in self.params.items():
@@ -107,7 +107,7 @@ class AdamW:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * g * g
-            update = (m / c1) / (np.sqrt(v / c2) + self.eps)
+            update = (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
             if wd:
                 update = update + wd * arr
             arr -= lr * update
@@ -245,8 +245,7 @@ class TrainReport:
 
 
 def train(model: ModelSpec, corpus, groups: list[OptimGroup], steps: int,
-          batch_size: int = 16, seed: int = 0,
-          loss_scale: float = 1.0) -> TrainReport:
+          batch_size: int = 16, seed: int = 0) -> TrainReport:
     """Seeded stochastic training. A non-finite loss aborts immediately;
     parameters outside the given groups are never written to.
 
@@ -256,8 +255,6 @@ def train(model: ModelSpec, corpus, groups: list[OptimGroup], steps: int,
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if not loss_scale > 0:
-        raise ValueError(f"loss_scale must be > 0, got {loss_scale}")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     allowed = {p for g in groups for p in g.paths}
@@ -269,7 +266,6 @@ def train(model: ModelSpec, corpus, groups: list[OptimGroup], steps: int,
     opt = AdamW(params)
     rng = make_rng(seed)
     report = TrainReport()
-    group_of = {p: g for g in groups for p in g.paths}
     for step in range(steps):
         inputs, targets = corpus.batch(rng, batch_size)
         batch = inputs.shape[0]
@@ -281,7 +277,7 @@ def train(model: ModelSpec, corpus, groups: list[OptimGroup], steps: int,
             share = (part.stop - part.start) / batch
             loss, grads = loss_and_grads(model, inputs[part], targets[part],
                                          allowed=allowed,
-                                         loss_scale=loss_scale * share)
+                                         loss_scale=share)
             mean_loss += loss * share
             if acc is None:
                 acc = grads
@@ -291,9 +287,6 @@ def train(model: ModelSpec, corpus, groups: list[OptimGroup], steps: int,
                     acc.add(path, g)
         if not np.isfinite(mean_loss):
             raise NumericsError(f"non-finite loss {mean_loss} at step {step}")
-        if loss_scale != 1.0:
-            for g in acc.values():
-                g /= loss_scale
         lr_wd = {}
         lrs = {"inserted_dense": 0.0, "memory_keys_values": 0.0}
         for g in groups:

@@ -14,6 +14,9 @@ import numpy as np
 
 from .numerics import softmax
 
+ROPE_BASE = 10000.0  # rotary frequency base
+NORM_EPS = 1e-6  # added to the mean square inside every RMS norm
+
 
 @dataclass
 class AttentionParams:
@@ -22,7 +25,6 @@ class AttentionParams:
     w_v: np.ndarray  # [d, d]
     w_o: np.ndarray | None  # [d, d]; None when the block consumes raw head outputs
     heads: int
-    rope_base: float = 10000.0
 
 
 @dataclass
@@ -48,17 +50,17 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def rms_norm_fwd(x: np.ndarray, gain: np.ndarray, eps: float = 1e-6):
-    inv = 1.0 / np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + eps)
+def rms_norm_fwd(x: np.ndarray, gain: np.ndarray):
+    inv = 1.0 / np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + NORM_EPS)
     return x * inv * gain, {"x": x, "inv": inv, "gain": gain}
 
 
-def rope_tables(s: int, d_h: int, base: float, dtype):
+def rope_tables(s: int, d_h: int, dtype):
     """cos/sin tables [s, d_h/2] for rotary position offsets 0..s-1."""
     if d_h % 2 != 0:
         raise ValueError("head width must be even for rotary pairs")
     half = d_h // 2
-    freqs = base ** (-np.arange(half, dtype=np.float64) * 2.0 / d_h)
+    freqs = ROPE_BASE ** (-np.arange(half, dtype=np.float64) * 2.0 / d_h)
     ang = np.arange(s, dtype=np.float64)[:, None] * freqs[None, :]
     return np.cos(ang).astype(dtype), np.sin(ang).astype(dtype)
 
@@ -66,15 +68,15 @@ def rope_tables(s: int, d_h: int, base: float, dtype):
 _TABLES: dict = {}  # read-only attention tables, see attention_tables
 
 
-def attention_tables(s: int, d_h: int, base: float, dtype):
+def attention_tables(s: int, d_h: int, dtype):
     """cos, sin [s, d_h/2] and the additive causal mask [s, s] (-inf above
     the diagonal), sliced from read-only tables grown to the longest length
-    seen: one mask per dtype, one cos/sin pair per (d_h, base, dtype). Both
+    seen: one mask per dtype, one cos/sin pair per (d_h, dtype). Both
     are prefix-consistent, so a slice is bitwise the table of that length."""
     dtype = np.dtype(dtype)
-    rope, mask = _TABLES.get((d_h, base, dtype)), _TABLES.get(dtype)
+    rope, mask = _TABLES.get((d_h, dtype)), _TABLES.get(dtype)
     if rope is None or len(rope[0]) < s:
-        rope = _TABLES[(d_h, base, dtype)] = rope_tables(s, d_h, base, dtype)
+        rope = _TABLES[(d_h, dtype)] = rope_tables(s, d_h, dtype)
     if mask is None or len(mask) < s:
         mask = _TABLES[dtype] = np.triu(np.full((s, s), -np.inf, dtype=dtype), k=1)
     for t in (*rope, mask):
@@ -135,7 +137,7 @@ def causal_attention(xn: np.ndarray, p: AttentionParams, project_output: bool = 
     q = split_heads(xn @ p.w_q, p.heads, s)  # [B, H, s, d_h]
     k = split_heads(xn @ p.w_k, p.heads, s)
     v = split_heads(xn @ p.w_v, p.heads, s)
-    cos, sin, mask = attention_tables(s, d_h, p.rope_base, xn.dtype)
+    cos, sin, mask = attention_tables(s, d_h, xn.dtype)
     qr = apply_rope(q, cos, sin)
     kr = apply_rope(k, cos, sin)
     # in place on the fresh scores; a python-float scale keeps f32 in f32

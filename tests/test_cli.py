@@ -93,8 +93,6 @@ def test_config_error_exits_2(capsys, tmp_path):
 
 @pytest.mark.parametrize("section,line", [
     ("train", "batch_size = 0"),
-    ("train", "loss_scale = 0"),
-    ("train", "loss_scale = -1"),
     ("train", "steps = -1"),
     ("train", "warmup_ratio = -0.5"),
     ("train", "warmup_ratio = 1.5"),
@@ -269,13 +267,22 @@ def test_bad_gradcheck_tol_exits_2(capsys, tol):
     assert "FAIL" not in out and "Traceback" not in out + err
 
 
-@pytest.mark.parametrize("line", ["route = fused", "fused_threshold = 4"])
-def test_removed_route_keys_exit_2(capsys, tmp_path, line):
+REMOVED_KEYS = [
+    ("memory", "route = fused"),
+    ("memory", "fused_threshold = 4"),
+    ("train", "loss_scale = 1"),
+    ("train", "loss_scale = 0"),
+    ("train", "loss_scale = -1"),
+]
+
+
+@pytest.mark.parametrize("section,line", REMOVED_KEYS, ids=[line for _, line in REMOVED_KEYS])
+def test_removed_route_keys_exit_2(capsys, tmp_path, section, line):
     cfg = tmp_path / "route.cfg"
-    cfg.write_text(f"[memory]\n{line}\n")
+    cfg.write_text(f"[{section}]\n{line}\n")
     code, out, err = run(capsys, "params", "--config", str(cfg))
     assert code == 2
-    assert f"unknown key memory.{line.split(' = ')[0]}" in err
+    assert f"unknown key {section}.{line.split(' = ')[0]}" in err
     assert "Traceback" not in out + err
 
 
@@ -307,6 +314,16 @@ def _old_route_keys(header):
     header["config"]["memory"].update(route="auto", fused_threshold=16)
 
 
+def _parent_format(header):
+    """The descriptor fields and config key files carried while the RoPE
+    base, the batchnorm momentum and eps and the loss scale were settable."""
+    for desc in header["model"]["blocks"]:
+        desc["rope_base"] = 10000.0
+        if desc["type"] == "memory" and desc["toggles"]["query_batchnorm"]:
+            desc.update(bn_momentum=0.1, bn_eps=1e-5)
+    header["config"]["train"]["loss_scale"] = 1.0
+
+
 def _first_block(kind, key, value):
     def edit(header):
         desc = next(d for d in header["model"]["blocks"] if d["type"] == kind)
@@ -325,6 +342,13 @@ CHECKPOINT_CASES = {
     "bad_dtype": lambda b: _rewrite_header(
         b, lambda h: h["tensors"][0].update(dtype="int8")),
     "old_route_keys": lambda b: _rewrite_header(b, _old_route_keys),
+    "parent_format": lambda b: _rewrite_header(b, _parent_format),
+    "rope_base_500": lambda b: _rewrite_header(
+        b, _first_block("transformer", "rope_base", 500.0)),
+    "bn_momentum_0.2": lambda b: _rewrite_header(
+        b, _first_block("memory", "bn_momentum", 0.2)),
+    "bn_eps_1e-3": lambda b: _rewrite_header(
+        b, _first_block("memory", "bn_eps", 1e-3)),
     "rope_base_string": lambda b: _rewrite_header(
         b, _first_block("transformer", "rope_base", "x")),
     "memory_rope_base_zero": lambda b: _rewrite_header(
@@ -345,9 +369,18 @@ CHECKPOINT_CASES = {
 }
 
 
+@pytest.fixture
+def pkm_cfg(tmp_path):
+    # a pkm block holds the parts its toggles add: query batchnorm, w_o
+    path = tmp_path / "pkm.cfg"
+    path.write_text(SMALL_HEAD.replace("[memory]\n", "[memory]\nkind = pkm\n")
+                    + SMALL_TRAIN)
+    return str(path)
+
+
 @pytest.mark.parametrize("case", sorted(CHECKPOINT_CASES))
-def test_checkpoint_table_exits_2_or_loads_bitwise(capsys, tmp_path, small_cfg, case):
-    cfg = parse_config(small_cfg)
+def test_checkpoint_table_exits_2_or_loads_bitwise(capsys, tmp_path, pkm_cfg, case):
+    cfg = parse_config(pkm_cfg)
     _, model = build_model(cfg)
     good = tmp_path / "good.ckpt"
     save_checkpoint(str(good), model, cfg)
@@ -355,7 +388,7 @@ def test_checkpoint_table_exits_2_or_loads_bitwise(capsys, tmp_path, small_cfg, 
     path.write_bytes(CHECKPOINT_CASES[case](good.read_bytes()))
     code, out, err = run(capsys, "eval", "--ckpt", str(path))
     assert "Traceback" not in out + err
-    if case != "old_route_keys":
+    if case not in ("old_route_keys", "parent_format"):
         assert code == 2 and "error:" in err
         return
     assert code == 0 and "eval loss:" in out
@@ -407,12 +440,8 @@ def _fuzz_blobs(good: bytes, kind: str):
 
 
 @pytest.mark.parametrize("kind", ["truncate", "flip", "leaf"])
-def test_checkpoint_fuzz_exits_0_or_2(capsys, tmp_path, kind):
-    # a pkm block carries every descriptor field: toggles, batchnorm, w_o
-    cfg_path = tmp_path / "pkm.cfg"
-    cfg_path.write_text(SMALL_HEAD.replace("[memory]\n", "[memory]\nkind = pkm\n")
-                        + SMALL_TRAIN)
-    cfg = parse_config(str(cfg_path))
+def test_checkpoint_fuzz_exits_0_or_2(capsys, tmp_path, pkm_cfg, kind):
+    cfg = parse_config(pkm_cfg)
     _, model = build_model(cfg)
     good = tmp_path / "good.ckpt"
     save_checkpoint(str(good), model, cfg)

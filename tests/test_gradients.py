@@ -134,12 +134,7 @@ def test_every_layer_backward_passes_finite_differences():
     report = format_report(results, tol=1e-5)
     for res in results:
         assert res.ok(1e-5), report
-    names = {r.name for r in results}
-    assert {"rms_norm", "attention_projected", "ffn", "transformer_block",
-            "memory_block_linear", "memory_block_pkm",
-            "memory_block_headwise", "full_model_headwise",
-            "memory_block_linear_batch3", "memory_block_pkm_batch3",
-            "memory_block_headwise_batch3", "full_model_headwise_batch3"} <= names
+    assert [r.name for r in results] == list(LAYER_CHECKS)
     assert all(r.coords > 0 for r in results)
     # block checks cover x and every parameter the model walk yields
     for res in results:
@@ -152,17 +147,15 @@ def _walked_block_paths(check_name):
         block = init_transformer_block(16, 2, 24, make_rng(0))
     else:
         kind = check_name.split("_")[2]
-        toggles = (MemoryLayerKind("headwise", True, True, True, True)
-                   if check_name.endswith("all_toggles") else None)
-        block = _memory_block_fixture(kind, toggles, 0)[0]
+        block = _memory_block_fixture(kind, check_name.endswith("all_toggles"), 0)[0]
     return tuple(path for path, _ in named_params(block))
 
 
 def test_corrupted_backward_is_caught():
     # negative control: a check whose analytic gradient is deliberately off
-    def bad_check(seed=0, h=1e-5):
+    def bad_check(seed=0):
         from headmem.gradcheck import check_ffn
-        res = check_ffn(seed, h)
+        res = check_ffn(seed)
         return CheckResult("ffn_corrupted", res.max_rel_err + 1.0, res.coords,
                            res.worst_param, res.worst_coord)
 

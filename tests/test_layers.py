@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from headmem.layers import (
+    BN_EPS,
     MemoryLayerKind,
     batchnorm_query,
     init_batchnorm,
@@ -43,7 +44,7 @@ def test_batchnorm_training_normalizes_and_tracks():
     assert np.allclose(bn.running_mean, 0.1 * x.mean(axis=0), atol=1e-10)
     # eval path uses the running statistics, not the batch
     out_eval, _ = batchnorm_query(x[:4], bn, training=False)
-    want = ((x[:4] - bn.running_mean) / np.sqrt(bn.running_var + bn.eps)
+    want = ((x[:4] - bn.running_mean) / np.sqrt(bn.running_var + BN_EPS)
             * bn.gamma + bn.beta)
     assert np.allclose(out_eval, want, atol=1e-12)
 

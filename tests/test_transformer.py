@@ -24,7 +24,7 @@ from headmem.transformer import (
 
 
 def test_rope_tables_are_unit_rotations():
-    cos, sin = rope_tables(6, 8, 10000.0, np.float64)
+    cos, sin = rope_tables(6, 8, np.float64)
     assert cos.shape == (6, 4) and sin.shape == (6, 4)
     assert np.allclose(cos * cos + sin * sin, 1.0, atol=1e-12)
     # position zero rotates by nothing
@@ -34,7 +34,7 @@ def test_rope_tables_are_unit_rotations():
 def test_apply_rope_preserves_norm_and_inverts():
     rng = make_rng(1)
     x = rng.standard_normal((3, 5, 8))  # [heads, s, d_h]
-    cos, sin = rope_tables(5, 8, 10000.0, np.float64)
+    cos, sin = rope_tables(5, 8, np.float64)
     y = apply_rope(x, cos, sin)
     assert np.allclose(np.linalg.norm(y, axis=-1), np.linalg.norm(x, axis=-1),
                        atol=1e-12)
@@ -47,7 +47,7 @@ def test_rope_relative_position_property():
     rng = make_rng(2)
     q = rng.standard_normal(8)
     k = rng.standard_normal(8)
-    cos, sin = rope_tables(10, 8, 10000.0, np.float64)
+    cos, sin = rope_tables(10, 8, np.float64)
 
     def rot(v, p):
         return apply_rope(v[None, None], cos[p:p + 1], sin[p:p + 1])[0, 0]
@@ -107,7 +107,7 @@ def _reference_attention(xn, p, s):
     arrays, the tables built for this length; returns (out, attn, saved)."""
     d_h = xn.shape[1] // p.heads
     q, k, v = (split_heads(xn @ w, p.heads, s) for w in (p.w_q, p.w_k, p.w_v))
-    cos, sin = rope_tables(s, d_h, p.rope_base, xn.dtype)
+    cos, sin = rope_tables(s, d_h, xn.dtype)
     qr, kr = apply_rope(q, cos, sin), apply_rope(k, cos, sin)
     scores = qr @ kr.swapaxes(-1, -2) / math.sqrt(d_h)
     mask = np.triu(np.full((s, s), -np.inf, dtype=xn.dtype), k=1)
@@ -177,7 +177,7 @@ def test_attention_is_bitwise_the_reference_formula(mode, monkeypatch):
         assert _same_bits(dxn, want_dxn)
         for name, g in want_grads.items():
             assert _same_bits(grads[f"a.{name}"], g), name
-        cos, sin, mask = transformer.attention_tables(s, 8, p.rope_base, dtype)
+        cos, sin, mask = transformer.attention_tables(s, 8, dtype)
         assert _same_bits(cos, saved[3]) and _same_bits(sin, saved[4])
         assert _same_bits(mask, np.triu(np.full((s, s), -np.inf, dtype=dtype), k=1))
         for key, value in transformer._TABLES.items():
