@@ -13,7 +13,6 @@ import numpy as np
 from headmem import (
     MemoryConfig,
     MemoryLayerKind,
-    RetrievalResult,
     aggregate_values,
     aggregate_values_cached,
     build_value_cache,
@@ -51,22 +50,22 @@ def main():
     values.v_base[...] = rng.standard_normal(values.v_base.shape)
     q = rng.standard_normal((6, small.d))
     _, read = retrieve(q, block)
-    result = RetrievalResult(indices=read["idx"], weights=read["w"])
+    idx, w = read["idx"], read["w"]
 
-    direct = aggregate_values(result, values)
+    direct = aggregate_values(idx, w, values)
     cache = build_value_cache(values)
-    cached = aggregate_values_cached(result, cache)
+    cached = aggregate_values_cached(idx, w, cache)
 
     print(f"direct path:  pool {small.k} shared rows, then apply the head "
           f"transform  -> {direct.shape}")
-    print(f"cached path:  gather from {cache.v_cached.shape} pre-transformed "
+    print(f"cached path:  gather from {cache.shape} pre-transformed "
           f"tables -> {cached.shape}")
     print(f"max |direct - cached| = {np.abs(direct - cached).max():.3e}")
 
     # the cache trades memory for per-token work: it is exactly the naive
     # table footprint, materialized once instead of stored as parameters
     print(f"cache entries = naive table size: "
-          f"{cache.v_cached.size == param_count(small, 'naive_headwise')}")
+          f"{cache.size == param_count(small, 'naive_headwise')}")
 
 
 if __name__ == "__main__":

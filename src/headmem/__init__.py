@@ -12,9 +12,7 @@ from .numerics import (
 from .memory import (
     MemoryConfig,
     ProductKeyBank,
-    RetrievalResult,
     ValueBank,
-    ValueCache,
     aggregate_values,
     aggregate_values_cached,
     build_value_cache,

@@ -76,8 +76,7 @@ def save_checkpoint(path: str, model: ModelSpec, config: dict | None = None):
         "config": config,
         "model": {
             "vocab": model.vocab, "d": model.d, "heads": model.heads,
-            "d_ff": model.d_ff, "base_depth": model.base_depth,
-            "trainable": list(model.trainable),
+            "d_ff": model.d_ff, "trainable": list(model.trainable),
             "blocks": [_block_descriptor(b) for b in model.blocks],
         },
         "tensors": table,
@@ -200,8 +199,8 @@ def _build_model(header: dict, payload: memoryview):
     disagrees with the payload fails before the next block is allocated."""
     tensors = _read_tensors(header, payload)
     info = header["model"]
-    sizes = {key: _size(info[key], f"model.{key}", 0 if key == "base_depth" else 1)
-             for key in ("vocab", "d", "heads", "d_ff", "base_depth")}
+    # older files also record base_depth, which is ignored
+    sizes = {key: _size(info[key], f"model.{key}") for key in ("vocab", "d", "heads", "d_ff")}
     rng = _ZeroDraws(sum(arr.size for arr in tensors.values()))
     shell = _fill(init_base_model(sizes["vocab"], sizes["d"], sizes["heads"],
                                   sizes["d_ff"], 0, rng), tensors)
@@ -210,8 +209,7 @@ def _build_model(header: dict, payload: memoryview):
     trainable = info["trainable"]
     _require(type(trainable) is list and all(type(t) is bool for t in trainable),
              "model.trainable is not a list of booleans")
-    model = dataclasses.replace(shell, base_depth=sizes["base_depth"], blocks=blocks,
-                                trainable=trainable)
+    model = dataclasses.replace(shell, blocks=blocks, trainable=trainable)
     if tensors:
         raise CheckpointError(f"unused tensors in file: {sorted(tensors)[:3]}")
     return model, header["config"]

@@ -62,6 +62,14 @@ def _write(path: str, text: str):
     print(f"wrote {path}")
 
 
+def _emit(args, filename: str, csv: str) -> None:
+    """Write csv to filename under --out, or print it when --out is unset."""
+    if args.out:
+        _write(os.path.join(_ensure_out(args), filename), csv)
+    else:
+        print(csv, end="")
+
+
 def _eval_set(cfg: dict, corpus, seed: int):
     """Deterministic evaluation sequences for a corpus."""
     if isinstance(corpus, RecallCorpus):
@@ -93,8 +101,8 @@ def cmd_train(args) -> int:
     ev_in, ev_tg = _eval_set(cfg, corpus, cfg["train"]["seed"] + 1)
     final = evaluate(model, ev_in, ev_tg)
     base_loss = evaluate(base, ev_in, ev_tg)
-    print(f"steps: {len(report.steps)}")
-    if report.steps:
+    print(f"steps: {len(report.losses)}")
+    if report.losses:
         print(f"final train loss: {report.final_loss:.6f}")
     print(f"eval loss: {final:.6f} (frozen base alone: {base_loss:.6f})")
     return 0
@@ -129,11 +137,7 @@ def cmd_bench_topk(args) -> int:
     rows = bench.bench_topk(mc.n, mc.k, token_counts=tokens,
                             repeats=args.repeats,
                             seed=args.seed if args.seed is not None else 0)
-    csv = bench.topk_csv(rows)
-    if args.out:
-        _write(os.path.join(_ensure_out(args), "bench_topk.csv"), csv)
-    else:
-        print(csv, end="")
+    _emit(args, "bench_topk.csv", bench.topk_csv(rows))
     if not all(r.equal for r in rows):
         print("two-stage selection disagreed with the fused reference", file=sys.stderr)
         return 1
@@ -155,11 +159,7 @@ def cmd_bench_prefill(args) -> int:
     lengths = tuple(int(x) for x in args.lengths.split(","))
     rows = bench.bench_prefill({"transformer": source, kind_name: mem},
                                lengths=lengths, repeats=args.repeats)
-    csv = bench.prefill_csv(rows)
-    if args.out:
-        _write(os.path.join(_ensure_out(args), "bench_prefill.csv"), csv)
-    else:
-        print(csv, end="")
+    _emit(args, "bench_prefill.csv", bench.prefill_csv(rows))
     return 0
 
 
@@ -186,11 +186,7 @@ def cmd_params(args) -> int:
         trainable = _count(model, trainable_paths(model, "cpt"))
         lines.append(f"{method},{vcfg['upscale']['inserted']},{trainable},"
                      f"{param_count_total(model)}")
-    csv = "\n".join(lines) + "\n"
-    if args.out:
-        _write(os.path.join(_ensure_out(args), "params.csv"), csv)
-    else:
-        print(csv, end="")
+    _emit(args, "params.csv", "\n".join(lines) + "\n")
     return 0
 
 
@@ -280,7 +276,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, CheckpointError, ValueError) as e:
+    except (ConfigError, CheckpointError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except NumericsError as e:

@@ -191,15 +191,14 @@ def check_batchnorm(seed: int = 0, training: bool = True) -> CheckResult:
                                     ("beta", bn.beta, dbeta)])
 
 
-def check_attention(seed: int = 0, project_output: bool = True) -> CheckResult:
+def check_attention(seed: int = 0, with_projection: bool = True) -> CheckResult:
     rng = make_rng(seed)
     with precision("f64"):
-        p = init_attention(16, 2, rng, with_projection=project_output)
+        p = init_attention(16, 2, rng, with_projection=with_projection)
     xn = rng.standard_normal((6, 16))
     r = rng.standard_normal((6, 16))
-    name = "attention_projected" if project_output else "attention_raw_heads"
-    return _check_block(name, partial(causal_attention, project_output=project_output),
-                        attention_backward, p, xn, r, x_name="xn")
+    name = "attention_projected" if with_projection else "attention_raw_heads"
+    return _check_block(name, causal_attention, attention_backward, p, xn, r, x_name="xn")
 
 
 def check_ffn(seed: int = 0) -> CheckResult:
@@ -285,8 +284,8 @@ LAYER_CHECKS = {
     "softmax": check_softmax,
     "batchnorm_train": partial(check_batchnorm, training=True),
     "batchnorm_eval": partial(check_batchnorm, training=False),
-    "attention_projected": partial(check_attention, project_output=True),
-    "attention_raw_heads": partial(check_attention, project_output=False),
+    "attention_projected": partial(check_attention, with_projection=True),
+    "attention_raw_heads": partial(check_attention, with_projection=False),
     "ffn": check_ffn,
     "transformer_block": check_transformer_block,
     "memory_block_linear": partial(check_memory_block, "linear"),

@@ -188,16 +188,16 @@ def attention_backward(dout: np.ndarray, cache: dict, p: AttentionParams,
     """Backward of causal_attention; returns the gradient w.r.t. xn.
 
     When grads.probes is a dict, records (per-head outputs, their gradients)
-    there under `prefix`, shaped like the cache's ctx, which is what
-    head-importance scoring reads.
+    there under `prefix`, each [B, H, s, d_h] like the cache's ctx, which is
+    what head-importance scoring reads.
     """
     xn = cache["xn"]
     d_h = xn.shape[1] // p.heads
-    if cache["project"]:
+    if p.w_o is None:
+        dcat = dout
+    else:
         grads.add_matmul(f"{prefix}.w_o", cache["cat"], dout)
         dcat = dout @ p.w_o.T
-    else:
-        dcat = dout
     dctx = split_heads(dcat, p.heads, cache["seq_len"])  # [B, H, s, d_h]
     if grads.probes is not None:
         grads.probes[prefix] = (cache["ctx"], dctx)
@@ -282,7 +282,7 @@ def retrieve_backward(dm: np.ndarray, mcache: dict, p: MemoryBlockParams,
     pair with the upstream gradient of its row; headwise first takes it
     through the per-head transform.
     """
-    cfg, bank, kind = p.cfg, p.bank, mcache["kind"]
+    cfg, bank, kind = p.cfg, p.bank, p.kind.kind
     idx, w = mcache["idx"], mcache["w"]
     rows, heads, k = idx.shape
     if kind == "headwise":
@@ -326,7 +326,7 @@ def memory_block_backward(dy: np.ndarray, cache: dict, p: MemoryBlockParams,
     da = retrieve_backward(dy, cache["mem"], p, grads, prefix)
     dxn = attention_backward(da, cache["attn"], p.attn, grads, f"{prefix}.attn")
     dx = dy + _norm_backward(dxn, cache["norm"], grads, f"{prefix}.norm_gain")
-    if cache["residual"]:
+    if p.kind.internal_residual:
         dx = dx + da
     return dx
 

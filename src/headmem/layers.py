@@ -28,9 +28,7 @@ import numpy as np
 from .memory import (
     MemoryConfig,
     ProductKeyBank,
-    RetrievalResult,
     ValueBank,
-    ValueCache,
     aggregate_values,
     aggregate_values_cached,
     head_scores,
@@ -184,7 +182,7 @@ class MemoryBlockParams:
 # retrieval
 
 def retrieve(a: np.ndarray, p: MemoryBlockParams, training: bool = False,
-             seq_len: int | None = None, value_cache: ValueCache | None = None):
+             seq_len: int | None = None, value_cache: np.ndarray | None = None):
     """The memory read of every kind over token rows a [rows, d]; returns
     (m [rows, d], cache).
 
@@ -193,8 +191,8 @@ def retrieve(a: np.ndarray, p: MemoryBlockParams, training: bool = False,
     d_h slice of a query row addresses head h. All H heads are scored in one
     call, flat keys [rows, H, N] or sub-key axes [rows, H, n], and selected
     once. linear and pkm pool the shared full-width table and sum over heads;
-    headwise pools its factorized values (or gathers from value_cache) and
-    concatenates heads.
+    headwise pools its factorized values (or gathers from value_cache, the
+    [H, N, d_h] table of build_value_cache) and concatenates heads.
     """
     kind, cfg, bank = p.kind.kind, p.cfg, p.bank
     q = a if kind == "headwise" else a @ bank.w_q
@@ -214,11 +212,10 @@ def retrieve(a: np.ndarray, p: MemoryBlockParams, training: bool = False,
     if kind != "headwise":
         m = np.einsum("shk,shkd->sd", w, bank.values[idx])
     elif value_cache is not None:
-        m = aggregate_values_cached(RetrievalResult(idx, w), value_cache)
+        m = aggregate_values_cached(idx, w, value_cache)
     else:
-        m = aggregate_values(RetrievalResult(idx, w), bank.values)
-    cache = {"kind": kind, "a": a, "q": q, "bn": bn_cache, "ln": ln_cache,
-             "idx": idx, "w": w}
+        m = aggregate_values(idx, w, bank.values)
+    cache = {"a": a, "q": q, "bn": bn_cache, "ln": ln_cache, "idx": idx, "w": w}
     return m, cache
 
 
@@ -226,7 +223,7 @@ def retrieve(a: np.ndarray, p: MemoryBlockParams, training: bool = False,
 # block packaging
 
 def memory_block_forward(x: np.ndarray, p: MemoryBlockParams, training: bool = False,
-                         value_cache: ValueCache | None = None,
+                         value_cache: np.ndarray | None = None,
                          seq_len: int | None = None):
     """Residual memory block: y = x + memory(queries(attention(norm(x)))).
 
@@ -239,12 +236,10 @@ def memory_block_forward(x: np.ndarray, p: MemoryBlockParams, training: bool = F
     if value_cache is not None and training:
         raise ValueError("value cache is an inference path, not usable in training")
     xn, ncache = rms_norm_fwd(x, p.norm_gain)
-    ao, acache = causal_attention(xn, p.attn, project_output=p.kind.output_projection,
-                                  seq_len=seq_len)
+    ao, acache = causal_attention(xn, p.attn, seq_len=seq_len)
     a = x + ao if p.kind.internal_residual else ao
 
     m, mcache = retrieve(a, p, training, seq_len, value_cache)
     y = x + m
-    cache = {"norm": ncache, "attn": acache, "mem": mcache,
-             "residual": p.kind.internal_residual}
+    cache = {"norm": ncache, "attn": acache, "mem": mcache}
     return y, cache

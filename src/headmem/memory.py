@@ -93,19 +93,6 @@ class ValueBank:
     w_heads: np.ndarray  # [H, d_h, d_h]
 
 
-@dataclass
-class ValueCache:
-    """Per-head pre-transformed value rows: v_cached[h] = v_base @ w_heads[h].T"""
-
-    v_cached: np.ndarray  # [H, N, d_h]
-
-
-@dataclass
-class RetrievalResult:
-    indices: np.ndarray  # [s, H, k] int64 flat slot ids
-    weights: np.ndarray  # [s, H, k], each (token, head) row sums to 1
-
-
 def init_product_keys(cfg: MemoryConfig, rng: np.random.Generator) -> ProductKeyBank:
     std = 1.0 / np.sqrt(cfg.d_p)
     return ProductKeyBank(
@@ -262,32 +249,34 @@ def select_topk(s_row: np.ndarray, s_col: np.ndarray, k: int):
 # ---------------------------------------------------------------------------
 # value aggregation
 
-def aggregate_values(result: RetrievalResult, bank: ValueBank) -> np.ndarray:
+def aggregate_values(idx: np.ndarray, w: np.ndarray, bank: ValueBank) -> np.ndarray:
     """Weighted slot pooling then per-head transform, heads concatenated.
 
-    For token r and head h: pooled = sum_k weights * v_base[idx]; the output
-    slice is w_heads[h] @ pooled. Returns [s, H * d_h].
+    idx [rows, H, k] are flat slot ids and w [rows, H, k] their weights,
+    each (row, head) summing to 1. For row r and head h: pooled = sum_k w *
+    v_base[idx]; the output slice is w_heads[h] @ pooled. Returns
+    [rows, H * d_h].
     """
-    s, heads, _ = result.indices.shape
-    rows = bank.v_base[result.indices]  # [s, H, k, d_h]
-    pooled = np.einsum("shk,shkd->shd", result.weights, rows)
+    rows, heads, _ = idx.shape
+    pooled = np.einsum("shk,shkd->shd", w, bank.v_base[idx])
     out = np.einsum("hij,shj->shi", bank.w_heads, pooled)
-    return out.reshape(s, heads * bank.v_base.shape[1])
+    return out.reshape(rows, heads * bank.v_base.shape[1])
 
 
-def build_value_cache(bank: ValueBank) -> ValueCache:
-    """Pre-apply each head transform to the whole table (inference path)."""
-    # [H, N, d_h] = v_base [N, d_h] @ w_heads[h].T, stacked over heads
-    return ValueCache(v_cached=np.einsum("nd,hed->hne", bank.v_base, bank.w_heads))
+def build_value_cache(bank: ValueBank) -> np.ndarray:
+    """Each head transform applied to the whole table (inference path):
+    [H, N, d_h] with row h = v_base @ w_heads[h].T."""
+    return np.einsum("nd,hed->hne", bank.v_base, bank.w_heads)
 
 
-def aggregate_values_cached(result: RetrievalResult, cache: ValueCache) -> np.ndarray:
-    """Gather-and-pool over cached rows; same map as aggregate_values."""
-    s, heads, _ = result.indices.shape
-    head = np.arange(heads)[:, None]
-    rows = cache.v_cached[head, result.indices]  # [s, H, k, d_h]
-    out = np.einsum("shk,shkd->shd", result.weights, rows)
-    return out.reshape(s, heads * cache.v_cached.shape[-1])
+def aggregate_values_cached(idx: np.ndarray, w: np.ndarray,
+                            v_cached: np.ndarray) -> np.ndarray:
+    """Gather-and-pool over the [H, N, d_h] rows of build_value_cache; the
+    same map as aggregate_values. Returns [rows, H * d_h]."""
+    rows, heads, _ = idx.shape
+    gathered = v_cached[np.arange(heads)[:, None], idx]  # [rows, H, k, d_h]
+    out = np.einsum("shk,shkd->shd", w, gathered)
+    return out.reshape(rows, heads * v_cached.shape[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 import numpy as np
 
 from .layers import HeadwiseBank, MemoryBlockParams, memory_block_forward
-from .memory import ValueCache, build_value_cache
+from .memory import build_value_cache
 from .numerics import assert_finite, gaussian, ones
 from .transformer import (
     AttentionParams,
@@ -30,7 +30,6 @@ class ModelSpec:
     d: int
     heads: int
     d_ff: int
-    base_depth: int  # depth of the original stack before any insertion
     embed: np.ndarray  # [vocab, d]
     unembed: np.ndarray  # [d, vocab]
     final_gain: np.ndarray  # [d]
@@ -72,7 +71,7 @@ def init_base_model(vocab: int, d: int, heads: int, d_ff: int, depth: int,
         raise ValueError(f"d={d} not divisible by heads={heads}")
     blocks = [init_transformer_block(d, heads, d_ff, rng) for _ in range(depth)]
     return ModelSpec(
-        vocab=vocab, d=d, heads=heads, d_ff=d_ff, base_depth=depth,
+        vocab=vocab, d=d, heads=heads, d_ff=d_ff,
         embed=gaussian(rng, (vocab, d), 1.0 / np.sqrt(d)),
         unembed=gaussian(rng, (d, vocab), 1.0 / np.sqrt(d)),
         final_gain=ones(d),
@@ -82,7 +81,7 @@ def init_base_model(vocab: int, d: int, heads: int, d_ff: int, depth: int,
 
 
 def model_forward(tokens: np.ndarray, model: ModelSpec, training: bool = False,
-                  value_caches: dict[int, ValueCache] | None = None,
+                  value_caches: dict[int, np.ndarray] | None = None,
                   collect: bool = False):
     """Run token sequences through the stack; returns (logits, caches).
 
@@ -91,10 +90,11 @@ def model_forward(tokens: np.ndarray, model: ModelSpec, training: bool = False,
     over the B*s token rows; only causal attention and query batchnorm group
     the rows by sequence. logits: [s, V] or [B, s, V].
 
-    caches is None unless collect=True; its activations are row-major over
-    the B*s rows (memory idx/w [B*s, H, k], so [s, H, k] for one sequence).
-    value_caches maps block index to a pre-built value cache for headwise
-    memory blocks (inference only).
+    caches is None unless collect=True. Its per-token activations are
+    row-major over the B*s rows (memory idx/w [B*s, H, k]); attention
+    activations are [B, H, s, ...], with B = 1 for one sequence.
+    value_caches maps block index to the [H, N, d_h] value cache of a
+    headwise memory block (build_value_caches; inference only).
     """
     tokens = np.asarray(tokens)
     if tokens.ndim not in (1, 2) or tokens.size == 0:
@@ -127,8 +127,9 @@ def model_forward(tokens: np.ndarray, model: ModelSpec, training: bool = False,
     return logits, caches
 
 
-def build_value_caches(model: ModelSpec) -> dict[int, ValueCache]:
-    """Pre-transform value tables of every headwise memory block for inference."""
+def build_value_caches(model: ModelSpec) -> dict[int, np.ndarray]:
+    """{block index: [H, N, d_h] pre-transformed value table} of every
+    headwise memory block, for inference."""
     caches = {}
     for i, block in enumerate(model.blocks):
         if isinstance(block, MemoryBlockParams) and isinstance(block.bank, HeadwiseBank):

@@ -28,8 +28,6 @@ from .transformer import lm_loss
 # the warmup+cosine schedule
 MEMORY_TABLE_LEAVES = {"keys", "values", "k_row", "k_col", "v_base", "w_heads"}
 
-SCHEDULES = ("constant", "cosine_with_warmup")
-
 # token rows per forward+backward call. Per-token cost of one call falls
 # about tenfold from 2 rows to 128 and is flat beyond, while live
 # activations grow with the rows, so a call takes max(1, ROWS // s)
@@ -216,11 +214,10 @@ def _calls(batch: int, seq_len: int) -> list[slice]:
 
 @dataclass
 class TrainReport:
-    """Per-step log. unique_index_writes counts, for each call of the step,
-    the unique value-table slots each memory block wrote, summed over the
-    blocks and the step's calls."""
+    """Per-step log, entry i for step i. unique_index_writes counts, for
+    each call of the step, the unique value-table slots each memory block
+    wrote, summed over the blocks and the step's calls."""
 
-    steps: list[int] = field(default_factory=list)
     losses: list[float] = field(default_factory=list)
     lr_inserted_dense: list[float] = field(default_factory=list)
     lr_memory_keys_values: list[float] = field(default_factory=list)
@@ -236,8 +233,8 @@ class TrainReport:
         buf = io.StringIO()
         buf.write("step,loss,lr_inserted_dense,lr_memory_keys_values,"
                   "unique_index_writes\n")
-        for i in range(len(self.steps)):
-            buf.write(f"{self.steps[i]},{self.losses[i]:.10g},"
+        for i in range(len(self.losses)):
+            buf.write(f"{i},{self.losses[i]:.10g},"
                       f"{self.lr_inserted_dense[i]:.10g},"
                       f"{self.lr_memory_keys_values[i]:.10g},"
                       f"{self.unique_index_writes[i]}\n")
@@ -295,10 +292,9 @@ def train(model: ModelSpec, corpus, groups: list[OptimGroup], steps: int,
             for p in g.paths:
                 lr_wd[p] = (lr, g.weight_decay)
         opt.step(acc, lr_wd)
-        report.steps.append(step)
         report.losses.append(float(mean_loss))
-        report.lr_inserted_dense.append(lrs.get("inserted_dense", 0.0))
-        report.lr_memory_keys_values.append(lrs.get("memory_keys_values", 0.0))
+        report.lr_inserted_dense.append(lrs["inserted_dense"])
+        report.lr_memory_keys_values.append(lrs["memory_keys_values"])
         report.unique_index_writes.append(acc.writes)
     return report
 
@@ -358,9 +354,8 @@ def head_importance(model: ModelSpec, dataset) -> HeadImportanceReport:
                        allowed=set(), probes=probes)
         seq = np.empty((n_layers, model.heads), dtype=np.float64)
         for i in range(n_layers):
-            ctx, dctx = probes[f"blocks.{i}.attn"]
-            per_pos = np.sum(ctx * dctx, axis=2)       # [heads, positions]
-            seq[i] = per_pos.mean(axis=1)
+            ctx, dctx = probes[f"blocks.{i}.attn"]  # [1, heads, positions, d_h]
+            seq[i] = np.sum(ctx * dctx, axis=-1)[0].mean(axis=-1)
         per_seq.append(seq)
     if not per_seq:
         raise ValueError("empty dataset")

@@ -102,33 +102,29 @@ def apply_rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray, inverse: bool = 
 
 
 def split_heads(x: np.ndarray, heads: int, seq_len: int | None = None) -> np.ndarray:
-    """[B*s, d] -> [B, H, s, d_h]; one sequence (seq_len None or every row)
-    keeps the unbatched [H, s, d_h]."""
+    """[B*s, d] -> [B, H, s, d_h] for B sequences of seq_len rows (seq_len
+    None: one sequence, B = 1)."""
     rows, d = x.shape
     s = rows if seq_len is None else seq_len
-    out = x.reshape(rows // s, s, heads, d // heads).transpose(0, 2, 1, 3)
-    return out[0] if s == rows else out
+    return x.reshape(rows // s, s, heads, d // heads).transpose(0, 2, 1, 3)
 
 
 def merge_heads(x: np.ndarray) -> np.ndarray:
-    """[..., H, s, d_h] -> [rows, d], leading batch dims folded into the rows."""
-    return x.swapaxes(-3, -2).reshape(-1, x.shape[-3] * x.shape[-1])
+    """[B, H, s, d_h] -> [B*s, d], the inverse of split_heads."""
+    return x.swapaxes(1, 2).reshape(-1, x.shape[1] * x.shape[3])
 
 
-def causal_attention(xn: np.ndarray, p: AttentionParams, project_output: bool = True,
-                     seq_len: int | None = None):
+def causal_attention(xn: np.ndarray, p: AttentionParams, seq_len: int | None = None):
     """Multi-head causal self-attention over the sequences stacked in xn.
 
     xn: [B*s, d] (already normalized by the caller), B sequences of seq_len
-    rows each; seq_len None means one sequence. Position r of a sequence
-    attends to its positions <= r. Projections run over all rows at once;
-    only the scores reshape to [B, H, s, s] ([H, s, s] for one sequence).
-    With project_output=False the concatenated raw head outputs are
-    returned, which downstream memory layers consume as queries.
-    Returns (out [B*s, d], cache).
+    rows each; seq_len None means one sequence (B = 1). Position r of a
+    sequence attends to its positions <= r. Projections run over all rows
+    at once; heads, scores and context are [B, H, s, ...]. The concatenated
+    head outputs go through p.w_o; attention without an output projection
+    (p.w_o None) returns them raw, which downstream memory layers consume
+    as queries. Returns (out [B*s, d], cache).
     """
-    if project_output and p.w_o is None:
-        raise ValueError("project_output=True but attention has no output projection")
     rows, d = xn.shape
     s = rows if seq_len is None else seq_len
     if s < 1 or rows % s:
@@ -147,11 +143,10 @@ def causal_attention(xn: np.ndarray, p: AttentionParams, project_output: bool = 
     attn = softmax(scores, axis=-1)
     ctx = attn @ v  # [B, H, s, d_h]
     cat = merge_heads(ctx)
-    out = cat @ p.w_o if project_output else cat
+    out = cat if p.w_o is None else cat @ p.w_o
     cache = {
         "xn": xn, "qr": qr, "kr": kr, "v": v, "attn": attn, "ctx": ctx,
-        "cat": cat, "cos": cos, "sin": sin, "project": project_output,
-        "seq_len": s,
+        "cat": cat, "cos": cos, "sin": sin, "seq_len": s,
     }
     return out, cache
 
@@ -173,7 +168,7 @@ def transformer_block_forward(x: np.ndarray, p: TransformerBlockParams,
     x: [B*s, d] token rows of B sequences of seq_len (None: one sequence).
     """
     xn1, ncache1 = rms_norm_fwd(x, p.attn_gain)
-    ao, acache = causal_attention(xn1, p.attn, project_output=True, seq_len=seq_len)
+    ao, acache = causal_attention(xn1, p.attn, seq_len=seq_len)
     a = x + ao
     xn2, ncache2 = rms_norm_fwd(a, p.ffn_gain)
     fo, fcache = ffn_forward(xn2, p.ffn)

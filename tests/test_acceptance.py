@@ -17,7 +17,6 @@ from headmem.gradients import dedup_scatter_backward
 from headmem.layers import MemoryLayerKind
 from headmem.memory import (
     MemoryConfig,
-    RetrievalResult,
     aggregate_values,
     aggregate_values_cached,
     build_value_cache,
@@ -174,12 +173,11 @@ def test_criterion_4_value_factorization_equivalence_and_accounting():
             bank = init_value_bank(cfg, rng)
             bank.v_base[...] = rng.standard_normal(bank.v_base.shape)
             s = 11
-            result = RetrievalResult(
-                indices=rng.integers(0, cfg.N, (s, heads, k)),
-                weights=rng.random((s, heads, k)))
-            result.weights /= result.weights.sum(axis=-1, keepdims=True)
-            direct = aggregate_values(result, bank)
-            cached = aggregate_values_cached(result, build_value_cache(bank))
+            idx = rng.integers(0, cfg.N, (s, heads, k))
+            w = rng.random((s, heads, k))
+            w /= w.sum(axis=-1, keepdims=True)
+            direct = aggregate_values(idx, w, bank)
+            cached = aggregate_values_cached(idx, w, build_value_cache(bank))
             assert float(np.max(np.abs(direct - cached))) <= 1e-10
 
     big = MemoryConfig(heads=32, n=64, k=4, d=2048)  # d_h = 64, N = 4096

@@ -110,6 +110,23 @@ def test_out_of_range_train_config_exits_2(capsys, tmp_path, section, line):
     assert "Traceback" not in out + err
 
 
+@pytest.mark.parametrize("case", ["config_is_dir", "corpus_is_dir", "out_is_file"])
+def test_unusable_path_exits_2(capsys, tmp_path, case):
+    """A path naming a directory where a file is read, or a file where a
+    directory is made, exits 2 with an error line."""
+    existing = tmp_path / "existing.txt"
+    existing.write_text("x")
+    cfg = tmp_path / "bytes.cfg"
+    cfg.write_text(SMALL_HEAD.replace("vocab = 64", "vocab = 256")
+                   + f"\n[train]\ncorpus = bytes\ncorpus_path = {tmp_path}\nsteps = 1\n")
+    argv = {"config_is_dir": ["params", "--config", str(tmp_path)],
+            "corpus_is_dir": ["train", "--config", str(cfg), "--out", str(tmp_path / "run")],
+            "out_is_file": ["params", "--out", str(existing)]}[case]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and "error:" in err
+    assert "Traceback" not in out + err
+
+
 def test_missing_corpus_file_exits_2(capsys, tmp_path):
     cfg = tmp_path / "bytes.cfg"
     cfg.write_text(SMALL_HEAD + "\n[train]\ncorpus = bytes\nsteps = 5\n")
@@ -295,13 +312,17 @@ def test_removed_fused_threshold_flag_exits_2(capsys):
     assert "Traceback" not in err
 
 
+def _read_header(blob):
+    hlen, = struct.unpack_from("<Q", blob, 12)
+    return json.loads(blob[20:20 + hlen]), 20 + hlen
+
+
 def _rewrite_header(blob, edit):
     """A checkpoint blob whose JSON header went through edit(header)."""
-    hlen, = struct.unpack_from("<Q", blob, 12)
-    header = json.loads(blob[20:20 + hlen])
+    header, end = _read_header(blob)
     edit(header)
     text = json.dumps(header, sort_keys=True).encode("utf-8")
-    return blob[:12] + struct.pack("<Q", len(text)) + text + blob[20 + hlen:]
+    return blob[:12] + struct.pack("<Q", len(text)) + text + blob[end:]
 
 
 def _old_route_keys(header):
@@ -316,7 +337,9 @@ def _old_route_keys(header):
 
 def _parent_format(header):
     """The descriptor fields and config key files carried while the RoPE
-    base, the batchnorm momentum and eps and the loss scale were settable."""
+    base, the batchnorm momentum and eps and the loss scale were settable,
+    and while the model recorded its base depth."""
+    header["model"]["base_depth"] = 2
     for desc in header["model"]["blocks"]:
         desc["rope_base"] = 10000.0
         if desc["type"] == "memory" and desc["toggles"]["query_batchnorm"]:
@@ -388,6 +411,7 @@ def test_checkpoint_table_exits_2_or_loads_bitwise(capsys, tmp_path, pkm_cfg, ca
     path.write_bytes(CHECKPOINT_CASES[case](good.read_bytes()))
     code, out, err = run(capsys, "eval", "--ckpt", str(path))
     assert "Traceback" not in out + err
+    assert "base_depth" not in _read_header(good.read_bytes())[0]["model"]
     if case not in ("old_route_keys", "parent_format"):
         assert code == 2 and "error:" in err
         return

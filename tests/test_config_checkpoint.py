@@ -299,7 +299,7 @@ def test_map_tensors_follows_the_walk():
                 assert (got.query_bn is None) == (src.query_bn is None), case
                 assert (got.query_ln_gain is None) == (src.query_ln_gain is None), case
         if case == "model":
-            for name in ("vocab", "d", "heads", "d_ff", "base_depth"):
+            for name in ("vocab", "d", "heads", "d_ff"):
                 assert getattr(out, name) == getattr(node, name)
             assert out.trainable == node.trainable
             assert out.blocks is not node.blocks and out.trainable is not node.trainable

@@ -5,7 +5,6 @@ import pytest
 
 from headmem.memory import (
     MemoryConfig,
-    RetrievalResult,
     ValueBank,
     aggregate_values,
     aggregate_values_cached,
@@ -181,7 +180,7 @@ def test_aggregate_values_matches_loop_oracle():
     bank.v_base[...] = rng.standard_normal(bank.v_base.shape)
     idx = rng.integers(0, cfg.N, (5, cfg.heads, cfg.k))
     w = rng.random((5, cfg.heads, cfg.k))
-    out = aggregate_values(RetrievalResult(indices=idx, weights=w), bank)
+    out = aggregate_values(idx, w, bank)
     assert out.shape == (5, cfg.d)
     for t in range(5):
         for h in range(cfg.heads):
@@ -199,12 +198,11 @@ def test_cached_path_matches_factorized_path():
         bank = init_value_bank(cfg, rng)
         bank.v_base[...] = rng.standard_normal(bank.v_base.shape)
         cache = build_value_cache(bank)
-    assert cache.v_cached.shape == (cfg.heads, cfg.N, cfg.d_h)
+    assert cache.shape == (cfg.heads, cfg.N, cfg.d_h)
     idx = rng.integers(0, cfg.N, (7, cfg.heads, cfg.k))
     w = rng.random((7, cfg.heads, cfg.k))
-    result = RetrievalResult(indices=idx, weights=w)
-    a = aggregate_values(result, bank)
-    b = aggregate_values_cached(result, cache)
+    a = aggregate_values(idx, w, bank)
+    b = aggregate_values_cached(idx, w, cache)
     assert np.max(np.abs(a - b)) < 1e-10
 
 

@@ -329,12 +329,12 @@ def test_head_importance_matches_finite_differences():
 
     _, caches = model_forward(inputs, model, training=False, collect=True)
     block_cache = caches["blocks"][0]
-    ctx = block_cache["attn"]["ctx"]          # [2, 4, 2]
+    ctx = block_cache["attn"]["ctx"][0]       # [1, 2, 4, 2] -> [2, 4, 2]
     x = block_cache["norm1"]["x"]
     p = model.blocks[0]
 
     def loss_with_ctx(c):
-        attn_out = merge_heads(c) @ p.attn.w_o
+        attn_out = merge_heads(c[None]) @ p.attn.w_o
         x2 = x + attn_out
         xn2, _ = rms_norm_fwd(x2, p.ffn_gain)
         ff, _ = ffn_forward(xn2, p.ffn)

@@ -61,7 +61,7 @@ def test_split_merge_heads_round_trip():
     rng = make_rng(3)
     x = rng.standard_normal((5, 12))
     h = split_heads(x, 3)
-    assert h.shape == (3, 5, 4)
+    assert h.shape == (1, 3, 5, 4)
     assert np.array_equal(merge_heads(h), x)
 
 
@@ -83,9 +83,21 @@ def test_attention_weights_rows_sum_to_one():
     with precision("f64"):
         p = init_attention(8, 2, rng)
     _, cache = causal_attention(rng.standard_normal((6, 8)), p)
-    attn = cache["attn"]  # [heads, s, s]
+    attn = cache["attn"]  # [1, heads, s, s]
     assert np.allclose(attn.sum(axis=-1), 1.0, atol=1e-12)
     assert np.allclose(attn, np.tril(attn), atol=0)  # no future mass
+
+
+@pytest.mark.parametrize("seq_len", [None, 3])
+def test_attention_caches_batched_layout(seq_len):
+    """One sequence and a batch of two share the [B, H, s, ...] layout."""
+    rng = make_rng(7)
+    with precision("f64"):
+        p = init_attention(8, 2, rng)
+    _, cache = causal_attention(rng.standard_normal((6, 8)), p, seq_len=seq_len)
+    b, s = (1, 6) if seq_len is None else (2, 3)
+    assert cache["attn"].shape == (b, 2, s, s)
+    assert cache["ctx"].shape == (b, 2, s, 4)
 
 
 def test_attention_raw_heads_output():
@@ -93,8 +105,7 @@ def test_attention_raw_heads_output():
     with precision("f64"):
         p = init_attention(8, 2, rng, with_projection=False)
     assert p.w_o is None
-    out, cache = causal_attention(rng.standard_normal((4, 8)), p,
-                                  project_output=False)
+    out, cache = causal_attention(rng.standard_normal((4, 8)), p)
     assert np.array_equal(out, merge_heads(cache["ctx"]))
 
 
