@@ -34,12 +34,12 @@ import numpy as np
 
 from .layers import MemoryBlockParams
 from .model import ModelSpec, block_param_paths
-from .numerics import softmax
+from .numerics import chunked_matmul, softmax
 from .transformer import (
     AttentionParams,
     TransformerBlockParams,
     apply_rope,
-    merge_heads,
+    query_blocks,
     split_heads,
 )
 
@@ -73,9 +73,10 @@ class GradStore(dict):
             self[path] = g
 
     def add_matmul(self, path: str, a: np.ndarray, b: np.ndarray) -> None:
-        """Add the weight gradient a.T @ b, formed only when path is kept."""
+        """Add the weight gradient a.T @ b, summed over CHUNK-row pieces and
+        formed only when path is kept."""
         if self.wants(path):
-            self.add(path, a.T @ b)
+            self.add(path, chunked_matmul(a.T, b))
 
 
 # ---------------------------------------------------------------------------
@@ -183,38 +184,54 @@ def batchnorm_backward(dy: np.ndarray, cache: dict, with_params: bool = True):
     return dx, dgamma, dbeta
 
 
+def _add_block(acc: np.ndarray, part: np.ndarray, i0: int) -> None:
+    """Sum query block [i0, i1)'s part [B, H, i1, d_h] into acc over
+    positions [0, i1): positions below i0 already hold earlier blocks'
+    sums, positions i0.. are first written here."""
+    acc[:, :, :i0] += part[:, :, :i0]
+    acc[:, :, i0:part.shape[2]] = part[:, :, i0:]
+
+
 def attention_backward(dout: np.ndarray, cache: dict, p: AttentionParams,
                        grads: GradStore, prefix: str) -> np.ndarray:
     """Backward of causal_attention; returns the gradient w.r.t. xn.
 
-    When grads.probes is a dict, records (per-head outputs, their gradients)
-    there under `prefix`, each [B, H, s, d_h] like the cache's ctx, which is
-    what head-importance scoring reads.
+    Walks the forward's query blocks: dqr sums over CHUNK-key pieces, dkr
+    and dv sum over the query blocks in block order, and every weight
+    gradient sums over CHUNK-row pieces. When grads.probes is a dict,
+    records (per-head outputs, their gradients) there under `prefix`, each
+    [B, H, s, d_h] like the cache's ctx, which is what head-importance
+    scoring reads.
     """
-    xn = cache["xn"]
-    d_h = xn.shape[1] // p.heads
+    xn, s = cache["xn"], cache["seq_len"]
+    rows, d = xn.shape
+    d_h = d // p.heads
     if p.w_o is None:
         dcat = dout
     else:
         grads.add_matmul(f"{prefix}.w_o", cache["cat"], dout)
         dcat = dout @ p.w_o.T
-    dctx = split_heads(dcat, p.heads, cache["seq_len"])  # [B, H, s, d_h]
+    dctx = split_heads(dcat, p.heads, s)  # [B, H, s, d_h]
     if grads.probes is not None:
         grads.probes[prefix] = (cache["ctx"], dctx)
-    attn, v, qr, kr = cache["attn"], cache["v"], cache["qr"], cache["kr"]
-    dattn = dctx @ v.swapaxes(-1, -2)  # [B, H, s, s]
-    dv = attn.swapaxes(-1, -2) @ dctx
-    dscores = softmax_backward(attn, dattn)
-    dscores /= math.sqrt(d_h)
-    dqr = dscores @ kr
-    dkr = dscores.swapaxes(-1, -2) @ qr
-    dq = merge_heads(apply_rope(dqr, cache["cos"], cache["sin"], inverse=True))
-    dk = merge_heads(apply_rope(dkr, cache["cos"], cache["sin"], inverse=True))
-    dvf = merge_heads(dv)
+    v, qr, kr = cache["v"], cache["qr"], cache["kr"]
+    shape = (rows // s, s, p.heads, d_h)  # token rows by head, as the forward's RoPE
+    dq, dk, dv = (np.empty(shape, dtype=xn.dtype) for _ in range(3))
+    dqr, dkr, dvh = (g.transpose(0, 2, 1, 3) for g in (dq, dk, dv))
+    for probs, (i0, i1) in zip(cache["attn"], query_blocks(s)):
+        dctx_i = dctx[:, :, i0:i1]
+        dscores = softmax_backward(probs, dctx_i @ v[:, :, :i1].swapaxes(-1, -2))
+        dscores /= math.sqrt(d_h)
+        dqr[:, :, i0:i1] = chunked_matmul(dscores, kr[:, :, :i1])
+        _add_block(dkr, dscores.swapaxes(-1, -2) @ qr[:, :, i0:i1], i0)
+        _add_block(dvh, probs.swapaxes(-1, -2) @ dctx_i, i0)
+    dq = apply_rope(dq, cache["cos"], cache["sin"], inverse=True).reshape(rows, d)
+    dk = apply_rope(dk, cache["cos"], cache["sin"], inverse=True).reshape(rows, d)
+    dv = dv.reshape(rows, d)
     grads.add_matmul(f"{prefix}.w_q", xn, dq)
     grads.add_matmul(f"{prefix}.w_k", xn, dk)
-    grads.add_matmul(f"{prefix}.w_v", xn, dvf)
-    return dq @ p.w_q.T + dk @ p.w_k.T + dvf @ p.w_v.T
+    grads.add_matmul(f"{prefix}.w_v", xn, dv)
+    return dq @ p.w_q.T + dk @ p.w_k.T + dv @ p.w_v.T
 
 
 def ffn_backward(dy: np.ndarray, cache: dict, p, grads: GradStore,
@@ -254,7 +271,7 @@ def _key_backward(dsel: np.ndarray, ids: np.ndarray, width: int, q: np.ndarray,
     ds = np.bincount(slot.ravel(), dsel.ravel(), rows * heads * width)
     ds = ds.astype(q.dtype, copy=False).reshape(rows, heads, width).swapaxes(0, 1)
     if grads.wants(path):
-        grads.add(path, ds.swapaxes(1, 2) @ q.swapaxes(0, 1))
+        grads.add(path, chunked_matmul(ds.swapaxes(1, 2), q.swapaxes(0, 1)))
     return (ds @ keys).swapaxes(0, 1)
 
 

@@ -4,7 +4,9 @@ Tensors are plain numpy arrays (row-major, float32 by default). A global
 precision switch flips newly created parameters and activations to float64,
 which the gradient verifier relies on. All ops here are bit-deterministic for
 a fixed precision and input: no threading knobs, and top-k breaks ties by
-ascending id so equal scores never reorder. Top-k over float32 is one SIMD
+ascending id so equal scores never reorder. Products that contract over
+token rows or positions run in CHUNK-wide pieces (chunked_matmul), so their
+bits do not depend on the BLAS thread count either. Top-k over float32 is one SIMD
 np.sort of packed uint64 keys (an order-reversing map of the score above the
 id); float64 and ids too wide to pack take a stable argsort by score, with
 np.lexsort for the rows whose ties reach the cut.
@@ -15,6 +17,9 @@ from __future__ import annotations
 import contextlib
 
 import numpy as np
+
+
+CHUNK = 128  # width of every contraction over token rows or positions
 
 
 class NumericsError(RuntimeError):
@@ -87,6 +92,17 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     np.exp(e, out=e)
     e /= np.sum(e, axis=axis, keepdims=True)
     return e
+
+
+def chunked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b with the contracted axis summed in CHUNK-wide pieces, left to
+    right. An axis of at most CHUNK is one plain product, bit for bit.
+    With OpenBLAS, one product over 400-464 rows gave different bits at one
+    and at two threads; CHUNK-wide pieces gave equal bits at every length."""
+    out = a[..., :CHUNK] @ b[..., :CHUNK, :]
+    for j in range(CHUNK, a.shape[-1], CHUNK):
+        out += a[..., j:j + CHUNK] @ b[..., j:j + CHUNK, :]
+    return out
 
 
 def topk(scores: np.ndarray, k: int, ids: np.ndarray | None = None):

@@ -1,4 +1,4 @@
-"""Pre-norm decoder primitives: rotary causal attention, gated FFN, blocks.
+"""Pre-norm decoder primitives: rotary block-causal attention, gated FFN, blocks.
 
 Forward functions return (output, cache); the cache dict carries exactly the
 intermediates the hand-derived backward passes consume. Norms are RMS-style
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import softmax
+from .numerics import CHUNK, chunked_matmul, softmax
 
 ROPE_BASE = 10000.0  # rotary frequency base
 NORM_EPS = 1e-6  # added to the mean square inside every RMS norm
@@ -68,37 +68,47 @@ def rope_tables(s: int, d_h: int, dtype):
 _TABLES: dict = {}  # read-only attention tables, see attention_tables
 
 
-def attention_tables(s: int, d_h: int, dtype):
-    """cos, sin [s, d_h/2] and the additive causal mask [s, s] (-inf above
-    the diagonal), sliced from read-only tables grown to the longest length
-    seen: one mask per dtype, one cos/sin pair per (d_h, dtype). Both
-    are prefix-consistent, so a slice is bitwise the table of that length."""
+def attention_tables(s: int, heads: int, d_h: int, dtype):
+    """RoPE tables cos, sin [s, H, d_h] and the causal mask [CHUNK, CHUNK].
+
+    Each head's row of cos holds [cos | cos] and of sin [-sin | sin] for the
+    angles of rope_tables, tiled over the heads so the rotation is a flat
+    product with the projection rows (apply_rope). They are sliced from
+    read-only tables grown to the longest length seen, one pair per (H,
+    d_h, dtype); a slice is bitwise the table of that length. The mask
+    (-inf above the diagonal) is one read-only triangle per dtype, added
+    to the diagonal block of each query block.
+    """
     dtype = np.dtype(dtype)
-    rope, mask = _TABLES.get((d_h, dtype)), _TABLES.get(dtype)
+    rope, mask = _TABLES.get((heads, d_h, dtype)), _TABLES.get(dtype)
     if rope is None or len(rope[0]) < s:
-        rope = _TABLES[(d_h, dtype)] = rope_tables(s, d_h, dtype)
-    if mask is None or len(mask) < s:
-        mask = _TABLES[dtype] = np.triu(np.full((s, s), -np.inf, dtype=dtype), k=1)
+        cos, sin = rope_tables(s, d_h, dtype)
+        rope = tuple(np.ascontiguousarray(np.broadcast_to(
+            np.concatenate(halves, axis=-1)[:, None], (s, heads, d_h)))
+            for halves in ((cos, cos), (-sin, sin)))
+        _TABLES[(heads, d_h, dtype)] = rope
+    if mask is None:
+        mask = _TABLES[dtype] = np.triu(np.full((CHUNK, CHUNK), -np.inf, dtype=dtype), k=1)
     for t in (*rope, mask):
         t.flags.writeable = False
-    return rope[0][:s], rope[1][:s], mask[:s, :s]
+    return rope[0][:s], rope[1][:s], mask
 
 
 def apply_rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray, inverse: bool = False):
     """Rotate half-split pairs (x[i], x[i + d_h/2]) by the position angle.
 
-    x: [..., H, s, d_h]; inverse applies the transposed rotation, used by the
-    backward pass (rotations are orthogonal).
+    x: [..., s, H, d_h] token rows; cos, sin: [s, H, d_h] from
+    attention_tables. The rotation is x * cos + swap(x) * sin, swap
+    exchanging the halves: the products and sums of x1 cos - x2 sin and
+    x1 sin + x2 cos, bit for bit (a - b is a + (-b)). inverse applies the
+    transposed rotation, x * cos - swap(x) * sin, used by the backward pass
+    (rotations are orthogonal).
     """
     half = x.shape[-1] // 2
-    x1, x2 = x[..., :half], x[..., half:]
-    if inverse:
-        r1 = x1 * cos + x2 * sin
-        r2 = -x1 * sin + x2 * cos
-    else:
-        r1 = x1 * cos - x2 * sin
-        r2 = x1 * sin + x2 * cos
-    return np.concatenate([r1, r2], axis=-1)
+    out = x * cos
+    swapped = x.reshape(*x.shape[:-1], 2, half)[..., ::-1, :]
+    rot = (swapped * sin.reshape(*sin.shape[:-1], 2, half)).reshape(out.shape)
+    return np.subtract(out, rot, out=out) if inverse else np.add(out, rot, out=out)
 
 
 def split_heads(x: np.ndarray, heads: int, seq_len: int | None = None) -> np.ndarray:
@@ -114,38 +124,50 @@ def merge_heads(x: np.ndarray) -> np.ndarray:
     return x.swapaxes(1, 2).reshape(-1, x.shape[1] * x.shape[3])
 
 
+def query_blocks(s: int):
+    """(i0, i1) of each CHUNK-row query block of a length-s sequence."""
+    return [(i0, min(i0 + CHUNK, s)) for i0 in range(0, s, CHUNK)]
+
+
 def causal_attention(xn: np.ndarray, p: AttentionParams, seq_len: int | None = None):
-    """Multi-head causal self-attention over the sequences stacked in xn.
+    """Multi-head block-causal self-attention over the sequences stacked in xn.
 
     xn: [B*s, d] (already normalized by the caller), B sequences of seq_len
     rows each; seq_len None means one sequence (B = 1). Position r of a
-    sequence attends to its positions <= r. Projections run over all rows
-    at once; heads, scores and context are [B, H, s, ...]. The concatenated
-    head outputs go through p.w_o; attention without an output projection
-    (p.w_o None) returns them raw, which downstream memory layers consume
-    as queries. Returns (out [B*s, d], cache).
+    sequence attends to its positions <= r. Projections and RoPE run over
+    all rows at once. Queries go in blocks [i0, i1) of CHUNK positions:
+    a block scores keys [0, i1) only, masks its diagonal block, and sums
+    probs @ v over CHUNK-key pieces, so no [s, s] array is formed and the
+    bits do not depend on the BLAS thread count; at s <= CHUNK this is the
+    dense formula. The concatenated head outputs go through p.w_o;
+    attention without an output projection (p.w_o None) returns them raw,
+    which downstream memory layers consume as queries. Returns (out [B*s,
+    d], cache); cache["attn"] lists each block's probabilities [B, H,
+    i1 - i0, i1], and qr, kr, v and ctx are [B, H, s, d_h] views.
     """
     rows, d = xn.shape
     s = rows if seq_len is None else seq_len
     if s < 1 or rows % s:
         raise ValueError(f"{rows} rows do not split into sequences of {s}")
     d_h = d // p.heads
-    q = split_heads(xn @ p.w_q, p.heads, s)  # [B, H, s, d_h]
-    k = split_heads(xn @ p.w_k, p.heads, s)
+    shape = (rows // s, s, p.heads, d_h)  # token rows by head
+    cos, sin, mask = attention_tables(s, p.heads, d_h, xn.dtype)
+    qr = apply_rope((xn @ p.w_q).reshape(shape), cos, sin).transpose(0, 2, 1, 3)
+    kr = apply_rope((xn @ p.w_k).reshape(shape), cos, sin).transpose(0, 2, 1, 3)
     v = split_heads(xn @ p.w_v, p.heads, s)
-    cos, sin, mask = attention_tables(s, d_h, xn.dtype)
-    qr = apply_rope(q, cos, sin)
-    kr = apply_rope(k, cos, sin)
-    # in place on the fresh scores; a python-float scale keeps f32 in f32
-    scores = qr @ kr.swapaxes(-1, -2)  # [B, H, s, s]
-    scores /= math.sqrt(d_h)
-    scores += mask
-    attn = softmax(scores, axis=-1)
-    ctx = attn @ v  # [B, H, s, d_h]
-    cat = merge_heads(ctx)
+    cat = np.empty((rows, d), dtype=xn.dtype)
+    ctx = split_heads(cat, p.heads, s)  # [B, H, s, d_h]
+    probs = []
+    for i0, i1 in query_blocks(s):
+        # in place on the fresh scores; a python-float scale keeps f32 in f32
+        scores = qr[:, :, i0:i1] @ kr[:, :, :i1].swapaxes(-1, -2)  # [B, H, n, i1]
+        scores /= math.sqrt(d_h)
+        scores[..., i0:] += mask[:i1 - i0, :i1 - i0]
+        probs.append(softmax(scores, axis=-1))
+        ctx[:, :, i0:i1] = chunked_matmul(probs[-1], v[:, :, :i1])
     out = cat if p.w_o is None else cat @ p.w_o
     cache = {
-        "xn": xn, "qr": qr, "kr": kr, "v": v, "attn": attn, "ctx": ctx,
+        "xn": xn, "qr": qr, "kr": kr, "v": v, "attn": probs, "ctx": ctx,
         "cat": cat, "cos": cos, "sin": sin, "seq_len": s,
     }
     return out, cache

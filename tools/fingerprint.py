@@ -8,9 +8,12 @@ equal lines mean equal bits. Every input is made from a fixed seed through
 the public headmem API, in f32 and in f64:
 
   train/<task>/<precision>        15 training steps of the recall task
-                                  (headwise memory) and of byte windows (pkm
-                                  memory): losses, learning rates, write
-                                  counts, final parameters and buffers
+                                  (headwise memory) and of 128-byte windows
+                                  (pkm memory), and 4 steps of 464-byte
+                                  windows (bytes-464: attention and weight
+                                  gradients over several 128-row chunks):
+                                  losses, learning rates, write counts,
+                                  final parameters and buffers
   prefill/<lengths>/<precision>   logits of 20 prompts, on the cached-value
                                   path and on the direct path
   importance/<precision>          head_importance scores on 40 recall
@@ -32,6 +35,7 @@ import numpy as np
 
 SEED = 57
 STEPS = 15
+LONG_STEPS = 4  # bytes-464 steps
 PROMPTS = 20
 
 
@@ -68,12 +72,12 @@ def _model(hm, kind: str, n: int, k: int):
     return hm.build_memory_dus(base, plan)
 
 
-def _train(hm, kind: str, n: int, k: int, corpus, batch: int) -> str:
+def _train(hm, kind: str, n: int, k: int, corpus, batch: int, steps: int = STEPS) -> str:
     from headmem.model import named_buffers
 
     net = _model(hm, kind, n, k)
     groups = hm.build_optim_groups(net, "cpt", dense_lr=3e-3, memory_lr=1e-2)
-    rep = hm.train(net, corpus, groups, steps=STEPS, batch_size=batch, seed=SEED)
+    rep = hm.train(net, corpus, groups, steps=steps, batch_size=batch, seed=SEED)
     logs = [np.array(x) for x in (rep.losses, rep.lr_inserted_dense,
                                   rep.lr_memory_keys_values, rep.unique_index_writes)]
     tensors = [a for _, a in hm.named_params(net)] + [a for _, a in named_buffers(net)]
@@ -114,6 +118,8 @@ def fingerprints(hm, mode: str):
                   hm.RecallCorpus(vocab=256, num_pairs=256, seed=SEED + 2), 16))
     yield (f"train/bytes/{mode}",
            _train(hm, "pkm", 32, 8, hm.ByteCorpus(text, seq_len=128), 8))
+    yield (f"train/bytes-464/{mode}",
+           _train(hm, "pkm", 32, 8, hm.ByteCorpus(text, seq_len=464), 2, LONG_STEPS))
     net = _read_model(hm)
     yield f"prefill/8-32/{mode}", _prefill(hm, net, np.arange(8, 33), text, 0)
     yield f"prefill/256-512/{mode}", _prefill(hm, net, np.arange(256, 513, 16), text, 1)
