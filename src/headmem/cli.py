@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Subcommands: train, eval, bench-topk, bench-prefill, params, policy,
-head-importance, gradcheck. Exit codes: 0 success, 1 gradcheck failure,
-2 configuration error, 3 numeric abort. Every emitted CSV has a header row.
+Subcommands: train, eval, params, policy, head-importance, gradcheck.
+Exit codes: 0 success, 1 gradcheck failure, 2 configuration error,
+3 numeric abort. Every emitted CSV has a header row.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import sys
 
 import numpy as np
 
-from . import bench
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import (
     ConfigError,
@@ -23,13 +22,12 @@ from .config import (
     build_model,
     config_from_snapshot,
     default_config,
-    memory_config,
     parse_config,
 )
 from .gradcheck import DEFAULT_TOL, format_report, run_gradcheck
 from .layers import MEMORY_TOGGLES
 from .model import named_params, param_count_total, trainable_paths
-from .numerics import NumericsError, set_default_dtype
+from .numerics import NumericsError, make_rng, set_default_dtype
 from .training import RecallCorpus, evaluate, head_importance, train
 from .upscale import POLICY_NAMES, PlacementPolicy, policy_indices
 
@@ -74,7 +72,6 @@ def _eval_set(cfg: dict, corpus, seed: int):
     """Deterministic evaluation sequences for a corpus."""
     if isinstance(corpus, RecallCorpus):
         return corpus.full_sweep()
-    from .numerics import make_rng
     rng = make_rng(seed)
     batches = [corpus.batch(rng, cfg["train"]["batch_size"]) for _ in range(4)]
     return (np.concatenate([b[0] for b in batches]),
@@ -127,39 +124,6 @@ def cmd_eval(args) -> int:
     model, ev_in, ev_tg = _load_checkpoint_eval_set(args)
     print(f"eval loss: {evaluate(model, ev_in, ev_tg):.6f} "
           f"over {ev_in.shape[0]} sequences")
-    return 0
-
-
-def cmd_bench_topk(args) -> int:
-    cfg = _load_config(args)
-    mc = memory_config(cfg)
-    tokens = tuple(int(t) for t in args.tokens.split(","))
-    rows = bench.bench_topk(mc.n, mc.k, token_counts=tokens,
-                            repeats=args.repeats,
-                            seed=args.seed if args.seed is not None else 0)
-    _emit(args, "bench_topk.csv", bench.topk_csv(rows))
-    if not all(r.equal for r in rows):
-        print("two-stage selection disagreed with the fused reference", file=sys.stderr)
-        return 1
-    return 0
-
-
-def cmd_bench_prefill(args) -> int:
-    cfg = _load_config(args)
-    from .model import init_transformer_block
-    from .upscale import _init_memory_block
-    from .config import memory_layer_kind
-    from .numerics import make_rng
-    mo = cfg["model"]
-    rng = make_rng(args.seed if args.seed is not None else mo["seed"])
-    source = init_transformer_block(mo["d"], mo["heads"], mo["d_ff"], rng)
-    mem = _init_memory_block(source, memory_layer_kind(cfg),
-                             memory_config(cfg), rng)
-    kind_name = f"memory_{mem.kind.kind}"
-    lengths = tuple(int(x) for x in args.lengths.split(","))
-    rows = bench.bench_prefill({"transformer": source, kind_name: mem},
-                               lengths=lengths, repeats=args.repeats)
-    _emit(args, "bench_prefill.csv", bench.prefill_csv(rows))
     return 0
 
 
@@ -233,19 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ckpt", required=True)
     _add_common(sp)
     sp.set_defaults(fn=cmd_eval)
-
-    sp = sub.add_parser("bench-topk",
-                        help="time two-stage selection vs the fused reference")
-    _add_common(sp)
-    sp.add_argument("--tokens", default="1,4,16,64,256")
-    sp.add_argument("--repeats", type=int, default=5)
-    sp.set_defaults(fn=cmd_bench_topk)
-
-    sp = sub.add_parser("bench-prefill", help="per-block forward time and MACs by length")
-    _add_common(sp)
-    sp.add_argument("--lengths", default="16,32,64,128")
-    sp.add_argument("--repeats", type=int, default=3)
-    sp.set_defaults(fn=cmd_bench_prefill)
 
     sp = sub.add_parser("params", help="trainable/total parameter table per method")
     _add_common(sp)

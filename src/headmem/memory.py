@@ -19,7 +19,7 @@ c[0]) or fl(r[0] + c[k]) (r, c: axis scores in descending order). Where the
 k-th selected sum is strictly above both bounds, the selection is exact;
 every other (token, head) is re-selected from its full grid.
 fused_cartesian_topk materializes the full additive grid and takes a single
-top-k; it is the reference the tests and benchmarks compare against.
+top-k; it is the reference the tests compare against.
 
 Values live in one shared table of d_h-wide rows plus a small per-head
 transform, so H heads cost N * d_h + H * d_h^2 parameters instead of
@@ -229,7 +229,7 @@ def fused_cartesian_topk(s_row: np.ndarray, s_col: np.ndarray, k: int):
 
     Same selected set, same order, same weights as two_stage_topk (a grid
     position is its flat id, so the default tie-break ids are the flat
-    ids). No layer calls it; tests and benchmarks compare against it.
+    ids). No layer calls it; tests compare against it.
     """
     s, n = s_row.shape
     if s_col.shape != (s, n):

@@ -340,13 +340,20 @@ def head_importance(model: ModelSpec, dataset) -> HeadImportanceReport:
     """Per-layer, per-head mean inner product between each head's attention
     output and the loss gradient at that output.
 
-    dataset is an iterable of (inputs, targets) pairs. For each sequence the
-    per-position inner products are averaged over positions first, then
-    averaged over the dataset; values are signed (no absolute value taken).
+    dataset is an iterable of (inputs, targets) pairs, each one sequence
+    [s]. For each sequence the per-position inner products are averaged
+    over positions first, then averaged over the dataset; values are signed
+    (no absolute value taken).
     """
     n_layers = len(model.blocks)
     per_seq = []
     for inputs, targets in dataset:
+        targets = np.asarray(targets)
+        if np.ndim(inputs) != 1 or targets.shape != np.shape(inputs):
+            raise ValueError(f"expected inputs and targets of one sequence [s], "
+                             f"got shapes {np.shape(inputs)} and {targets.shape}")
+        if np.any(targets < 0) or np.any(targets >= model.vocab):
+            raise ValueError("target id out of vocab range")
         logits, caches = model_forward(inputs, model, training=False,
                                        collect=True)
         probes: dict = {}

@@ -6,12 +6,10 @@ import struct
 import numpy as np
 import pytest
 
-from headmem import bench
 from headmem.checkpoint import load_checkpoint, save_checkpoint
 from headmem.cli import main
 from headmem.config import build_model, parse_config
 from headmem.model import named_params
-from headmem.numerics import precision
 
 
 def run(capsys, *argv):
@@ -196,77 +194,6 @@ def test_eval_on_missing_checkpoint_exits_2(capsys, tmp_path):
     assert "error:" in err
 
 
-def test_bench_topk_csv(capsys, tmp_path, small_cfg):
-    out_dir = tmp_path / "bench"
-    code, _, _ = run(capsys, "bench-topk", "--config", small_cfg,
-                     "--tokens", "1,4", "--repeats", "2",
-                     "--out", str(out_dir))
-    assert code == 0
-    lines = (out_dir / "bench_topk.csv").read_text().strip().split("\n")
-    assert lines[0] == "n,k,tokens,two_stage_ns,fused_ns,equal"
-    assert len(lines) == 3
-    for row in lines[1:]:
-        n, k, tokens, a_ns, b_ns, equal = row.split(",")
-        assert (n, k) == ("8", "2")
-        assert int(a_ns) > 0 and int(b_ns) > 0
-        assert equal == "true"
-
-
-@pytest.mark.parametrize("mode", ["f32", "f64"])
-def test_bench_topk_times_the_run_precision(capsys, monkeypatch, small_cfg, mode):
-    """Both kernels get scores in the run's dtype, from the library call
-    under precision() and from the subcommand's --precision."""
-    seen = []
-
-    def spy(kernel):
-        def wrapped(s_row, s_col, k):
-            seen.append((s_row.dtype, s_col.dtype))
-            return kernel(s_row, s_col, k)
-        return wrapped
-
-    monkeypatch.setattr(bench, "two_stage_topk", spy(bench.two_stage_topk))
-    monkeypatch.setattr(bench, "fused_cartesian_topk", spy(bench.fused_cartesian_topk))
-    want = np.dtype(np.float32 if mode == "f32" else np.float64)
-    with precision(mode):
-        rows = bench.bench_topk(8, 2, token_counts=(1, 5), repeats=1)
-    assert all(r.equal for r in rows)
-    code, _, _ = run(capsys, "bench-topk", "--config", small_cfg, "--precision", mode,
-                     "--tokens", "1,4", "--repeats", "1")
-    assert code == 0
-    assert len(seen) == 2 * 2 * (1 + 1) * 2  # 2 kernels, 2 sizes, check + timing, 2 runs
-    assert all(pair == (want, want) for pair in seen)
-
-
-@pytest.mark.parametrize("command", ["bench-topk", "bench-prefill"])
-def test_repeats_below_one_exit_2(capsys, tmp_path, small_cfg, command):
-    out_dir = tmp_path / "bench"
-    code, out, err = run(capsys, command, "--config", small_cfg, "--repeats", "0",
-                         "--out", str(out_dir))
-    assert code == 2
-    assert "error: repeats must be >= 1, got 0" in err
-    assert "Traceback" not in out + err
-    assert not out_dir.exists()  # no CSV of empty timings
-
-
-def test_bench_prefill_csv(capsys, tmp_path, small_cfg):
-    out_dir = tmp_path / "bench"
-    code, _, _ = run(capsys, "bench-prefill", "--config", small_cfg,
-                     "--lengths", "8,16", "--repeats", "2",
-                     "--out", str(out_dir))
-    assert code == 0
-    lines = (out_dir / "bench_prefill.csv").read_text().strip().split("\n")
-    assert lines[0] == "length,block_kind,forward_ns,mac_count"
-    rows = [l.split(",") for l in lines[1:]]
-    kinds = {r[1] for r in rows}
-    assert kinds == {"transformer", "memory_headwise"}
-    # MAC model is linear in length: doubling tokens doubles the count
-    by_kind = {}
-    for length, kind, _, macs in rows:
-        by_kind.setdefault(kind, {})[int(length)] = int(macs)
-    for kind, table in by_kind.items():
-        assert table[16] == 2 * table[8], kind
-
-
 def test_gradcheck_subcommand(capsys):
     code, out, _ = run(capsys, "gradcheck", "--checks", "rms_norm,softmax,ffn")
     assert code == 0
@@ -309,6 +236,16 @@ def test_removed_fused_threshold_flag_exits_2(capsys):
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert "unrecognized arguments: --fused-threshold" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["bench-topk", "bench-prefill"])
+def test_removed_bench_subcommands_exit_2(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"invalid choice: '{command}'" in err
     assert "Traceback" not in err
 
 

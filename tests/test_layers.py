@@ -1,8 +1,9 @@
-"""Memory block kinds, query pipeline toggles, batch norm behavior."""
+"""Memory block kinds, query pipeline toggles, batch norm behavior, MAC counts."""
 
 import numpy as np
 import pytest
 
+from headmem.bench import memory_block_macs, transformer_block_macs
 from headmem.layers import (
     BN_EPS,
     MemoryLayerKind,
@@ -152,3 +153,43 @@ def test_bank_initializers_shapes():
     hw = init_headwise_bank(cfg, rng)
     assert hw.values.v_base.shape == (16, 4)
     assert hw.values.w_heads.shape == (2, 4, 4)
+
+
+# _fresh_block's shapes: d = 12, H = 2, n = 6 (N = 36), k = 3, d_h = 6,
+# d_p = 3, and a source block with d_ff = 20. Per token: attention's q, k, v
+# projections 3 * 12 * 12 = 432; a d x d projection 144; flat scoring
+# H * N * 2 * d_p = 432; product scoring H * 2n * d_p = 72; full-width values
+# H * k * d = 72; factorized values H * k * d_h = 36.
+# linear and pkm also project their output and their queries; headwise
+# reads the raw head outputs as queries and has no output projection.
+MACS_PER_TOKEN = {
+    "linear": 432 + 144 + 144 + 432 + 72,
+    "pkm": 432 + 144 + 144 + 72 + 72,
+    "headwise": 432 + 72 + 36,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MACS_PER_TOKEN))
+def test_memory_block_macs_per_token(kind):
+    p, _, _ = _fresh_block(kind)
+    want = MACS_PER_TOKEN[kind]
+    assert memory_block_macs(p, 1) == want
+    for length in (2, 7, 128, 513):  # linear in length
+        assert memory_block_macs(p, length) == length * want
+
+
+def test_output_projection_adds_d_squared_macs():
+    plain, cfg, _ = _fresh_block("headwise")
+    projected, _, _ = _fresh_block(
+        "headwise", toggles=MemoryLayerKind("headwise", output_projection=True))
+    for length in (1, 5, 300):
+        assert (memory_block_macs(projected, length)
+                - memory_block_macs(plain, length)) == length * cfg.d ** 2
+
+
+def test_transformer_block_macs_per_token():
+    d, d_ff = 12, 20
+    p = init_transformer_block(d, 2, d_ff, make_rng(0))
+    assert transformer_block_macs(p, 1) == 4 * d * d + 3 * d * d_ff == 1296
+    for length in (2, 7, 128, 513):
+        assert transformer_block_macs(p, length) == length * 1296

@@ -288,6 +288,32 @@ def test_head_importance_duplication_invariance():
         head_importance(model, [])
 
 
+@pytest.mark.parametrize("shape,target_shape", [((1, 5), (1, 5)), ((2, 5), (2, 5)),
+                                                 ((5,), (4,)), ((5,), (1, 5))],
+                         ids=["1xs", "2xs", "short_targets", "1xs_targets"])
+def test_head_importance_rejects_all_but_one_sequence(shape, target_shape):
+    """Any pair but one sequence [s] raises: a [1, s] pair would otherwise be
+    scored against the wrong logit rows, without an error."""
+    with precision("f64"):
+        model = init_base_model(vocab=30, d=8, heads=2, d_ff=12, depth=2,
+                                rng=make_rng(2))
+    rng = make_rng(3)
+    inputs = rng.integers(0, 5, shape)  # every id below s
+    targets = rng.integers(0, 5, target_shape)
+    with pytest.raises(ValueError, match=r"one sequence \[s\], got shapes"):
+        head_importance(model, [(inputs, targets)])
+
+
+@pytest.mark.parametrize("bad", [-1, 30])
+def test_head_importance_rejects_target_out_of_vocab(bad):
+    with precision("f64"):
+        model = init_base_model(vocab=30, d=8, heads=2, d_ff=12, depth=2,
+                                rng=make_rng(2))
+    targets = np.array([1, 2, bad, 3])
+    with pytest.raises(ValueError, match="target id out of vocab range"):
+        head_importance(model, [(np.array([4, 5, 6, 7]), targets)])
+
+
 def test_head_importance_variance_recompute():
     with precision("f64"):
         model = init_base_model(vocab=30, d=8, heads=4, d_ff=12, depth=3,
