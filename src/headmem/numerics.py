@@ -10,16 +10,60 @@ bits do not depend on the BLAS thread count either. Top-k over float32 is one SI
 np.sort of packed uint64 keys (an order-reversing map of the score above the
 id); float64 and ids too wide to pack take a stable argsort by score, with
 np.lexsort for the rows whose ties reach the cut.
+
+Importing this module on glibc makes one mallopt call (_keep_freed_heap), so
+the memory one forward frees serves the next instead of going back to the
+kernel; glibc's own MALLOC_*_ variables or glibc.malloc tunables, when set,
+take precedence, and off glibc nothing happens. Kernels on the prefill path
+write into buffers they own (topk's packed keys, the attention softmax)
+rather than allocating one array per operation.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import os
 
 import numpy as np
 
 
 CHUNK = 128  # width of every contraction over token rows or positions
+
+# glibc mallopt parameters (malloc.h) and the values _keep_freed_heap sets
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD = 32 << 20  # the largest glibc accepts on 64-bit hosts
+TRIM_THRESHOLD = 128 << 20
+
+
+def _keep_freed_heap() -> None:
+    """Keep freed heap memory in the process for the next allocation.
+
+    glibc returns the free top of the heap to the kernel once it exceeds
+    M_TRIM_THRESHOLD, and serves blocks above a self-adjusting mmap
+    threshold by fresh mappings. Either way each prefill request of 256-512
+    tokens faulted its ~15 MB of temporaries back in (about 3,500 minor
+    faults a request); with a fixed 32 MiB mmap threshold and a 128 MiB
+    trim threshold it takes about 20. Skipped off glibc and when the
+    environment already sets glibc's MALLOC_*_ variables or a glibc.malloc
+    tunable, so the user's own setting wins.
+    """
+    env = os.environ
+    if (any(var.startswith("MALLOC_") and var.endswith("_") for var in env)
+            or "glibc.malloc." in env.get("GLIBC_TUNABLES", "")):
+        return
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, ValueError, OSError):  # not glibc
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
+_keep_freed_heap()
 
 
 class NumericsError(RuntimeError):
@@ -84,11 +128,12 @@ def assert_finite(x: np.ndarray, what: str = "tensor") -> None:
         raise NumericsError(f"{what} contains NaN/Inf")
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Max-subtracted softmax; rows of the result sum to 1."""
+def softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    """Max-subtracted softmax; rows of the result sum to 1. out=x computes
+    in place, bit for bit as into a fresh array."""
     if x.shape[axis] == 0:
         raise ValueError("softmax over an empty axis")
-    e = x - np.max(x, axis=axis, keepdims=True)
+    e = np.subtract(x, np.max(x, axis=axis, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= np.sum(e, axis=axis, keepdims=True)
     return e
@@ -114,6 +159,7 @@ def topk(scores: np.ndarray, k: int, ids: np.ndarray | None = None):
     float32 packs a uint64 per entry: descending key, id, position. Other
     dtypes and ids too wide for the low 32 bits take a stable argsort by
     score; rows with a tie or NaN among the first k + 1 re-sort by lexsort.
+    Both results are C-contiguous; scores and ids are left as they are.
     """
     c = scores.shape[-1]
     if not 1 <= k <= c:
@@ -124,13 +170,16 @@ def topk(scores: np.ndarray, k: int, ids: np.ndarray | None = None):
     if (scores.dtype == np.float32 and tie.min(initial=0) >= 0
             and tie.max(initial=0) < 1 << (32 - bits)):
         # keys ascend as scores descend; + 0.0 ties -0 with +0, NaNs go last;
-        # C order makes the results C-contiguous whatever scores' strides are
+        # C order gives the sort contiguous rows whatever scores' strides are
         b = np.add(scores, np.float32(0.0), order="C").view(np.int32)
         b ^= ~((b >> 31) | np.int32(-0x80000000))
         b[np.isnan(scores)] = -1
+        # key << 32 | tie << bits | pos, built in one buffer
         packed = b.view(np.uint32).astype(np.uint64)
-        packed <<= np.uint64(32)
-        packed |= (tie.astype(np.uint64) << np.uint64(bits)) | pos
+        packed <<= np.uint64(32 - bits)
+        np.bitwise_or(packed, tie, out=packed, dtype=np.uint64, casting="unsafe")
+        packed <<= np.uint64(bits)
+        packed |= pos
         packed.sort(axis=-1)
         order = (packed[..., :k] & np.uint64((1 << bits) - 1)).astype(np.intp)
     else:
@@ -140,5 +189,10 @@ def topk(scores: np.ndarray, k: int, ids: np.ndarray | None = None):
             redo = ~np.all(v[..., :-1] > v[..., 1:], axis=-1)
             order[redo] = np.lexsort((tie[redo], -scores[redo]), axis=-1)
         order = order[..., :k]
-    idx = order if ids is None else np.take_along_axis(ids, order, axis=-1)
-    return idx, np.take_along_axis(scores, order, axis=-1)
+    # one flat gather: position j of row r is element r * c + j (a strided
+    # scores is copied flat first)
+    order = np.ascontiguousarray(order).reshape(-1, k)
+    flat = order + np.arange(0, order.shape[0] * c, c)[:, None]
+    shape = scores.shape[:-1] + (k,)
+    vals = scores.reshape(-1)[flat].reshape(shape)
+    return (order if ids is None else ids.reshape(-1)[flat]).reshape(shape), vals

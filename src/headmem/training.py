@@ -82,13 +82,22 @@ def build_optim_groups(model: ModelSpec, mode: str = "cpt",
 
 
 class AdamW:
-    """Decoupled-weight-decay adaptive moments, betas (0.9, 0.95), eps 1e-8."""
+    """Decoupled-weight-decay adaptive moments, betas (0.9, 0.95), eps 1e-8.
+
+    A step writes its temporaries into two scratch buffers per dtype, as
+    long as the largest parameter and shared by all of them: the same
+    operations in the same order as the expression form, bit for bit.
+    """
 
     def __init__(self, params: dict[str, np.ndarray]):
         self.params = params
         self.t = 0
         self.m = {p: np.zeros_like(a) for p, a in params.items()}
         self.v = {p: np.zeros_like(a) for p, a in params.items()}
+        size: dict[np.dtype, int] = {}
+        for a in params.values():
+            size[a.dtype] = max(size.get(a.dtype, 0), a.size)
+        self.scratch = {dt: (np.empty(n, dt), np.empty(n, dt)) for dt, n in size.items()}
 
     def step(self, grads: GradStore, lr_wd: dict[str, tuple[float, float]]):
         self.t += 1
@@ -101,14 +110,19 @@ class AdamW:
                 continue
             lr, wd = lr_wd[path]
             m, v = self.m[path], self.v[path]
+            s, u = (b[:arr.size].reshape(arr.shape) for b in self.scratch[arr.dtype])
             m *= b1
-            m += (1.0 - b1) * g
+            m += np.multiply(1.0 - b1, g, out=s)
             v *= b2
-            v += (1.0 - b2) * g * g
-            update = (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+            np.multiply(1.0 - b2, g, out=s)
+            v += np.multiply(s, g, out=s)
+            # update u = (m / c1) / (sqrt(v / c2) + eps) [+ wd * arr]
+            np.sqrt(np.divide(v, c2, out=s), out=s)
+            s += ADAM_EPS
+            np.divide(np.divide(m, c1, out=u), s, out=u)
             if wd:
-                update = update + wd * arr
-            arr -= lr * update
+                u += np.multiply(wd, arr, out=s)
+            arr -= np.multiply(lr, u, out=u)
 
 
 # ---------------------------------------------------------------------------

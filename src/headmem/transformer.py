@@ -44,10 +44,15 @@ class TransformerBlockParams:
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     # e = exp(-|x|) never overflows: x >= 0 takes 1 / (1 + e), the rest
-    # e / (1 + e), the same arithmetic as branching on the sign. min(x, -x)
-    # passes a NaN through with its own sign, as exp(x) on that branch does.
+    # e / (1 + e), the same arithmetic as branching on the sign. The
+    # numerator max(e, x >= 0) is that select without a branch per element
+    # (e <= 1, so the mask's 1 wins and its 0 loses); a NaN passes through
+    # both min(x, -x) and max with its own sign, as exp(x) on that branch does.
     e = np.exp(np.minimum(x, -x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    num = np.maximum(e, x >= 0)
+    e += 1.0
+    num /= e
+    return num
 
 
 def rms_norm_fwd(x: np.ndarray, gain: np.ndarray):
@@ -159,11 +164,12 @@ def causal_attention(xn: np.ndarray, p: AttentionParams, seq_len: int | None = N
     ctx = split_heads(cat, p.heads, s)  # [B, H, s, d_h]
     probs = []
     for i0, i1 in query_blocks(s):
-        # in place on the fresh scores; a python-float scale keeps f32 in f32
+        # in place on the fresh scores, softmax too; a python-float scale
+        # keeps f32 in f32
         scores = qr[:, :, i0:i1] @ kr[:, :, :i1].swapaxes(-1, -2)  # [B, H, n, i1]
         scores /= math.sqrt(d_h)
         scores[..., i0:] += mask[:i1 - i0, :i1 - i0]
-        probs.append(softmax(scores, axis=-1))
+        probs.append(softmax(scores, axis=-1, out=scores))
         ctx[:, :, i0:i1] = chunked_matmul(probs[-1], v[:, :, :i1])
     out = cat if p.w_o is None else cat @ p.w_o
     cache = {

@@ -151,6 +151,30 @@ def test_topk_matches_lexsort_oracle(dtype, lead, c, k_frac, ids_mode, specials,
     assert got_vals.tobytes() == want_vals.tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("ids_mode", ["default", "packable", "wide"])
+@pytest.mark.parametrize("layout", ["c", "swapped"])
+def test_topk_leaves_inputs_unchanged_and_returns_c_contiguous(dtype, ids_mode, layout):
+    """float32 with default or packable ids takes the packed sort, the rest
+    the argsort; both read results by one flat gather and build keys in
+    their own buffers."""
+    rng = make_rng(4)
+    scores = rng.standard_normal((4, 6, 20)).astype(dtype)
+    scores[0, 0, :5] = [np.nan, -0.0, 0.0, np.inf, 1.0]
+    if layout == "swapped":  # the strides of head_scores' [rows, H, n] result
+        scores = np.ascontiguousarray(scores.swapaxes(0, 1)).swapaxes(0, 1)
+    ids = {"default": None,
+           "packable": rng.integers(0, 1 << 20, scores.shape),
+           "wide": rng.integers(1 << 40, 1 << 41, scores.shape)}[ids_mode]
+    scores_before = scores.copy()
+    ids_before = None if ids is None else ids.copy()
+    idx, vals = topk(scores, 7, ids)
+    assert idx.flags.c_contiguous and vals.flags.c_contiguous
+    assert idx.shape == vals.shape == (4, 6, 7)
+    assert scores.tobytes() == scores_before.tobytes()
+    assert ids is None or np.array_equal(ids, ids_before)
+
+
 def test_assert_finite_raises():
     assert_finite(np.ones(3), "ok")
     with pytest.raises(NumericsError):
