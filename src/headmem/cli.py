@@ -32,21 +32,24 @@ from .training import RecallCorpus, evaluate, head_importance, train
 from .upscale import POLICY_NAMES, PlacementPolicy, policy_indices
 
 
-def _add_common(sp, out_default=None):
-    sp.add_argument("--config", help="experiment config file (INI sections)")
-    sp.add_argument("--out", default=out_default,
-                    help="output directory for CSV/checkpoint artifacts")
-    sp.add_argument("--seed", type=int, default=None,
-                    help="override the subcommand's sampling seed")
-    sp.add_argument("--precision", choices=("f32", "f64"), default=None,
-                    help="floating-point width for newly built tensors")
+_SHARED_FLAGS = {
+    "config": dict(help="experiment config file (INI sections)"),
+    "out": dict(help="output directory for CSV/checkpoint artifacts"),
+    "seed": dict(type=int, help="override the subcommand's sampling seed"),
+    "precision": dict(choices=("f32", "f64"),
+                      help="floating-point width for newly built tensors"),
+}
+
+
+def _add_shared(sp, *names, out_default=None):
+    """The shared flags a subcommand reads, and no others."""
+    for name in names:
+        default = out_default if name == "out" else None
+        sp.add_argument(f"--{name}", default=default, **_SHARED_FLAGS[name])
 
 
 def _load_config(args) -> dict:
-    cfg = parse_config(args.config) if args.config else default_config()
-    precision = args.precision or cfg["run"]["precision"]
-    set_default_dtype(precision)
-    return cfg
+    return parse_config(args.config) if args.config else default_config()
 
 
 def _ensure_out(args) -> str:
@@ -80,6 +83,7 @@ def _eval_set(cfg: dict, corpus, seed: int):
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
+    set_default_dtype(args.precision or cfg["run"]["precision"])
     if args.seed is not None:
         cfg["train"]["seed"] = args.seed
     out = _ensure_out(args)
@@ -145,6 +149,8 @@ def cmd_params(args) -> int:
             vcfg["memory"]["kind"] = kind
             for toggle in MEMORY_TOGGLES:
                 vcfg["memory"][toggle] = None
+            vcfg["upscale"]["init_source"] = "subsequent"
+            vcfg["upscale"]["zero_init_copies"] = False
         vcfg["upscale"]["insert_kind"] = insert_kind
         _, model = build_model(vcfg)
         trainable = _count(model, trainable_paths(model, "cpt"))
@@ -174,7 +180,6 @@ def cmd_head_importance(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    set_default_dtype(args.precision or "f64")
     tol = args.tol
     checks = args.checks.split(",") if args.checks else None
     results = run_gradcheck(seed=args.seed if args.seed is not None else 0,
@@ -190,16 +195,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("train", help="train an expanded model, write report + checkpoint")
-    _add_common(sp, out_default="runs/train")
+    _add_shared(sp, "config", "out", "seed", "precision", out_default="runs/train")
     sp.set_defaults(fn=cmd_train)
 
     sp = sub.add_parser("eval", help="evaluate a checkpoint on the configured corpus")
     sp.add_argument("--ckpt", required=True)
-    _add_common(sp)
+    _add_shared(sp, "config", "seed")
     sp.set_defaults(fn=cmd_eval)
 
     sp = sub.add_parser("params", help="trainable/total parameter table per method")
-    _add_common(sp)
+    _add_shared(sp, "config", "out")
     sp.set_defaults(fn=cmd_params)
 
     sp = sub.add_parser("policy", help="print inserted-block index sets")
@@ -211,11 +216,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("head-importance", help="per-layer per-head importance CSVs")
     sp.add_argument("--ckpt", required=True)
-    _add_common(sp, out_default="runs/importance")
+    _add_shared(sp, "config", "out", "seed", out_default="runs/importance")
     sp.set_defaults(fn=cmd_head_importance)
 
     sp = sub.add_parser("gradcheck", help="finite-difference verification per layer type")
-    _add_common(sp)
+    _add_shared(sp, "seed")
     sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
     sp.add_argument("--checks", default=None,
                     help="comma-separated check names (default: all)")

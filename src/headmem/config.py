@@ -52,8 +52,9 @@ class Range:
 _NONNEG = Range(0)
 _POSITIVE = Range(1)
 
-# section -> key -> (type, default[, range]); None default means "absent
-# unless set"; a range is checked on every value a config file sets
+# section -> key -> (type, default[, limit]); None default means "absent
+# unless set"; a limit (a Range, or a tuple of the admitted choices) is
+# checked on every value a config file sets
 SCHEMA = {
     "model": {
         "vocab": (int, 256, _POSITIVE), "d": (int, 64, _POSITIVE),
@@ -61,40 +62,33 @@ SCHEMA = {
         "depth": (int, 4, _NONNEG), "seed": (int, 0, _NONNEG),
     },
     "memory": {
-        "kind": (str, "headwise"), "n": (int, 16, _POSITIVE), "k": (int, 4, _POSITIVE),
+        "kind": (str, "headwise", MEMORY_KINDS),
+        "n": (int, 16, _POSITIVE), "k": (int, 4, _POSITIVE),
         **{name: (_bool, None) for name in MEMORY_TOGGLES},
     },
     "upscale": {
-        "policy": (str, "distributed"), "inserted": (int, 2, _NONNEG),
-        "insert_kind": (str, "memory_block"),
-        "init_source": (str, "subsequent"),
+        "policy": (str, "distributed", POLICY_NAMES),
+        "inserted": (int, 2, _NONNEG),
+        "insert_kind": (str, "memory_block", INSERT_KINDS),
+        "init_source": (str, "subsequent", INIT_SOURCES),
         "zero_init_copies": (_bool, False), "seed": (int, 0, _NONNEG),
     },
     "train": {
-        "mode": (str, "cpt"), "steps": (int, 2000, _NONNEG),
+        "mode": (str, "cpt", ("cpt", "sft")), "steps": (int, 2000, _NONNEG),
         "batch_size": (int, 16, _POSITIVE),
         "dense_lr": (float, 3e-3, _NONNEG),
         "memory_lr": (float, 1e-2, _NONNEG),
         "weight_decay": (float, 0.01, _NONNEG),
         "warmup_ratio": (float, 0.1, Range(0, 1)),
         "seed": (int, 7, _NONNEG),
-        "corpus": (str, "recall"), "corpus_seed": (int, 5, _NONNEG),
+        "corpus": (str, "recall", ("recall", "bytes")),
+        "corpus_seed": (int, 5, _NONNEG),
         "num_pairs": (int, 256, _POSITIVE), "corpus_path": (str, ""),
         "seq_len": (int, 64, _POSITIVE),
     },
     "run": {
-        "precision": (str, "f32"),
+        "precision": (str, "f32", ("f32", "f64")),
     },
-}
-
-_CHOICES = {
-    ("memory", "kind"): MEMORY_KINDS,
-    ("upscale", "policy"): POLICY_NAMES,
-    ("upscale", "insert_kind"): INSERT_KINDS,
-    ("upscale", "init_source"): INIT_SOURCES,
-    ("train", "mode"): ("cpt", "sft"),
-    ("train", "corpus"): ("recall", "bytes"),
-    ("run", "precision"): ("f32", "f64"),
 }
 
 
@@ -104,13 +98,12 @@ def default_config() -> dict:
 
 
 def _check_value(sect: str, key: str, val) -> None:
-    """Range and choice checks of one value of its schema type."""
-    _, _, *limits = SCHEMA[sect][key]
-    if limits and not limits[0].admits(val):
-        raise ConfigError(f"{sect}.{key} must be {limits[0]}, got {val!r}")
-    allowed = _CHOICES.get((sect, key))
-    if allowed is not None and val not in allowed:
-        raise ConfigError(f"{sect}.{key} must be one of {list(allowed)}, got {val!r}")
+    """Range or choice check of one value of its schema type."""
+    for limit in SCHEMA[sect][key][2:]:
+        if isinstance(limit, Range) and not limit.admits(val):
+            raise ConfigError(f"{sect}.{key} must be {limit}, got {val!r}")
+        if isinstance(limit, tuple) and val not in limit:
+            raise ConfigError(f"{sect}.{key} must be one of {list(limit)}, got {val!r}")
 
 
 def parse_config_text(text: str) -> dict:
@@ -193,14 +186,12 @@ def build_plan(cfg: dict) -> UpscalePlan:
     try:
         policy = PlacementPolicy(up["policy"], cfg["model"]["depth"],
                                  up["inserted"])
-        if kind == "memory_block":
-            return UpscalePlan(policy=policy, insert_kind=kind,
-                               memory_kind=memory_layer_kind(cfg),
-                               memory_cfg=memory_config(cfg),
-                               seed=up["seed"])
+        memory = kind == "memory_block"
         return UpscalePlan(policy=policy, insert_kind=kind,
                            init_source=up["init_source"],
                            zero_init_copies=up["zero_init_copies"],
+                           memory_kind=memory_layer_kind(cfg) if memory else None,
+                           memory_cfg=memory_config(cfg) if memory else None,
                            seed=up["seed"])
     except ValueError as e:
         raise ConfigError(str(e)) from e

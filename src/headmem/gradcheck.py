@@ -303,20 +303,15 @@ LAYER_CHECKS = {
 
 def run_gradcheck(seed: int = 0, tol: float = DEFAULT_TOL,
                   checks=None) -> list[CheckResult]:
-    """Run the full registry, a subset of registered names, or a custom
-    dict of name -> check fn; returns one result per check."""
+    """Run the full registry (checks None) or the registered names in
+    checks; returns one result per check."""
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be a finite number > 0, got {tol}")
-    if checks is None:
-        registry = LAYER_CHECKS
-    elif isinstance(checks, dict):
-        registry = checks
-    else:
-        unknown = [n for n in checks if n not in LAYER_CHECKS]
-        if unknown:
-            raise ValueError(f"unknown gradcheck names: {', '.join(unknown)}")
-        registry = {n: LAYER_CHECKS[n] for n in checks}
-    return [fn(seed=seed) for fn in registry.values()]
+    names = list(LAYER_CHECKS) if checks is None else checks
+    unknown = [n for n in names if n not in LAYER_CHECKS]
+    if unknown:
+        raise ValueError(f"unknown gradcheck names: {', '.join(unknown)}")
+    return [LAYER_CHECKS[n](seed=seed) for n in names]
 
 
 def format_report(results: list[CheckResult], tol: float = DEFAULT_TOL) -> str:

@@ -8,8 +8,7 @@ ascending id so equal scores never reorder. Products that contract over
 token rows or positions run in CHUNK-wide pieces (chunked_matmul), so their
 bits do not depend on the BLAS thread count either. Top-k over float32 is one SIMD
 np.sort of packed uint64 keys (an order-reversing map of the score above the
-id); float64 and ids too wide to pack take a stable argsort by score, with
-np.lexsort for the rows whose ties reach the cut.
+id); float64 and ids too wide to pack take np.lexsort by score, then id.
 
 Importing this module on glibc makes one mallopt call (_keep_freed_heap), so
 the memory one forward frees serves the next instead of going back to the
@@ -157,8 +156,7 @@ def topk(scores: np.ndarray, k: int, ids: np.ndarray | None = None):
     np.lexsort((ids, -scores)) cut to k, whatever order the entries come in.
     ids (non-negative ints, scores' shape) default to the positions.
     float32 packs a uint64 per entry: descending key, id, position. Other
-    dtypes and ids too wide for the low 32 bits take a stable argsort by
-    score; rows with a tie or NaN among the first k + 1 re-sort by lexsort.
+    dtypes and ids too wide for the low 32 bits take that lexsort itself.
     Both results are C-contiguous; scores and ids are left as they are.
     """
     c = scores.shape[-1]
@@ -183,12 +181,7 @@ def topk(scores: np.ndarray, k: int, ids: np.ndarray | None = None):
         packed.sort(axis=-1)
         order = (packed[..., :k] & np.uint64((1 << bits) - 1)).astype(np.intp)
     else:
-        order = np.argsort(-scores, axis=-1, kind="stable")
-        if ids is not None:  # exact unless a tie or NaN reaches the cut
-            v = np.take_along_axis(scores, order[..., :k + 1], axis=-1)
-            redo = ~np.all(v[..., :-1] > v[..., 1:], axis=-1)
-            order[redo] = np.lexsort((tie[redo], -scores[redo]), axis=-1)
-        order = order[..., :k]
+        order = np.lexsort((np.broadcast_to(tie, scores.shape), -scores), axis=-1)[..., :k]
     # one flat gather: position j of row r is element r * c + j (a strided
     # scores is copied flat first)
     order = np.ascontiguousarray(order).reshape(-1, k)

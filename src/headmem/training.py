@@ -382,10 +382,8 @@ def head_importance(model: ModelSpec, dataset) -> HeadImportanceReport:
         raise ValueError("empty dataset")
     # correctly-rounded sum: the dataset mean is then exactly invariant
     # under duplicating the dataset
-    stacked = np.stack(per_seq)
-    scores = np.empty((n_layers, model.heads), dtype=np.float64)
-    for i in range(n_layers):
-        for h in range(model.heads):
-            scores[i, h] = math.fsum(stacked[:, i, h]) / len(per_seq)
+    columns = np.stack(per_seq).reshape(len(per_seq), n_layers * model.heads).T
+    scores = np.array([math.fsum(col) / len(per_seq)
+                       for col in columns]).reshape(n_layers, model.heads)
     variance = scores.var(axis=1)
     return HeadImportanceReport(scores=scores, variance=variance)

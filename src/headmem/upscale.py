@@ -127,6 +127,8 @@ class UpscalePlan:
                 raise ValueError("memory_block plans need memory_kind and memory_cfg")
             if self.init_source != "subsequent":
                 raise ValueError("memory blocks copy the subsequent block's attention")
+            if self.zero_init_copies:
+                raise ValueError("zero_init_copies applies to transformer_copy inserts only")
 
 
 # ---------------------------------------------------------------------------

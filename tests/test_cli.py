@@ -239,6 +239,73 @@ def test_removed_fused_threshold_flag_exits_2(capsys):
     assert "Traceback" not in err
 
 
+@pytest.fixture
+def small_ckpt(tmp_path, small_cfg):
+    cfg = parse_config(small_cfg)
+    _, model = build_model(cfg)
+    path = tmp_path / "small.ckpt"
+    save_checkpoint(str(path), model, cfg)
+    return str(path)
+
+
+# flags a subcommand used to accept without reading them
+DROPPED_FLAGS = [("gradcheck", "--config"), ("gradcheck", "--out"),
+                 ("gradcheck", "--precision"), ("eval", "--out"),
+                 ("eval", "--precision"), ("head-importance", "--precision"),
+                 ("params", "--seed"), ("params", "--precision")]
+
+
+@pytest.mark.parametrize("command,flag", DROPPED_FLAGS,
+                         ids=[f"{c}{f}" for c, f in DROPPED_FLAGS])
+def test_unread_flags_exit_2(capsys, tmp_path, small_cfg, small_ckpt, command, flag):
+    """A flag its subcommand never reads is rejected before anything runs."""
+    argv = {"gradcheck": ["gradcheck", "--checks", "softmax"],
+            "eval": ["eval", "--ckpt", small_ckpt],
+            "head-importance": ["head-importance", "--ckpt", small_ckpt,
+                                "--out", str(tmp_path / "hi")],
+            "params": ["params", "--config", small_cfg]}[command]
+    value = {"--config": small_cfg, "--out": str(tmp_path / "out"),
+             "--precision": "f64", "--seed": "9"}[flag]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + [flag, value])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: {flag} {value}" in captured.err
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("line,message", [
+    ("init_source = preceding", "subsequent block's attention"),
+    ("zero_init_copies = true", "zero_init_copies applies to transformer_copy"),
+], ids=["init_source", "zero_init_copies"])
+def test_upscale_key_memory_blocks_cannot_honour_exits_2(capsys, tmp_path, line, message):
+    cfg = tmp_path / "upscale.cfg"
+    cfg.write_text(SMALL_HEAD + f"insert_kind = memory_block\n{line}\n"
+                   + SMALL_TRAIN.replace("steps = 60", "steps = 1"))
+    code, out, err = run(capsys, "train", "--config", str(cfg),
+                         "--out", str(tmp_path / "run"))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert "Traceback" not in out + err
+    assert not (tmp_path / "run" / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("line", ["init_source = preceding", "zero_init_copies = true"],
+                         ids=["init_source", "zero_init_copies"])
+def test_params_rows_ignore_copy_only_upscale_keys(capsys, tmp_path, line):
+    """The memory rows reset the keys only transformer copies read, so a
+    config tuned for dus_copy still prints all four rows."""
+    cfg = tmp_path / "copy.cfg"
+    cfg.write_text(f"[upscale]\n{line}\n")
+    code, out, err = run(capsys, "params", "--config", str(cfg))
+    assert code == 0 and err == ""
+    rows = out.strip().split("\n")
+    assert [r.split(",")[0] for r in rows[1:]] == ["dus_copy", "mem_linear",
+                                                   "mem_pkm", "mem_headwise"]
+    _, default_out, _ = run(capsys, "params")
+    assert out == default_out  # counts do not depend on how copies start
+
+
 @pytest.mark.parametrize("command", ["bench-topk", "bench-prefill"])
 def test_removed_bench_subcommands_exit_2(capsys, command):
     with pytest.raises(SystemExit) as exit_info:

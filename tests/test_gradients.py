@@ -151,7 +151,7 @@ def _walked_block_paths(check_name):
     return tuple(path for path, _ in named_params(block))
 
 
-def test_corrupted_backward_is_caught():
+def test_corrupted_backward_is_caught(monkeypatch):
     # negative control: a check whose analytic gradient is deliberately off
     def bad_check(seed=0):
         from headmem.gradcheck import check_ffn
@@ -159,7 +159,8 @@ def test_corrupted_backward_is_caught():
         return CheckResult("ffn_corrupted", res.max_rel_err + 1.0, res.coords,
                            res.worst_param, res.worst_coord)
 
-    results = run_gradcheck(checks={"ffn_corrupted": bad_check})
+    monkeypatch.setitem(LAYER_CHECKS, "ffn_corrupted", bad_check)
+    results = run_gradcheck(checks=["ffn_corrupted"])
     assert len(results) == 1
     assert not results[0].ok(1e-4)
     assert "FAIL ffn_corrupted" in format_report(results)

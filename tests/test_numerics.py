@@ -156,7 +156,7 @@ def test_topk_matches_lexsort_oracle(dtype, lead, c, k_frac, ids_mode, specials,
 @pytest.mark.parametrize("layout", ["c", "swapped"])
 def test_topk_leaves_inputs_unchanged_and_returns_c_contiguous(dtype, ids_mode, layout):
     """float32 with default or packable ids takes the packed sort, the rest
-    the argsort; both read results by one flat gather and build keys in
+    the lexsort; both read results by one flat gather and build keys in
     their own buffers."""
     rng = make_rng(4)
     scores = rng.standard_normal((4, 6, 20)).astype(dtype)

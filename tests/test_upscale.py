@@ -358,6 +358,11 @@ def test_upscale_plan_validation():
                     insert_kind="memory_block",
                     memory_kind=MemoryLayerKind.defaults("pkm"),
                     memory_cfg=cfg, init_source="preceding")
+    with pytest.raises(ValueError, match="zero_init_copies"):
+        UpscalePlan(policy=PlacementPolicy("distributed", 4, 1),
+                    insert_kind="memory_block",
+                    memory_kind=MemoryLayerKind.defaults("pkm"),
+                    memory_cfg=cfg, zero_init_copies=True)
     with pytest.raises(ValueError):
         UpscalePlan(policy=PlacementPolicy("distributed", 4, 1),
                     insert_kind="rotation")
