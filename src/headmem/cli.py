@@ -86,12 +86,12 @@ def cmd_train(args) -> int:
     set_default_dtype(args.precision or cfg["run"]["precision"])
     if args.seed is not None:
         cfg["train"]["seed"] = args.seed
-    out = _ensure_out(args)
     base, model = build_model(cfg)
     corpus = build_corpus(cfg)
     if getattr(corpus, "vocab", None) != model.vocab:
         raise ConfigError("corpus vocab does not match model.vocab")
     groups = build_groups(cfg, model)
+    out = _ensure_out(args)
     report = train(model, corpus, groups, steps=cfg["train"]["steps"],
                    batch_size=cfg["train"]["batch_size"],
                    seed=cfg["train"]["seed"])

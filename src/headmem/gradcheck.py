@@ -272,7 +272,8 @@ def check_full_model(kind: str = "headwise", seed: int = 0,
 
     logits, caches = model_forward(tokens, model, training=True, collect=True)
     logits = logits.reshape(-1, model.vocab)
-    grads = model_backward(lm_loss_backward(logits, targets_tok), caches, model)
+    grads = model_backward(lm_loss_backward(logits, targets_tok), caches, model,
+                           GradStore())
     fd_rng = make_rng(seed + 7)
     targets = [(path, arr, grads[path]) for path, arr in named_params(model)]
     name = f"full_model_{kind}" + (f"_batch{batch}" if batch else "")

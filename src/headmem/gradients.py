@@ -47,11 +47,13 @@ from .transformer import (
 class GradStore(dict):
     """Accumulated parameter gradients, optionally restricted to a path set.
 
-    Backwards ask `wants(path)` before forming a gradient, so frozen paths
-    cost no arithmetic; `add` still drops paths outside `allowed`, which keeps
-    frozen parameter groups at exactly zero accumulated gradient. writes
-    counts the unique value-table slots written; probes, when a dict,
-    receives each attention's (per-head outputs, their gradients).
+    The caller makes the store and every backward adds into it: a training
+    step passes one store to all its calls. Backwards ask `wants(path)`
+    before forming a gradient, so frozen paths cost no arithmetic; `add`
+    still drops paths outside `allowed`, which keeps frozen parameter groups
+    at exactly zero accumulated gradient. writes counts the unique
+    value-table slots written; probes, when a dict, receives each
+    attention's (per-head outputs, their gradients).
     """
 
     def __init__(self, allowed: set[str] | None = None,
@@ -352,23 +354,20 @@ def memory_block_backward(dy: np.ndarray, cache: dict, p: MemoryBlockParams,
 # whole model
 
 def model_backward(dlogits: np.ndarray, caches: dict, model: ModelSpec,
-                   allowed: set[str] | None = None,
-                   probes: dict | None = None) -> GradStore:
-    """Reverse pass over the whole stack; returns accumulated GradStore.
+                   grads: GradStore) -> GradStore:
+    """Reverse pass over the whole stack, adding into grads; returns grads.
 
-    dlogits: [s, V] or [B, s, V], the shape model_forward returned. allowed
-    restricts which parameter paths get gradients: no other weight gradient
-    is formed, and unless the embedding is allowed or probes are requested
-    the walk stops at the lowest block with an allowed parameter. probes
-    collects per-head attention outputs and gradients by block prefix. The
-    returned store's writes counts the unique value-table slots written.
+    dlogits: [s, V] or [B, s, V], the shape model_forward returned. Only
+    the paths grads keeps get a weight gradient, and unless it keeps the
+    embedding or collects probes the walk stops at the lowest block with a
+    kept parameter. Each kept path is added at most once per call, and
+    grads.writes grows by the unique value-table slots written.
     """
-    grads = GradStore(allowed, probes)
     dlogits = dlogits.reshape(-1, model.vocab)
     grads.add_matmul("unembed", caches["xf"], dlogits)
     dx = _norm_backward(dlogits @ model.unembed.T, caches["final"], grads, "final_gain")
     stop = 0
-    if probes is None and not grads.wants("embed"):
+    if grads.probes is None and not grads.wants("embed"):
         stop = next((i for i in range(len(model.blocks))
                      if any(grads.wants(p) for p in block_param_paths(model, i))),
                     len(model.blocks))

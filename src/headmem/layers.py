@@ -34,7 +34,6 @@ from .memory import (
     head_scores,
     init_product_keys,
     init_value_bank,
-    record_scoring_macs,
     score_subkeys,
     select_topk,
 )
@@ -203,9 +202,7 @@ def retrieve(a: np.ndarray, p: MemoryBlockParams, training: bool = False,
         q, ln_cache = rms_norm_fwd(q, p.query_ln_gain)
     qh = q.reshape(a.shape[0], cfg.heads, cfg.d_h)
     if kind == "linear":
-        scores = head_scores(qh, bank.keys)
-        record_scoring_macs(scores.size * cfg.d_h)
-        idx, vals = topk(scores, cfg.k)
+        idx, vals = topk(head_scores(qh, bank.keys), cfg.k)
         w = softmax(vals, axis=-1)
     else:
         idx, w = select_topk(*score_subkeys(qh, bank.pk), cfg.k)

@@ -165,27 +165,18 @@ def record_scoring_macs(macs: int) -> None:
 
 def head_scores(q: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """q [rows, H, w] against per-head keys [H, m, w] -> [rows, H, m], as one
-    batched matmul over heads."""
-    return (q.swapaxes(0, 1) @ keys.swapaxes(1, 2)).swapaxes(0, 1)
+    batched matmul over heads. Every key scoring runs here, so this is where
+    its MACs are counted."""
+    scores = (q.swapaxes(0, 1) @ keys.swapaxes(1, 2)).swapaxes(0, 1)
+    record_scoring_macs(scores.size * q.shape[-1])
+    return scores
 
 
-def score_subkeys(q: np.ndarray, bank: ProductKeyBank, head: int | None = None):
-    """Axis scores of head queries against their sub-key banks.
-
-    q [rows, H, d_h] scores every head at once -> (S_row, S_col), each
-    [rows, H, n]; with head given, q [rows, d_h] scores that head only and
-    each result is [rows, n].
-    """
-    k_row, k_col = bank.k_row, bank.k_col
-    if head is not None:
-        q, k_row, k_col = q[:, None], k_row[head:head + 1], k_col[head:head + 1]
-    d_p = k_row.shape[-1]
-    s_row = head_scores(q[..., :d_p], k_row)
-    s_col = head_scores(q[..., d_p:], k_col)
-    record_scoring_macs(2 * s_row.size * d_p)
-    if head is not None:
-        return s_row[:, 0], s_col[:, 0]
-    return s_row, s_col
+def score_subkeys(q: np.ndarray, bank: ProductKeyBank):
+    """Axis scores of head queries q [rows, H, d_h] against their sub-key
+    banks, every head at once -> (S_row, S_col), each [rows, H, n]."""
+    d_p = bank.k_row.shape[-1]
+    return head_scores(q[..., :d_p], bank.k_row), head_scores(q[..., d_p:], bank.k_col)
 
 
 def two_stage_topk(s_row: np.ndarray, s_col: np.ndarray, k: int):

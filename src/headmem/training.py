@@ -198,13 +198,14 @@ class ByteCorpus:
 # loss / gradient plumbing
 
 def loss_and_grads(model: ModelSpec, inputs: np.ndarray, targets: np.ndarray,
-                   allowed: set[str] | None = None, loss_scale: float = 1.0):
+                   grads: GradStore | None = None, loss_scale: float = 1.0):
     """Scalar loss plus parameter gradients, in one forward and one backward.
 
     inputs, targets: one sequence [s] or B equal-length sequences [B, s].
     The loss is the mean next-token loss over all B*s tokens, which equals
-    the mean of the per-sequence losses; the gradients are its gradients
-    times loss_scale, for the allowed paths only.
+    the mean of the per-sequence losses. Its gradients times loss_scale are
+    added into grads (None: a fresh GradStore()), for the paths it keeps;
+    returns (loss, grads).
     """
     targets = np.asarray(targets)
     if targets.shape != np.shape(inputs):
@@ -215,9 +216,9 @@ def loss_and_grads(model: ModelSpec, inputs: np.ndarray, targets: np.ndarray,
     targets = targets.reshape(-1)
     loss = lm_loss(logits, targets)
     dlogits = lm_loss_backward(logits, targets)
-    if loss_scale != 1.0:
-        dlogits = dlogits * loss_scale
-    return loss, model_backward(dlogits, caches, model, allowed=allowed)
+    dlogits *= loss_scale
+    grads = GradStore() if grads is None else grads
+    return loss, model_backward(dlogits, caches, model, grads)
 
 
 def _calls(batch: int, seq_len: int) -> list[slice]:
@@ -281,21 +282,14 @@ def train(model: ModelSpec, corpus, groups: list[OptimGroup], steps: int,
         inputs, targets = corpus.batch(rng, batch_size)
         batch = inputs.shape[0]
         mean_loss = 0.0
-        acc: GradStore | None = None
+        grads = GradStore(allowed)
         for part in _calls(*inputs.shape):
             # a call's mean loss enters the step mean weighted by its share
             # of the sequences; the weight rides on the loss scale
             share = (part.stop - part.start) / batch
-            loss, grads = loss_and_grads(model, inputs[part], targets[part],
-                                         allowed=allowed,
-                                         loss_scale=share)
+            loss, _ = loss_and_grads(model, inputs[part], targets[part], grads,
+                                     loss_scale=share)
             mean_loss += loss * share
-            if acc is None:
-                acc = grads
-            else:
-                acc.writes += grads.writes
-                for path, g in grads.items():
-                    acc.add(path, g)
         if not np.isfinite(mean_loss):
             raise NumericsError(f"non-finite loss {mean_loss} at step {step}")
         lr_wd = {}
@@ -305,11 +299,11 @@ def train(model: ModelSpec, corpus, groups: list[OptimGroup], steps: int,
             lrs[g.name] = lr
             for p in g.paths:
                 lr_wd[p] = (lr, g.weight_decay)
-        opt.step(acc, lr_wd)
+        opt.step(grads, lr_wd)
         report.losses.append(float(mean_loss))
         report.lr_inserted_dense.append(lrs["inserted_dense"])
         report.lr_memory_keys_values.append(lrs["memory_keys_values"])
-        report.unique_index_writes.append(acc.writes)
+        report.unique_index_writes.append(grads.writes)
     return report
 
 
@@ -372,7 +366,7 @@ def head_importance(model: ModelSpec, dataset) -> HeadImportanceReport:
                                        collect=True)
         probes: dict = {}
         model_backward(lm_loss_backward(logits, targets), caches, model,
-                       allowed=set(), probes=probes)
+                       GradStore(set(), probes))
         seq = np.empty((n_layers, model.heads), dtype=np.float64)
         for i in range(n_layers):
             ctx, dctx = probes[f"blocks.{i}.attn"]  # [1, heads, positions, d_h]

@@ -227,10 +227,9 @@ def test_criterion_6_compute_accounting(capsys):
     cfg = MemoryConfig(heads=4, n=16, k=4, d=64)
     rng = make_rng(0)
     bank = init_product_keys(cfg, rng)
-    q = rng.standard_normal((7, cfg.d_h))
+    q = rng.standard_normal((7, cfg.heads, cfg.d_h))
     with count_scoring_macs() as counter:
-        for head in range(cfg.heads):
-            score_subkeys(q, bank, head)
+        score_subkeys(q, bank)
     assert counter.total == 7 * cfg.heads * lookup_cost(cfg, "product")
 
     # a batched [B, s] forward counts every token row of the call

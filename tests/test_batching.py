@@ -67,7 +67,8 @@ def per_sequence_loss_and_grads(model, inputs, targets, allowed=None):
     """Oracle: mean over one call per sequence."""
     losses, acc = [], {}
     for b in range(inputs.shape[0]):
-        loss, grads = loss_and_grads(model, inputs[b], targets[b], allowed=allowed)
+        loss, grads = loss_and_grads(model, inputs[b], targets[b],
+                                     GradStore(allowed))
         losses.append(loss)
         for path, g in grads.items():
             acc[path] = acc[path] + g if path in acc else g.copy()
@@ -86,7 +87,8 @@ def reference_train(model, corpus, groups, steps, batch_size, seed):
         inputs, targets = corpus.batch(rng, batch_size)
         total, acc = 0.0, None
         for b in range(inputs.shape[0]):
-            loss, grads = loss_and_grads(model, inputs[b], targets[b], allowed=allowed)
+            loss, grads = loss_and_grads(model, inputs[b], targets[b],
+                                         GradStore(allowed))
             total += loss
             if acc is None:
                 acc = grads
@@ -199,6 +201,54 @@ def test_model_forward_rejects_bad_token_shapes():
 
 
 # ---------------------------------------------------------------------------
+# one store per training step
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_calls_into_one_store_equal_fresh_stores_summed(kind):
+    """The trainer's contract: calls that add into one store leave every
+    path and the write count bitwise equal to fresh per-call stores summed
+    in call order."""
+    model = _model(kind, seed=17)
+    oracle_model = copy.deepcopy(model)
+    allowed = trainable_paths(model, "sft")
+    rng = make_rng(18)
+    inputs = rng.integers(0, 64, (5, 6))
+    targets = rng.integers(0, 64, (5, 6))
+    parts = [(slice(0, 3), 3 / 5), (slice(3, 5), 2 / 5)]
+    shared = GradStore(allowed)
+    for part, share in parts:
+        _, got = loss_and_grads(model, inputs[part], targets[part], shared,
+                                loss_scale=share)
+        assert got is shared
+    fresh = [loss_and_grads(oracle_model, inputs[part], targets[part],
+                            GradStore(allowed), loss_scale=share)[1]
+             for part, share in parts]
+    assert set(shared) == set(fresh[0]) == set(fresh[1]) == allowed
+    for path in allowed:
+        assert np.array_equal(shared[path], fresh[0][path] + fresh[1][path]), path
+    assert shared.writes == fresh[0].writes + fresh[1].writes > 0
+
+
+def test_model_backward_adds_into_a_non_empty_store():
+    model = _model("headwise", seed=19)
+    tokens = make_rng(20).integers(0, 64, (2, 5))
+    logits, caches = model_forward(tokens[:, :-1], model, training=True,
+                                   collect=True)
+    dlogits = lm_loss_backward(logits.reshape(-1, 64), tokens[:, 1:].ravel())
+    fresh = model_backward(dlogits, caches, model, GradStore())
+    store = GradStore()
+    held = {path: make_rng(21).standard_normal(g.shape) for path, g in fresh.items()}
+    for path, g in held.items():
+        store.add(path, g.copy())
+    store.writes = 7
+    assert model_backward(dlogits, caches, model, store) is store
+    assert set(store) == set(fresh)
+    for path, g in fresh.items():
+        assert np.array_equal(store[path], held[path] + g), path
+    assert store.writes == 7 + fresh.writes
+
+
+# ---------------------------------------------------------------------------
 # no work for frozen parameters
 
 def test_frozen_parameters_get_no_gradient_work(monkeypatch):
@@ -222,7 +272,7 @@ def test_frozen_parameters_get_no_gradient_work(monkeypatch):
         fn = getattr(gradients, name)
         monkeypatch.setattr(gradients, name,
                             lambda *a, _fn=fn, **k: (visited.append(a[4]), _fn(*a, **k))[1])
-    _, kept = loss_and_grads(model, inputs, targets, allowed=allowed)
+    _, kept = loss_and_grads(model, inputs, targets, GradStore(allowed))
     assert set(offered) == set(kept) == allowed
     assert visited and min(int(p.split(".")[1]) for p in visited) == lowest
     for path in allowed:
@@ -246,6 +296,6 @@ def test_head_importance_gets_every_probe_and_no_weight_gradient(monkeypatch):
     logits, caches = model_forward(tokens, model, collect=True)
     probes = {}
     grads = model_backward(lm_loss_backward(logits, tg), caches, model,
-                           allowed=set(), probes=probes)
+                           GradStore(set(), probes))
     assert len(grads) == 0
     assert set(probes) == {f"blocks.{i}.attn" for i in range(len(model.blocks))}

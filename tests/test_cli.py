@@ -290,6 +290,17 @@ def test_upscale_key_memory_blocks_cannot_honour_exits_2(capsys, tmp_path, line,
     assert not (tmp_path / "run" / "model.ckpt").exists()
 
 
+def test_train_config_error_leaves_no_run_directory(capsys, tmp_path):
+    cfg = tmp_path / "upscale.cfg"
+    cfg.write_text(SMALL_HEAD + "init_source = average_adjacent\n"
+                   + SMALL_TRAIN.replace("steps = 60", "steps = 1"))
+    code, out, err = run(capsys, "train", "--config", str(cfg),
+                         "--out", str(tmp_path / "run"))
+    assert code == 2 and err.startswith("error: ")
+    assert "Traceback" not in out + err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("line", ["init_source = preceding", "zero_init_copies = true"],
                          ids=["init_source", "zero_init_copies"])
 def test_params_rows_ignore_copy_only_upscale_keys(capsys, tmp_path, line):

@@ -213,7 +213,7 @@ def test_embedding_gradient_matches_loop_oracle_bitwise(prec):
     targets = rng.integers(0, 40, (3, 8))
     allowed = trainable_paths(model, "sft")
     assert "embed" in allowed
-    loss, grads = loss_and_grads(model, inputs, targets, allowed=allowed)
+    loss, grads = loss_and_grads(model, inputs, targets, GradStore(allowed))
     # dx, the gradient at the embedding output: give every position its own
     # embedding row (the forward is unchanged bit for bit), so each row of
     # that model's embedding gradient takes exactly one contribution
@@ -221,7 +221,8 @@ def test_embedding_gradient_matches_loop_oracle_bitwise(prec):
     embed[:inputs.size] = model.embed[inputs.ravel()]
     spread = dataclasses.replace(model, embed=embed)
     positions = np.arange(inputs.size).reshape(inputs.shape)
-    loss2, grads2 = loss_and_grads(spread, positions, targets, allowed=allowed)
+    loss2, grads2 = loss_and_grads(spread, positions, targets,
+                                   GradStore(allowed))
     assert loss2 == loss
     dx = grads2["embed"][:inputs.size]
     want = np.zeros_like(model.embed)
@@ -234,7 +235,7 @@ def test_embedding_gradient_matches_loop_oracle_bitwise(prec):
     assert np.all(got[~used] == 0.0) and np.all(np.abs(got[used]).sum(axis=1) > 0.0)
     # narrow token ints (token * d overflows uint8) give the same gradient
     _, grads8 = loss_and_grads(model, inputs.astype(np.uint8), targets,
-                               allowed=allowed)
+                               GradStore(allowed))
     assert np.array_equal(grads8["embed"], got)
 
 
@@ -262,7 +263,7 @@ def test_frozen_paths_accumulate_nothing():
     logits, caches = model_forward(toks[:-1], model, training=True,
                                    collect=True)
     grads = model_backward(lm_loss_backward(logits, toks[1:]), caches, model,
-                           allowed=allowed)
+                           GradStore(allowed))
     assert set(grads) <= allowed
     frozen = {"embed", "unembed", "final_gain", "blocks.0.attn.w_q"}
     assert not (frozen & set(grads))

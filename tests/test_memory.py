@@ -145,15 +145,23 @@ def test_select_topk_returns_row_major_results(dtype):
 
 
 def test_score_subkeys_halves_and_counter():
+    """The row scores read only the first d_p query columns and the column
+    scores only the rest; the counter sees both halves."""
     cfg = MemoryConfig(heads=2, n=8, k=2, d=16)
     rng = make_rng(4)
     bank = init_product_keys(cfg, rng)
-    q = rng.standard_normal((5, cfg.d_h)).astype(np.float32)
+    q = rng.standard_normal((5, cfg.heads, cfg.d_h)).astype(np.float32)
     with count_scoring_macs() as counter:
-        s_row, s_col = score_subkeys(q, bank, 1)
-    assert np.allclose(s_row, q[:, :cfg.d_p] @ bank.k_row[1].T, atol=1e-6)
-    assert np.allclose(s_col, q[:, cfg.d_p:] @ bank.k_col[1].T, atol=1e-6)
-    assert counter.total == 2 * 5 * cfg.n * cfg.d_p
+        s_row, s_col = score_subkeys(q, bank)
+    assert counter.total == 2 * 5 * cfg.heads * cfg.n * cfg.d_p
+    moved = q.copy()
+    moved[..., cfg.d_p:] += 1.0
+    row2, col2 = score_subkeys(moved, bank)
+    assert np.array_equal(row2, s_row) and not np.array_equal(col2, s_col)
+    moved = q.copy()
+    moved[..., :cfg.d_p] += 1.0
+    row2, col2 = score_subkeys(moved, bank)
+    assert np.array_equal(col2, s_col) and not np.array_equal(row2, s_row)
 
 
 def test_score_subkeys_all_heads_in_one_call():
@@ -166,7 +174,8 @@ def test_score_subkeys_all_heads_in_one_call():
         s_row, s_col = score_subkeys(q, bank)
     assert s_row.shape == s_col.shape == (7, cfg.heads, cfg.n)
     for h in range(cfg.heads):
-        want_row, want_col = score_subkeys(q[:, h], bank, h)
+        want_row = q[:, h, :cfg.d_p] @ bank.k_row[h].T
+        want_col = q[:, h, cfg.d_p:] @ bank.k_col[h].T
         assert np.allclose(s_row[:, h], want_row, rtol=1e-12, atol=0)
         assert np.allclose(s_col[:, h], want_col, rtol=1e-12, atol=0)
     assert counter.total == 7 * cfg.heads * lookup_cost(cfg, "product")

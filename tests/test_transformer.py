@@ -414,7 +414,7 @@ def test_block_forward_cache_structure():
 def test_forward_and_backward_preserve_f32():
     """A 32-bit model must compute in 32 bits end to end; the attention
     scale and causal mask are the easy places to leak a float64 upcast."""
-    from headmem.gradients import lm_loss_backward, model_backward
+    from headmem.gradients import GradStore, lm_loss_backward, model_backward
     from headmem.model import init_base_model, model_forward, named_params
 
     with precision("f32"):
@@ -434,6 +434,6 @@ def test_forward_and_backward_preserve_f32():
         return 0
 
     assert leaks(caches) == 0
-    grads = model_backward(lm_loss_backward(logits, toks), caches, model)
+    grads = model_backward(lm_loss_backward(logits, toks), caches, model, GradStore())
     for path, _ in named_params(model):
         assert grads[path].dtype == np.float32, path
