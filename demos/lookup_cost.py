@@ -16,10 +16,10 @@ from headmem import (
     make_rng,
 )
 from headmem.bench import memory_block_macs, transformer_block_macs
-from headmem.layers import init_headwise_bank
+from headmem.layers import init_bank
 from headmem.memory import score_subkeys
 from headmem.model import init_transformer_block
-from headmem.upscale import _init_memory_block
+from headmem.upscale import init_memory_block
 
 
 def main():
@@ -31,7 +31,7 @@ def main():
 
     # the counter sees what the code actually multiplies
     rng = make_rng(0)
-    bank = init_headwise_bank(cfg, rng)
+    bank = init_bank("headwise", cfg, rng)
     q = rng.standard_normal((10, cfg.heads, cfg.d_h))
     with count_scoring_macs() as counter:
         score_subkeys(q, bank.pk)  # every head in one call
@@ -43,7 +43,7 @@ def main():
     # one transformer block against a memory block of each kind in its place
     rng = make_rng(1)
     tblock = init_transformer_block(d=64, heads=4, d_ff=192, rng=rng)
-    mblocks = {kind: _init_memory_block(tblock, MemoryLayerKind.defaults(kind), cfg, rng)
+    mblocks = {kind: init_memory_block(tblock, MemoryLayerKind.defaults(kind), cfg, rng)
                for kind in MEMORY_KINDS}
     print("forward MACs per block, d=64 (attention scores left out):")
     print("length  " + "".join(f"{name:>14}" for name in ("transformer", *mblocks)))

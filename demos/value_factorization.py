@@ -22,7 +22,7 @@ from headmem import (
 )
 from headmem.layers import retrieve
 from headmem.model import init_transformer_block
-from headmem.upscale import _init_memory_block
+from headmem.upscale import init_memory_block
 
 
 def main():
@@ -44,8 +44,8 @@ def main():
     # run one real lookup of a head-wise memory block both ways; its
     # queries are the raw head outputs, so any [tokens, d] rows will do
     rng = make_rng(1)
-    block = _init_memory_block(init_transformer_block(small.d, small.heads, 128, rng),
-                               MemoryLayerKind.defaults("headwise"), small, rng)
+    block = init_memory_block(init_transformer_block(small.d, small.heads, 128, rng),
+                              MemoryLayerKind.defaults("headwise"), small, rng)
     values = block.bank.values
     values.v_base[...] = rng.standard_normal(values.v_base.shape)
     q = rng.standard_normal((6, small.d))

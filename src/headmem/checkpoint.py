@@ -28,7 +28,7 @@ from .model import (
     tensor_slots,
 )
 from .transformer import ROPE_BASE, TransformerBlockParams
-from .upscale import _init_memory_block
+from .upscale import init_memory_block
 
 MAGIC = b"HDMEMCK\x00"
 FORMAT_VERSION = 1
@@ -158,7 +158,7 @@ def _skeleton_block(desc: dict, prefix: str, sizes: dict, rng: _ZeroDraws):
                  f"{prefix} memory sizes differ from the model's")
         # a memory block copies only the attention and gain of its source,
         # so the source's FFN width is irrelevant
-        block = _init_memory_block(init_transformer_block(d, heads, 1, rng), lk, cfg, rng)
+        block = init_memory_block(init_transformer_block(d, heads, 1, rng), lk, cfg, rng)
     else:
         raise CheckpointError(f"unknown block type {desc['type']!r}")
     return block

@@ -32,10 +32,17 @@ from .training import RecallCorpus, evaluate, head_importance, train
 from .upscale import POLICY_NAMES, PlacementPolicy, policy_indices
 
 
+def _seed(raw: str) -> int:
+    """argparse type of --seed: a non-negative integer."""
+    if not (raw.isascii() and raw.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {raw!r}")
+    return int(raw)
+
+
 _SHARED_FLAGS = {
     "config": dict(help="experiment config file (INI sections)"),
     "out": dict(help="output directory for CSV/checkpoint artifacts"),
-    "seed": dict(type=int, help="override the subcommand's sampling seed"),
+    "seed": dict(type=_seed, help="override the subcommand's sampling seed"),
     "precision": dict(choices=("f32", "f64"),
                       help="floating-point width for newly built tensors"),
 }
@@ -88,8 +95,6 @@ def cmd_train(args) -> int:
         cfg["train"]["seed"] = args.seed
     base, model = build_model(cfg)
     corpus = build_corpus(cfg)
-    if getattr(corpus, "vocab", None) != model.vocab:
-        raise ConfigError("corpus vocab does not match model.vocab")
     groups = build_groups(cfg, model)
     out = _ensure_out(args)
     report = train(model, corpus, groups, steps=cfg["train"]["steps"],
@@ -118,7 +123,7 @@ def _load_checkpoint_eval_set(args):
     if args.config is None and snapshot is not None:
         cfg = config_from_snapshot(snapshot)
     corpus = build_corpus(cfg)
-    if getattr(corpus, "vocab", None) != model.vocab:
+    if corpus.vocab != model.vocab:
         raise ConfigError("corpus vocab does not match checkpoint vocab")
     seed = args.seed if args.seed is not None else cfg["train"]["seed"] + 1
     return (model, *_eval_set(cfg, corpus, seed))

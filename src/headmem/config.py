@@ -20,7 +20,11 @@ from .upscale import INIT_SOURCES, INSERT_KINDS, POLICY_NAMES, PlacementPolicy, 
 
 
 class ConfigError(Exception):
-    """Invalid experiment configuration; maps to CLI exit code 2."""
+    """A config this module rejects itself: malformed text, an unknown
+    section or key, a value of the wrong type or out of its range, a bad
+    checkpoint snapshot, or a missing corpus path. Values the library
+    rejects (k > n, d not divisible by heads, ...) raise the library's
+    ValueError unwrapped. The CLI maps both to exit code 2."""
 
 
 def _bool(raw: str) -> bool:
@@ -164,71 +168,47 @@ def memory_layer_kind(cfg: dict) -> MemoryLayerKind:
 
 def memory_config(cfg: dict) -> MemoryConfig:
     m, mo = cfg["memory"], cfg["model"]
-    try:
-        return MemoryConfig(heads=mo["heads"], n=m["n"], k=m["k"], d=mo["d"])
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    return MemoryConfig(heads=mo["heads"], n=m["n"], k=m["k"], d=mo["d"])
 
 
 def build_base(cfg: dict) -> ModelSpec:
     mo = cfg["model"]
-    rng = make_rng(mo["seed"])
-    try:
-        return init_base_model(vocab=mo["vocab"], d=mo["d"], heads=mo["heads"],
-                               d_ff=mo["d_ff"], depth=mo["depth"], rng=rng)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    return init_base_model(vocab=mo["vocab"], d=mo["d"], heads=mo["heads"],
+                           d_ff=mo["d_ff"], depth=mo["depth"], rng=make_rng(mo["seed"]))
 
 
 def build_plan(cfg: dict) -> UpscalePlan:
     up = cfg["upscale"]
-    kind = up["insert_kind"]
-    try:
-        policy = PlacementPolicy(up["policy"], cfg["model"]["depth"],
-                                 up["inserted"])
-        memory = kind == "memory_block"
-        return UpscalePlan(policy=policy, insert_kind=kind,
-                           init_source=up["init_source"],
-                           zero_init_copies=up["zero_init_copies"],
-                           memory_kind=memory_layer_kind(cfg) if memory else None,
-                           memory_cfg=memory_config(cfg) if memory else None,
-                           seed=up["seed"])
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    policy = PlacementPolicy(up["policy"], cfg["model"]["depth"], up["inserted"])
+    memory = up["insert_kind"] == "memory_block"
+    return UpscalePlan(policy=policy, insert_kind=up["insert_kind"],
+                       init_source=up["init_source"],
+                       zero_init_copies=up["zero_init_copies"],
+                       memory_kind=memory_layer_kind(cfg) if memory else None,
+                       memory_cfg=memory_config(cfg) if memory else None,
+                       seed=up["seed"])
 
 
 def build_model(cfg: dict):
     """Base model plus the expanded model the config describes."""
     base = build_base(cfg)
     plan = build_plan(cfg)
-    try:
-        if plan.insert_kind == "memory_block":
-            model = build_memory_dus(base, plan)
-        else:
-            model = build_dus(base, plan)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-    return base, model
+    build = build_memory_dus if plan.insert_kind == "memory_block" else build_dus
+    return base, build(base, plan)
 
 
 def build_corpus(cfg: dict):
     tr, mo = cfg["train"], cfg["model"]
     if tr["corpus"] == "recall":
-        try:
-            return RecallCorpus(vocab=mo["vocab"], num_pairs=tr["num_pairs"],
-                                seed=tr["corpus_seed"])
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
+        return RecallCorpus(vocab=mo["vocab"], num_pairs=tr["num_pairs"],
+                            seed=tr["corpus_seed"])
     if not tr["corpus_path"]:
         raise ConfigError("train.corpus_path is required when train.corpus = bytes")
     if not os.path.exists(tr["corpus_path"]):
         raise ConfigError(f"train.corpus_path not found: {tr['corpus_path']}")
     if mo["vocab"] != 256:
         raise ConfigError("byte corpus requires model.vocab = 256")
-    try:
-        return ByteCorpus.from_file(tr["corpus_path"], tr["seq_len"])
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    return ByteCorpus.from_file(tr["corpus_path"], tr["seq_len"])
 
 
 def build_groups(cfg: dict, model: ModelSpec):

@@ -55,7 +55,7 @@ from .transformer import (
     rms_norm_fwd,
     transformer_block_forward,
 )
-from .upscale import PlacementPolicy, UpscalePlan, _init_memory_block, build_memory_dus
+from .upscale import PlacementPolicy, UpscalePlan, build_memory_dus, init_memory_block
 
 DEFAULT_H = 1e-5
 DEFAULT_TOL = 1e-4
@@ -228,7 +228,7 @@ def _memory_block_fixture(kind: str, all_toggles: bool, seed: int):
         source = init_transformer_block(12, 2, 16, rng)
         lk = (MemoryLayerKind(kind, *[True] * len(MEMORY_TOGGLES)) if all_toggles
               else MemoryLayerKind.defaults(kind))
-        p = _init_memory_block(source, lk, cfg, rng)
+        p = init_memory_block(source, lk, cfg, rng)
     _fill_value_tables(p, rng, 1.0)
     return p, cfg, rng
 

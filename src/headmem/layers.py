@@ -12,11 +12,12 @@ Three retrieval designs share one block shape (x + memory(attention(norm(x)))):
            internal residual), values factorized as a shared d_h-wide table
            plus per-head transforms, head outputs concatenated.
 
-All three read through one function, retrieve, which scores, selects and
-pools every head in one call. The toggles on MemoryLayerKind reshape the
-pipeline for ablations: query batchnorm, query layernorm (RMS-style,
-matching the backbone), internal residual a = x + attn_out, and attention
-output projection.
+All three keep their tables in one MemoryBank, made by init_bank; a field
+the kind does not use is None. All three read through one function,
+retrieve, which scores, selects and pools every head in one call. The
+toggles on MemoryLayerKind reshape the pipeline for ablations: query
+batchnorm, query layernorm (RMS-style, matching the backbone), internal
+residual a = x + attn_out, and attention output projection.
 """
 
 from __future__ import annotations
@@ -127,43 +128,33 @@ def batchnorm_query(q: np.ndarray, bn: BatchNorm, training: bool,
 
 
 @dataclass
-class LinearMemoryBank:
-    w_q: np.ndarray  # [d, d] query projection, sliced per head downstream
-    keys: np.ndarray  # [H, N, d_h] private flat keys per head
-    values: np.ndarray  # [N, d] shared full-width table, zero at init
+class MemoryBank:
+    """The learnable tables of a memory block; a field its kind does not use
+    is None. Field order is the walk order of every tensor path.
+
+      linear    w_q, keys, values [N, d]
+      pkm       w_q, pk, values [N, d]
+      headwise  pk, values (a ValueBank)
+    """
+
+    w_q: np.ndarray | None  # [d, d] query projection, sliced per head downstream
+    keys: np.ndarray | None  # [H, N, d_h] private flat keys per head
+    pk: ProductKeyBank | None
+    values: np.ndarray | ValueBank  # the value table is zero at init
 
 
-@dataclass
-class PkmBank:
-    w_q: np.ndarray  # [d, d]
-    pk: ProductKeyBank
-    values: np.ndarray  # [N, d] shared full-width table, zero at init
-
-
-@dataclass
-class HeadwiseBank:
-    pk: ProductKeyBank
-    values: ValueBank
-
-
-def init_linear_bank(cfg: MemoryConfig, rng: np.random.Generator) -> LinearMemoryBank:
-    return LinearMemoryBank(
-        w_q=gaussian(rng, (cfg.d, cfg.d), 1.0 / np.sqrt(cfg.d)),
-        keys=gaussian(rng, (cfg.heads, cfg.N, cfg.d_h), 1.0 / np.sqrt(cfg.d_h)),
-        values=zeros((cfg.N, cfg.d)),
+def init_bank(kind: str, cfg: MemoryConfig, rng: np.random.Generator) -> MemoryBank:
+    """Fresh tables of a memory block of kind. The keyword arguments are
+    evaluated in field order, which fixes the order of the random draws:
+    w_q, keys, pk.k_row, pk.k_col, values.w_heads."""
+    flat, headwise = kind == "linear", kind == "headwise"
+    return MemoryBank(
+        w_q=None if headwise else gaussian(rng, (cfg.d, cfg.d), 1.0 / np.sqrt(cfg.d)),
+        keys=(gaussian(rng, (cfg.heads, cfg.N, cfg.d_h), 1.0 / np.sqrt(cfg.d_h))
+              if flat else None),
+        pk=None if flat else init_product_keys(cfg, rng),
+        values=init_value_bank(cfg, rng) if headwise else zeros((cfg.N, cfg.d)),
     )
-
-
-def init_pkm_bank(cfg: MemoryConfig, rng: np.random.Generator) -> PkmBank:
-    return PkmBank(
-        w_q=gaussian(rng, (cfg.d, cfg.d), 1.0 / np.sqrt(cfg.d)),
-        pk=init_product_keys(cfg, rng),
-        values=zeros((cfg.N, cfg.d)),
-    )
-
-
-def init_headwise_bank(cfg: MemoryConfig, rng: np.random.Generator) -> HeadwiseBank:
-    return HeadwiseBank(pk=init_product_keys(cfg, rng), values=init_value_bank(cfg, rng))
 
 
 @dataclass
@@ -172,7 +163,7 @@ class MemoryBlockParams:
     cfg: MemoryConfig
     attn: AttentionParams  # w_o is None unless kind.output_projection
     norm_gain: np.ndarray  # [d]
-    bank: LinearMemoryBank | PkmBank | HeadwiseBank
+    bank: MemoryBank
     query_bn: BatchNorm | None = None
     query_ln_gain: np.ndarray | None = None
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
-from .layers import HeadwiseBank, MemoryBlockParams, memory_block_forward
+from .layers import MemoryBlockParams, memory_block_forward
 from .memory import build_value_cache
 from .numerics import assert_finite, gaussian, ones
 from .transformer import (
@@ -132,7 +132,7 @@ def build_value_caches(model: ModelSpec) -> dict[int, np.ndarray]:
     headwise memory block, for inference."""
     caches = {}
     for i, block in enumerate(model.blocks):
-        if isinstance(block, MemoryBlockParams) and isinstance(block.bank, HeadwiseBank):
+        if isinstance(block, MemoryBlockParams) and block.kind.kind == "headwise":
             caches[i] = build_value_cache(block.bank.values)
     return caches
 

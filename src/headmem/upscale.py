@@ -35,10 +35,8 @@ import numpy as np
 from .layers import (
     MemoryBlockParams,
     MemoryLayerKind,
+    init_bank,
     init_batchnorm,
-    init_headwise_bank,
-    init_linear_bank,
-    init_pkm_bank,
 )
 from .memory import MemoryConfig
 from .model import ModelSpec, map_tensors
@@ -190,22 +188,18 @@ def build_dus(base: ModelSpec, plan: UpscalePlan) -> ModelSpec:
     return _assemble(base, policy_indices(plan.policy), inserted)
 
 
-def _init_memory_block(source: TransformerBlockParams, kind: MemoryLayerKind,
-                       cfg: MemoryConfig, rng) -> MemoryBlockParams:
-    # The block sees the same normalized context as its source block's
-    # attention: gain and attention weights are copied together. The output
-    # projection travels only when the variant consumes projected outputs.
+def init_memory_block(source: TransformerBlockParams, kind: MemoryLayerKind,
+                      cfg: MemoryConfig, rng) -> MemoryBlockParams:
+    """A fresh memory block of kind in the place of source. It sees the same
+    normalized context as source's attention: gain and attention weights
+    are copied together. The output projection travels only when the
+    variant consumes projected outputs. The bank comes from init_bank."""
     attn = map_tensors(np.copy, source.attn)
     if not kind.output_projection:
         attn.w_o = None
-    if kind.kind == "linear":
-        bank = init_linear_bank(cfg, rng)
-    elif kind.kind == "pkm":
-        bank = init_pkm_bank(cfg, rng)
-    else:
-        bank = init_headwise_bank(cfg, rng)
     return MemoryBlockParams(
-        kind=kind, cfg=cfg, attn=attn, norm_gain=source.attn_gain.copy(), bank=bank,
+        kind=kind, cfg=cfg, attn=attn, norm_gain=source.attn_gain.copy(),
+        bank=init_bank(kind.kind, cfg, rng),
         query_bn=init_batchnorm(cfg.d) if kind.query_batchnorm else None,
         query_ln_gain=ones(cfg.d) if kind.query_layernorm else None,
     )
@@ -229,5 +223,5 @@ def build_memory_dus(base: ModelSpec, plan: UpscalePlan) -> ModelSpec:
     inserted = []
     for (pre, sub) in neighbor_base_indices(plan.policy):
         src = base.blocks[sub] if sub is not None else base.blocks[pre]
-        inserted.append(_init_memory_block(src, plan.memory_kind, cfg, rng))
+        inserted.append(init_memory_block(src, plan.memory_kind, cfg, rng))
     return _assemble(base, policy_indices(plan.policy), inserted)

@@ -301,6 +301,48 @@ def test_train_config_error_leaves_no_run_directory(capsys, tmp_path):
     assert not (tmp_path / "run").exists()
 
 
+# values the library rejects, each with the message it raises
+LIBRARY_ERRORS = {
+    "k": ("[memory]\nk = 99\n", "k=99 must satisfy 1 <= k <= n=16"),
+    "d_heads": ("[model]\nd = 30\nheads = 4\n", "d=30 not divisible by heads=4"),
+    "inserted": ("[upscale]\ninserted = 9\n", "inserted count 9 must lie in [0, 4]"),
+    "num_pairs": ("[train]\nnum_pairs = 300\n", "num_pairs cannot exceed vocab"),
+    "short_corpus": ("[train]\ncorpus = bytes\ncorpus_path = {short}\n",
+                     "corpus shorter than one window"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIBRARY_ERRORS))
+def test_library_value_error_exits_2_with_its_message(capsys, tmp_path, case):
+    text, message = LIBRARY_ERRORS[case]
+    short = tmp_path / "short.txt"
+    short.write_bytes(b"too short")
+    cfg = tmp_path / "lib.cfg"
+    cfg.write_text(text.format(short=short))
+    code, out, err = run(capsys, "train", "--config", str(cfg),
+                         "--out", str(tmp_path / "run"))
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert "Traceback" not in out + err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "head-importance", "gradcheck"])
+def test_negative_seed_exits_2_at_parse_time(capsys, tmp_path, command):
+    argv = {"train": ["train", "--out", str(tmp_path / "run")],
+            "eval": ["eval", "--ckpt", str(tmp_path / "missing.ckpt")],
+            "head-importance": ["head-importance", "--ckpt", str(tmp_path / "missing.ckpt"),
+                                "--out", str(tmp_path / "run")],
+            "gradcheck": ["gradcheck", "--checks", "softmax"]}[command]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--seed", "-1"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert "argument --seed: expected a non-negative integer, got '-1'" in captured.err
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("line", ["init_source = preceding", "zero_init_copies = true"],
                          ids=["init_source", "zero_init_copies"])
 def test_params_rows_ignore_copy_only_upscale_keys(capsys, tmp_path, line):

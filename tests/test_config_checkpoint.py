@@ -45,8 +45,8 @@ from headmem.upscale import (
     POLICY_NAMES,
     PlacementPolicy,
     UpscalePlan,
-    _init_memory_block,
     build_memory_dus,
+    init_memory_block,
 )
 
 
@@ -243,8 +243,8 @@ def test_walk_order_is_pinned(case):
     block = source
     if case != "transformer":
         kind, on = case
-        block = _init_memory_block(source, MemoryLayerKind(kind, *[on] * 4),
-                                   MemoryConfig(heads=2, n=4, k=2, d=8), make_rng(1))
+        block = init_memory_block(source, MemoryLayerKind(kind, *[on] * 4),
+                                  MemoryConfig(heads=2, n=4, k=2, d=8), make_rng(1))
     params, buffers = WALK_ORDER[case]
     assert [p for p, _ in named_params(block)] == params
     assert [p for p, _ in named_buffers(block)] == buffers
@@ -255,8 +255,8 @@ def _walk_cases():
     yield "transformer", source
     for kind in MEMORY_KINDS:
         for toggles in itertools.product((False, True), repeat=4):
-            block = _init_memory_block(source, MemoryLayerKind(kind, *toggles),
-                                       MemoryConfig(heads=2, n=4, k=2, d=8), make_rng(1))
+            block = init_memory_block(source, MemoryLayerKind(kind, *toggles),
+                                      MemoryConfig(heads=2, n=4, k=2, d=8), make_rng(1))
             yield (kind, toggles), block
     base = init_base_model(vocab=11, d=8, heads=2, d_ff=12, depth=3, rng=make_rng(2))
     plan = UpscalePlan(policy=PlacementPolicy("distributed", 3, 2),

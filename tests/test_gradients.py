@@ -74,11 +74,11 @@ def test_dedup_scatter_counter_and_bounds():
     from headmem.layers import MemoryLayerKind, retrieve
     from headmem.memory import MemoryConfig
     from headmem.model import init_transformer_block
-    from headmem.upscale import _init_memory_block
+    from headmem.upscale import init_memory_block
     rng = make_rng(1)
     cfg = MemoryConfig(heads=4, n=3, k=3, d=8)  # 9 slots, 12 reads per row
-    p = _init_memory_block(init_transformer_block(8, 4, 12, rng),
-                           MemoryLayerKind.defaults("pkm"), cfg, rng)
+    p = init_memory_block(init_transformer_block(8, 4, 12, rng),
+                          MemoryLayerKind.defaults("pkm"), cfg, rng)
     a = rng.standard_normal((16, 8))
     _, cache = retrieve(a, p, training=True, seq_len=16)
     grads = GradStore()

@@ -8,16 +8,14 @@ from headmem.layers import (
     BN_EPS,
     MemoryLayerKind,
     batchnorm_query,
+    init_bank,
     init_batchnorm,
-    init_headwise_bank,
-    init_linear_bank,
-    init_pkm_bank,
     memory_block_forward,
 )
 from headmem.memory import MemoryConfig, build_value_cache
 from headmem.model import init_transformer_block
-from headmem.numerics import make_rng, precision
-from headmem.upscale import _init_memory_block
+from headmem.numerics import gaussian, make_rng, precision
+from headmem.upscale import init_memory_block
 
 
 def test_kind_defaults():
@@ -64,7 +62,7 @@ def _fresh_block(kind, seed=0, toggles=None):
     cfg = MemoryConfig(heads=2, n=6, k=3, d=12)
     source = init_transformer_block(12, 2, 20, rng)
     lk = toggles if toggles is not None else MemoryLayerKind.defaults(kind)
-    return _init_memory_block(source, lk, cfg, rng), cfg, rng
+    return init_memory_block(source, lk, cfg, rng), cfg, rng
 
 
 @pytest.mark.parametrize("kind", ["linear", "pkm", "headwise"])
@@ -142,17 +140,31 @@ def test_linear_and_pkm_support_layernorm_toggle():
         assert cache["mem"]["ln"] is not None
 
 
-def test_bank_initializers_shapes():
-    cfg = MemoryConfig(heads=2, n=4, k=2, d=8)
-    rng = make_rng(7)
-    lin = init_linear_bank(cfg, rng)
-    assert lin.keys.shape == (2, 16, 4) and lin.values.shape == (16, 8)
-    assert lin.w_q.shape == (8, 8) and np.all(lin.values == 0)
-    pkm = init_pkm_bank(cfg, rng)
-    assert pkm.pk.k_row.shape == (2, 4, 2) and pkm.values.shape == (16, 8)
-    hw = init_headwise_bank(cfg, rng)
-    assert hw.values.v_base.shape == (16, 4)
-    assert hw.values.w_heads.shape == (2, 4, 4)
+def test_init_bank_draws_in_field_order():
+    """init_bank's bits: each kind's tensors equal fresh-rng gaussian draws
+    in the order w_q, keys, pk.k_row, pk.k_col, values.w_heads; value
+    tables are zero and fields the kind does not use are None."""
+    cfg = MemoryConfig(heads=2, n=4, k=2, d=8)  # N = 16, d_h = 4, d_p = 2
+    draws = {"w_q": ((8, 8), 8), "keys": ((2, 16, 4), 4), "k_row": ((2, 4, 2), 2),
+             "k_col": ((2, 4, 2), 2), "w_heads": ((2, 4, 4), 4)}  # shape, fan-in
+    used = {"linear": ("w_q", "keys"), "pkm": ("w_q", "k_row", "k_col"),
+            "headwise": ("k_row", "k_col", "w_heads")}
+    for kind, names in used.items():
+        bank = init_bank(kind, cfg, make_rng(7))
+        hw = kind == "headwise"
+        got = {"w_q": bank.w_q, "keys": bank.keys,
+               "k_row": getattr(bank.pk, "k_row", None),
+               "k_col": getattr(bank.pk, "k_col", None),
+               "w_heads": bank.values.w_heads if hw else None}
+        rng = make_rng(7)
+        for name, (shape, fan_in) in draws.items():
+            if name in names:
+                want = gaussian(rng, shape, 1.0 / np.sqrt(fan_in))
+                assert np.array_equal(got[name], want), (kind, name)
+            else:
+                assert got[name] is None, (kind, name)
+        table = bank.values.v_base if hw else bank.values
+        assert table.shape == ((16, 4) if hw else (16, 8)) and not table.any()
 
 
 # _fresh_block's shapes: d = 12, H = 2, n = 6 (N = 36), k = 3, d_h = 6,

@@ -18,7 +18,7 @@ from headmem.layers import MemoryLayerKind, batchnorm_query, retrieve
 from headmem.memory import MemoryConfig, fused_cartesian_topk, select_topk
 from headmem.model import init_transformer_block
 from headmem.numerics import make_rng, precision, softmax
-from headmem.upscale import _init_memory_block
+from headmem.upscale import init_memory_block
 from test_acceptance import grid_topk_oracle
 
 
@@ -76,8 +76,8 @@ def test_select_topk_breaks_ties_by_flat_id_not_candidate_order(dtype):
 def _block(kind, seed):
     rng = make_rng(seed)
     cfg = MemoryConfig(heads=4, n=6, k=3, d=24)
-    p = _init_memory_block(init_transformer_block(24, 4, 16, rng),
-                           MemoryLayerKind.defaults(kind), cfg, rng)
+    p = init_memory_block(init_transformer_block(24, 4, 16, rng),
+                          MemoryLayerKind.defaults(kind), cfg, rng)
     table = p.bank.values.v_base if kind == "headwise" else p.bank.values
     table[...] = rng.standard_normal(table.shape)
     return p, rng
