@@ -19,6 +19,14 @@ the public headmem API, in f32 and in f64:
   importance/<precision>          head_importance scores on 40 recall
                                   sequences
   gradcheck/<precision>           the `headmem gradcheck` report
+  select/<precision>              select_topk ids and weights on [512, 4, 32]
+                                  axis scores with k in {1, 4, 8, 32}, each
+                                  axis pair in both orders, for
+                                  normal, tie-heavy (integer scores, +-0
+                                  included) and rounding-collision inputs;
+                                  numerics.topk ids and values on flat
+                                  [256, 4, 1024] scores, as the linear kind
+                                  selects
 
 The model shape is d=64, H=4, d_ff=256, base depth 4 plus 2 memory blocks
 placed by the `distributed` policy.
@@ -108,6 +116,43 @@ def _prefill(hm, net, lengths, text: np.ndarray, stream: int) -> str:
     return _sha(out)
 
 
+def _scores(rng, shape, mode: str, dtype):
+    """(s_row, s_col) in one of the three input modes of the grid-oracle
+    property test: normal, tie-heavy or rounding-collision."""
+    if mode == "tie_heavy":
+        # integer scores; about half of the zeros are -0
+        s_row, s_col = (rng.integers(-2, 3, shape).astype(dtype) for _ in range(2))
+        for s in (s_row, s_col):
+            s[(s == 0) & (rng.random(shape) < 0.5)] = -0.0
+    elif mode == "rounding_collision":
+        # scores one ulp apart on one axis round to one sum with a large
+        # score on the other axis
+        s_row = rng.integers(0, 3, shape).astype(dtype)
+        nudge = rng.random(shape) < 0.5
+        s_row[nudge] = np.nextafter(s_row[nudge], dtype.type(np.inf))
+        s_col = (rng.integers(0, 3, shape) * 64).astype(dtype)
+    else:
+        s_row, s_col = (rng.standard_normal(shape).astype(dtype) for _ in range(2))
+    return s_row, s_col
+
+
+def _select(hm) -> str:
+    """Selection kernels on their own, where ties are common."""
+    from headmem.numerics import topk
+
+    dtype = hm.default_dtype()
+    rng = np.random.default_rng([SEED, 4])
+    out = []
+    for mode in ("normal", "tie_heavy", "rounding_collision"):
+        s_row, s_col = _scores(rng, (512, 4, 32), mode, dtype)
+        for k in (1, 4, 8, 32):
+            out.extend(hm.select_topk(s_row, s_col, k))
+            out.extend(hm.select_topk(s_col, s_row, k))
+        flat, _ = _scores(rng, (256, 4, 1024), mode, dtype)
+        out.extend(topk(flat, 8))
+    return _sha(out)
+
+
 def fingerprints(hm, mode: str):
     """(name, sha256) of every artifact at the current default precision."""
     from headmem.gradcheck import DEFAULT_TOL, format_report
@@ -129,6 +174,7 @@ def fingerprints(hm, mode: str):
     results = hm.run_gradcheck(seed=0, tol=DEFAULT_TOL)
     yield (f"gradcheck/{mode}",
            hashlib.sha256(format_report(results, DEFAULT_TOL).encode()).hexdigest())
+    yield f"select/{mode}", _select(hm)
 
 
 def main(argv=None) -> int:
