@@ -4,9 +4,10 @@ composite slot agree exactly.
 
 A head scores n row sub-keys and n column sub-keys; every (row, col) pair
 is one of n^2 addressable slots whose score is the sum of its halves. The
-two-stage route, the one every layer runs, pre-selects k per axis and
-searches the k^2 candidates; the fused reference scans the whole n^2 grid
-at once. Both must return the same slots, same order, same softmax weights,
+two-stage route, the one every layer runs, pre-selects the top ranks of
+each axis and searches the staircase of rank pairs (a, b) with
+(a + 1)(b + 1) <= k, re-scanning the grid where a tie could reach past it;
+the fused reference scans the whole n^2 grid at once. Both must return the same slots, same order, same softmax weights,
 including under ties, and selecting all heads in one call must equal
 selecting each head on its own.
 """

@@ -6,18 +6,24 @@ additive pair score sigma(i, j) = S_row[i] + S_col[j] ranges over an n x n
 grid of N = n^2 composite slots addressed by the flat id i * n + j.
 
 Every layer scores all heads in one call and selects with one route,
-two_stage_topk: top-k per axis, then top-k over the k^2 candidate sums,
-ranked by (descending rounded sum, ascending flat id) as a scan of the whole
-grid ranks them. The final top-k takes the flat ids as tie-break ids, so
-candidate order is free. In exact arithmetic every globally top-k pair has
-both coordinates inside the per-axis top-k sets. In floating point it need
-not: two row scores that differ can round to one sum with the same column
-score, and the tie then goes to the smaller flat id, which may lie outside
-the row top-k. So each axis also yields its (k+1)-th score. Sums round
-monotonically, so no pair outside the candidates sums to more than fl(r[k] +
-c[0]) or fl(r[0] + c[k]) (r, c: axis scores in descending order). Where the
-k-th selected sum is strictly above both bounds, the selection is exact;
-every other (token, head) is re-selected from its full grid.
+two_stage_topk: the top m = min(k + 1, n) ranks of each axis, then the top
+k of the candidate sums, ranked by (descending rounded sum, ascending flat
+id) as a scan of the whole grid ranks them. Let r, c be the axis scores in
+descending order. Sums round monotonically, so the pair of ranks (a, b) is
+matched or beaten by the (a + 1)(b + 1) - 1 other pairs (a', b') with
+a' <= a and b' <= b. Only the staircase of pairs with (a + 1)(b + 1) <= k
+can hold the top k, then: 20 candidates at k = 8 instead of k^2 = 64.
+A tie can still reach past it: two row scores that differ can round to one
+sum with the same column score, and the tie goes to the smaller flat id.
+Every pair outside the staircase, those past the per-axis top m included,
+is at or past one of its corners, the minimal pairs outside it ((0, 8),
+(1, 4), (2, 2), (4, 1) and (8, 0) at k = 8), so its sum is at most that
+corner's. Where the k-th selected sum is strictly above every corner sum,
+the selection is exact; every other (token, head) is re-selected from its
+full grid. The final top-k takes the flat ids as tie-break ids, so
+candidate order is free. For float32 both axes sort in one buffer of
+packed uint64 words and the candidates in another, and the ids and sums
+are read back from the sorted words (numerics.packed_topk).
 fused_cartesian_topk materializes the full additive grid and takes a single
 top-k; it is the reference the tests compare against.
 
@@ -30,11 +36,12 @@ gather without changing the math.
 from __future__ import annotations
 
 import contextlib
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import gaussian, softmax, topk, zeros
+from .numerics import gaussian, packed_topk, softmax, topk, zeros
 
 
 @dataclass(frozen=True)
@@ -179,33 +186,78 @@ def score_subkeys(q: np.ndarray, bank: ProductKeyBank):
     return head_scores(q[..., :d_p], bank.k_row), head_scores(q[..., d_p:], bank.k_col)
 
 
+@functools.cache
+def staircase(k: int, m: int):
+    """Rank pairs (row rank, col rank) of the two-stage selection's
+    candidates and corners, as read-only intp arrays (rows, cols, corner
+    rows, corner cols).
+
+    The candidates are the pairs with (a + 1)(b + 1) <= k. The corners are
+    the minimal pairs outside them with both ranks below m, the number of
+    ranks read per axis: every pair outside the candidates has both ranks
+    at or above those of some corner.
+    """
+    def inside(a, b):
+        return (a + 1) * (b + 1) <= k
+
+    cand = [(a, b) for a in range(k) for b in range(k // (a + 1))]
+    corners = [(a, b) for a in range(m) for b in range(m)
+               if not inside(a, b) and (a == 0 or inside(a - 1, b))
+               and (b == 0 or inside(a, b - 1))]
+    out = []
+    for pairs in (cand, corners):
+        ranks = np.array(pairs, dtype=np.intp).reshape(-1, 2).T.copy()
+        ranks.flags.writeable = False
+        out.extend(ranks)
+    return tuple(out)
+
+
 def two_stage_topk(s_row: np.ndarray, s_col: np.ndarray, k: int):
     """Exact top-k over all n^2 additive pair scores via per-axis pre-selection.
 
     s_row, s_col: [..., n] with any leading shape. Returns (flat ids [..., k],
-    softmax weights [..., k]). The final top-k takes the flat ids as its
-    tie-break ids, so the k^2 candidates may come in any order and ties fall
-    (descending sum, ascending flat id) as in a scan of the whole grid. Where
-    a pair outside the candidates could reach the k-th sum (see the module
-    docstring), the selection is redone over the full grid.
+    softmax weights [..., k]). Candidates are the staircase of rank pairs
+    (a, b) with (a + 1)(b + 1) <= k (see the module docstring); the final
+    top-k takes the flat ids as its tie-break ids, so ties fall (descending
+    sum, ascending flat id) as in a scan of the whole grid. Where a corner
+    pair outside the staircase could reach the k-th sum, the selection is
+    redone over the full grid.
+
+    float32 scores, with flat ids that fit 32 bits, sort both axes in one
+    packed uint64 buffer and the candidates in another, and read the ids
+    and scores back from the sorted words; other dtypes take numerics.topk.
     """
     if s_row.shape != s_col.shape:
         raise ValueError(f"axis score shapes differ: {s_row.shape} vs {s_col.shape}")
     n = s_row.shape[-1]
     if k > n:
         raise ValueError(f"two-stage selection needs k <= n, got k={k}, n={n}")
-    lead = s_row.shape[:-1]
-    ri, rv = topk(s_row, min(k + 1, n))
-    ci, cv = topk(s_col, min(k + 1, n))
-    sums = (rv[..., :k, None] + cv[..., None, :k]).reshape(lead + (k * k,))
-    flat = (ri[..., :k, None] * n + ci[..., None, :k]).reshape(lead + (k * k,))
-    idx, vals = topk(sums, k, ids=flat)
-    if k < n:
-        reach = np.maximum(rv[..., k] + cv[..., 0], rv[..., 0] + cv[..., k])
-        redo = reach >= vals[..., -1]
-        if np.any(redo):
+    m = min(k + 1, n)
+    rows, cols, corner_rows, corner_cols = staircase(k, m)
+    packable = s_row.dtype == np.float32 and n * n <= 1 << 32
+    if packable:
+        both = np.empty((2,) + s_row.shape, np.float32)
+        np.add(s_row, np.float32(0.0), out=both[0])
+        np.add(s_col, np.float32(0.0), out=both[1])
+        (ri, ci), (rv, cv) = packed_topk(both.view(np.int32),
+                                         np.arange(n, dtype=np.uint32), m)
+    else:
+        (ri, rv), (ci, cv) = topk(s_row, m), topk(s_col, m)
+    sums = rv[..., rows] + cv[..., cols]
+    flat = ri[..., rows] * n + ci[..., cols]
+    if packable:
+        idx, vals = packed_topk(sums.view(np.int32), flat, k)
+        idx = idx.astype(np.intp)
+    else:
+        idx, vals = topk(sums, k, ids=flat)
+    if corner_rows.size:
+        # rank-major views, so each corner sum is one long elementwise add
+        reach = np.max(rv.T[corner_rows] + cv.T[corner_cols], axis=0)
+        safe = reach.T < vals[..., -1]  # False where a NaN takes part
+        if not safe.all():
+            redo = ~safe
             idx[redo], vals[redo] = _grid_topk(s_row[redo], s_col[redo], k)
-    return idx, softmax(vals, axis=-1)
+    return idx, softmax(vals, axis=-1, out=vals)
 
 
 def _grid_topk(s_row: np.ndarray, s_col: np.ndarray, k: int):

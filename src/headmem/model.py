@@ -100,6 +100,8 @@ def model_forward(tokens: np.ndarray, model: ModelSpec, training: bool = False,
     if tokens.ndim not in (1, 2) or tokens.size == 0:
         raise ValueError(f"expected tokens [s] or [B, s] with s, B >= 1, "
                          f"got shape {tokens.shape}")
+    if not np.issubdtype(tokens.dtype, np.integer):
+        raise ValueError(f"token ids must be integers, got dtype {tokens.dtype}")
     if np.any(tokens < 0) or np.any(tokens >= model.vocab):
         raise ValueError("token id out of vocab range")
     seq_len = tokens.shape[-1]

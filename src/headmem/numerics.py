@@ -7,8 +7,11 @@ a fixed precision and input: no threading knobs, and top-k breaks ties by
 ascending id so equal scores never reorder. Products that contract over
 token rows or positions run in CHUNK-wide pieces (chunked_matmul), so their
 bits do not depend on the BLAS thread count either. Top-k over float32 is one SIMD
-np.sort of packed uint64 keys (an order-reversing map of the score above the
-id); float64 and ids too wide to pack take np.lexsort by score, then id.
+np.sort of packed uint64 words in one buffer (packed_topk): an
+order-reversing map of the score, written in place into each high 32-bit
+word, above the id in the low word; the ids and scores of the top k read
+back from the sorted words. float64 and ids too wide to pack take
+np.lexsort by score, then id.
 
 Importing this module on glibc makes one mallopt call (_keep_freed_heap), so
 the memory one forward frees serves the next instead of going back to the
@@ -23,6 +26,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import os
+import sys
 
 import numpy as np
 
@@ -149,37 +153,75 @@ def chunked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+# index of a uint64's high 32-bit word among its two words in memory
+_HIGH = 1 if sys.byteorder == "little" else 0
+
+
+def packed_words(packed: np.ndarray):
+    """(high, low) views of the 32-bit words of each element of the
+    C-contiguous uint64 array packed: high as int32, low as uint32."""
+    words = packed.view(np.uint32).reshape(packed.shape + (2,))
+    return words[..., _HIGH].view(np.int32), words[..., 1 - _HIGH]
+
+
+def _flip(b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """b ^ ~((b >> 31) | sign bit) into out: float32 bits to keys that
+    ascend, as uint32, while the scores descend, and (an involution) back."""
+    t = np.right_shift(b, 31)
+    t |= np.int32(-0x80000000)
+    np.invert(t, out=t)
+    return np.bitwise_xor(b, t, out=out)
+
+
+def key_scores(high: np.ndarray) -> np.ndarray:
+    """The float32 scores of the keys in high, in a new array: exact for
+    every non-NaN score, with -0 read back as +0."""
+    return _flip(high, np.empty(high.shape, np.int32)).view(np.float32)
+
+
+def packed_topk(score_bits: np.ndarray, low, k: int):
+    """(low words, scores) of the k largest scores along the last axis, by
+    one sort of packed uint64 words.
+
+    score_bits: int32 view of float32 scores plus 0.0, so that -0 ties +0.
+    Each word holds the key of its score in the high half, which ascends
+    as the score descends (NaN last), and low, broadcast to the scores'
+    shape, in the low half, which ranks equal scores. The results cover
+    the sorted words' first k columns: the low words as a uint32 view, and
+    the scores read back by key_scores.
+    """
+    packed = np.empty(score_bits.shape, np.uint64)
+    high, packed_low = packed_words(packed)
+    _flip(score_bits, high)
+    high[np.isnan(score_bits.view(np.float32))] = -1
+    packed_low[...] = low
+    packed.sort(axis=-1)
+    return packed_low[..., :k], key_scores(high[..., :k])
+
+
 def topk(scores: np.ndarray, k: int, ids: np.ndarray | None = None):
     """(ids, values) of the k largest entries along the last axis.
 
     Descending by score, exact ties to the ascending id, then position:
     np.lexsort((ids, -scores)) cut to k, whatever order the entries come in.
     ids (non-negative ints, scores' shape) default to the positions.
-    float32 packs a uint64 per entry: descending key, id, position. Other
-    dtypes and ids too wide for the low 32 bits take that lexsort itself.
-    Both results are C-contiguous; scores and ids are left as they are.
+    float32 packs a uint64 per entry: descending key in the high word, id
+    and position in the low word. Other dtypes and ids too wide for the low
+    word take that lexsort itself. The values are gathered from scores, so
+    they keep its bits, -0 and NaN payloads included. Both results are
+    C-contiguous; scores and ids are left as they are.
     """
     c = scores.shape[-1]
     if not 1 <= k <= c:
         raise ValueError(f"k={k} out of range for axis of size {c}")
-    pos = np.arange(c, dtype=np.uint64)
+    pos = np.arange(c, dtype=np.uint32)
     tie = pos if ids is None else ids
     bits = (c - 1).bit_length()  # the position packs below the id
     if (scores.dtype == np.float32 and tie.min(initial=0) >= 0
             and tie.max(initial=0) < 1 << (32 - bits)):
-        # keys ascend as scores descend; + 0.0 ties -0 with +0, NaNs go last;
-        # C order gives the sort contiguous rows whatever scores' strides are
-        b = np.add(scores, np.float32(0.0), order="C").view(np.int32)
-        b ^= ~((b >> 31) | np.int32(-0x80000000))
-        b[np.isnan(scores)] = -1
-        # key << 32 | tie << bits | pos, built in one buffer
-        packed = b.view(np.uint32).astype(np.uint64)
-        packed <<= np.uint64(32 - bits)
-        np.bitwise_or(packed, tie, out=packed, dtype=np.uint64, casting="unsafe")
-        packed <<= np.uint64(bits)
-        packed |= pos
-        packed.sort(axis=-1)
-        order = (packed[..., :k] & np.uint64((1 << bits) - 1)).astype(np.intp)
+        score_bits = np.add(scores, np.float32(0.0), order="C").view(np.int32)
+        low, _ = packed_topk(score_bits, np.left_shift(tie, bits) | pos, k)
+        order = (low & np.uint32((1 << bits) - 1)).astype(np.intp)
     else:
         order = np.lexsort((np.broadcast_to(tie, scores.shape), -scores), axis=-1)[..., :k]
     # one flat gather: position j of row r is element r * c + j (a strided

@@ -310,6 +310,7 @@ def train(model: ModelSpec, corpus, groups: list[OptimGroup], steps: int,
 def evaluate(model: ModelSpec, inputs: np.ndarray, targets: np.ndarray) -> float:
     """Mean next-token loss over a stack of sequences [B, s] (or one [s]),
     inference mode, in calls of max(1, ROWS // s) sequences."""
+    inputs, targets = np.asarray(inputs), np.asarray(targets)
     if inputs.ndim == 1:
         inputs, targets = inputs[None], targets[None]
     total = 0.0

@@ -200,6 +200,20 @@ def test_model_forward_rejects_bad_token_shapes():
         loss_and_grads(model, np.zeros((2, 3), dtype=int), np.zeros(6, dtype=int))
 
 
+@pytest.mark.parametrize("dtype", [bool, np.float32, np.float64])
+def test_model_forward_rejects_non_integer_tokens(dtype):
+    """A boolean array is not read as a row mask, nor a float one as ids;
+    the training, evaluation and importance entry points inherit the check."""
+    model = _model("headwise")
+    tokens = np.ones(4, dtype=dtype)
+    with pytest.raises(ValueError, match=f"integers, got dtype {np.dtype(dtype)}"):
+        model_forward(tokens, model)
+    with pytest.raises(ValueError, match="integers, got dtype"):
+        loss_and_grads(model, tokens, np.zeros(4, dtype=int))
+    with pytest.raises(ValueError, match="integers, got dtype"):
+        head_importance(model, [(tokens, np.zeros(4, dtype=int))])
+
+
 # ---------------------------------------------------------------------------
 # one store per training step
 

@@ -19,6 +19,7 @@ from headmem.memory import (
     score_subkeys,
     select_topk,
     slot_count,
+    staircase,
     two_stage_topk,
     unflatten_index,
 )
@@ -113,6 +114,58 @@ def test_selection_rejects_bad_k_and_shapes():
         fused_cartesian_topk(s_row, s_col, 17)
     with pytest.raises(ValueError):
         two_stage_topk(s_row, rng.standard_normal((2, 5)), 2)
+
+
+def _staircase_oracle(k, m):
+    """(candidates, corners) as sets from the definitions: the rank pairs
+    with (a + 1)(b + 1) <= k, and the minimal pairs of the rest of the
+    m x m rank grid under the componentwise order."""
+    grid = [(a, b) for a in range(m) for b in range(m)]
+    cand = {(a, b) for a, b in grid if (a + 1) * (b + 1) <= k}
+    rest = [p for p in grid if p not in cand]
+    corners = {p for p in rest
+               if not any(q != p and q[0] <= p[0] and q[1] <= p[1] for q in rest)}
+    return cand, corners
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_staircase_candidates_and_corners(k):
+    for m in (k, k + 1):
+        rows, cols, corner_rows, corner_cols = staircase(k, m)
+        for ranks in (rows, cols, corner_rows, corner_cols):
+            assert ranks.dtype == np.intp and not ranks.flags.writeable
+        cand = set(zip(rows.tolist(), cols.tolist()))
+        corners = set(zip(corner_rows.tolist(), corner_cols.tolist()))
+        assert len(cand) == rows.size and len(corners) == corner_rows.size
+        assert (cand, corners) == _staircase_oracle(k, m)
+        # every rank pair of an n x n grid outside the candidates is at or
+        # past some corner, so no corner sum below the k-th pick leaves a
+        # pair outside able to reach it (n = m = k, or any n > k with m = k + 1)
+        for n in ((m,) if m == k else (m, m + 3)):
+            for a in range(n):
+                for b in range(n):
+                    assert (a, b) in cand or any(
+                        ca <= a and cb <= b for ca, cb in corners)
+    if k == 8:
+        assert len(_staircase_oracle(8, 9)[0]) == 20
+        assert _staircase_oracle(8, 9)[1] == {(0, 8), (1, 4), (2, 2), (4, 1), (8, 0)}
+        assert _staircase_oracle(8, 8)[1] == {(1, 4), (2, 2), (4, 1)}
+    if k == 4:
+        assert len(_staircase_oracle(4, 5)[0]) == 8
+
+
+def test_grid_reselection_only_where_a_tie_can_reach(grid_reselections):
+    """Continuous scores never send a row to the full grid; tie-heavy ones
+    do. Sending every row there stays exact but loses the staircase's gain."""
+    rng = make_rng(36)
+    shape = (384, 4, 32)
+    with precision("f32"):
+        s_row, s_col = (rng.standard_normal(shape).astype(np.float32) for _ in range(2))
+        select_topk(s_row, s_col, 8)
+        assert grid_reselections == []
+        s_row, s_col = (rng.integers(0, 3, shape).astype(np.float32) for _ in range(2))
+        select_topk(s_row, s_col, 8)
+        assert len(grid_reselections) == 1 and grid_reselections[0] > 0
 
 
 def test_select_topk_batched_shapes():

@@ -22,20 +22,14 @@ from headmem.upscale import init_memory_block
 from test_acceptance import grid_topk_oracle
 
 
-@settings(max_examples=150, deadline=None)
-@given(rows=st.integers(1, 6), heads=st.integers(1, 4), n=st.integers(1, 12),
-       k_frac=st.floats(0.0, 1.0),
-       mode=st.sampled_from(["normal", "tie_heavy", "rounding_collision"]),
-       dtype=st.sampled_from([np.float32, np.float64]),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_select_topk_equals_grid_oracle_per_head(rows, heads, n, k_frac,
-                                                 mode, dtype, seed):
-    k = 1 + int(k_frac * (n - 1))
-    rng = np.random.default_rng(seed)
-    shape = (rows, heads, n)
+def _axis_scores(rng, shape, mode, dtype):
+    """(s_row, s_col) of one input mode: normal, tie-heavy or
+    rounding-collision."""
     if mode == "tie_heavy":
-        s_row = rng.integers(0, 3, shape).astype(dtype)
-        s_col = rng.integers(0, 3, shape).astype(dtype)
+        # integer scores; about half of the zeros are -0
+        s_row, s_col = (rng.integers(0, 3, shape).astype(dtype) for _ in range(2))
+        for s in (s_row, s_col):
+            s[(s == 0) & (rng.random(shape) < 0.5)] = -0.0
     elif mode == "rounding_collision":
         # scores one ulp apart on one axis round to one sum with a large
         # score on the other, so the tie falls to the smaller flat id
@@ -46,8 +40,23 @@ def test_select_topk_equals_grid_oracle_per_head(rows, heads, n, k_frac,
         if rng.random() < 0.5:
             s_row, s_col = s_col, s_row
     else:
-        s_row = rng.standard_normal(shape).astype(dtype)
-        s_col = rng.standard_normal(shape).astype(dtype)
+        s_row, s_col = (rng.standard_normal(shape).astype(dtype) for _ in range(2))
+    return s_row, s_col
+
+
+MODES = ["normal", "tie_heavy", "rounding_collision"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.integers(1, 6), heads=st.integers(1, 4), n=st.integers(1, 12),
+       k_frac=st.floats(0.0, 1.0), mode=st.sampled_from(MODES),
+       dtype=st.sampled_from([np.float32, np.float64]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_select_topk_equals_grid_oracle_per_head(rows, heads, n, k_frac,
+                                                 mode, dtype, seed):
+    k = 1 + int(k_frac * (n - 1))
+    s_row, s_col = _axis_scores(np.random.default_rng(seed), (rows, heads, n),
+                                mode, dtype)
     idx, w = select_topk(s_row, s_col, k)
     assert idx.shape == w.shape == (rows, heads, k)
     for h in range(heads):
@@ -56,21 +65,43 @@ def test_select_topk_equals_grid_oracle_per_head(rows, heads, n, k_frac,
         assert np.array_equal(w[:, h], ref_w)
 
 
+@settings(max_examples=800, deadline=None)
+@given(rows=st.integers(1, 64), n=st.one_of(st.just(32), st.integers(13, 32)),
+       k=st.one_of(st.just(8), st.integers(1, 32)), mode=st.sampled_from(MODES),
+       dtype=st.sampled_from([np.float32, np.float64]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_select_topk_equals_grid_oracle_at_benchmark_sizes(rows, n, k, mode, dtype,
+                                                           seed):
+    """The benchmark's sizes (n = 32, k = 8) and the larger staircases: every
+    (token, head) against the grid scan, 4 heads flattened into rows."""
+    k = min(k, n)
+    s_row, s_col = _axis_scores(np.random.default_rng(seed), (rows, 4, n), mode, dtype)
+    idx, w = select_topk(s_row, s_col, k)
+    flat_row, flat_col = s_row.reshape(-1, n), s_col.reshape(-1, n)
+    assert np.array_equal(idx.reshape(-1, k), grid_topk_oracle(flat_row, flat_col, k))
+    _, ref_w = fused_cartesian_topk(flat_row, flat_col, k)
+    assert np.array_equal(w.reshape(-1, k), ref_w)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_select_topk_breaks_ties_by_flat_id_not_candidate_order(dtype):
-    """Axis scores rising with the id put the k^2 candidates in descending
-    flat-id order, and k = n leaves no pair outside them, so no grid
-    re-selection runs: only the final top-k's tie-break by flat id (not by
-    candidate position) ranks the many tied sums as the grid scan does."""
+def test_select_topk_breaks_ties_by_flat_id_not_candidate_order(dtype, grid_reselections):
+    """Axis scores that are a permutation of 0..n-1 tie every anti-diagonal
+    a + b of rank pairs. With k = n the k-th pick lies on an anti-diagonal
+    wholly inside the staircase, and every corner on a later one, so no
+    grid re-selection runs. Scores rising with the id put the candidates in
+    descending flat-id order: only the final sort's tie-break by flat id
+    (not by candidate position) ranks the tied sums as the grid scan does."""
     rng = np.random.default_rng(40)
     for n in range(2, 9):
         rising = np.arange(n, dtype=dtype)
-        s_row = np.stack([rising, rising * 2, rng.permutation(rising)])[:, None]
+        s_row = np.stack([rising, rng.permutation(rising), rng.permutation(rising)])[:, None]
         s_col = np.stack([rising, rising, rng.permutation(rising)])[:, None]
         idx, w = select_topk(s_row, s_col, n)
+        assert grid_reselections == []
         assert np.array_equal(idx[:, 0], grid_topk_oracle(s_row[:, 0], s_col[:, 0], n))
         _, ref_w = fused_cartesian_topk(s_row[:, 0], s_col[:, 0], n)
         assert np.array_equal(w[:, 0], ref_w)
+        grid_reselections.clear()  # the reference scans the grid too
 
 
 def _block(kind, seed):

@@ -260,6 +260,16 @@ def test_evaluate_runs_in_inference_mode():
     assert a == b and np.isfinite(a)
 
 
+def test_evaluate_takes_list_inputs_and_targets():
+    _, model = _memory_model(seed=11)
+    inputs, targets = RecallCorpus(vocab=64, num_pairs=16, seed=0).full_sweep()
+    want = evaluate(model, inputs[0], targets[0])
+    assert evaluate(model, inputs[0], targets[0].tolist()) == want
+    assert evaluate(model, inputs[0].tolist(), targets[0].tolist()) == want
+    with pytest.raises(ValueError, match="integers, got dtype float64"):
+        evaluate(model, inputs[0].astype(float), targets[0])
+
+
 # ---------------------------------------------------------------------------
 # head importance
 
