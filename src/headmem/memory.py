@@ -192,24 +192,19 @@ def staircase(k: int, m: int):
     candidates and corners, as read-only intp arrays (rows, cols, corner
     rows, corner cols).
 
-    The candidates are the pairs with (a + 1)(b + 1) <= k. The corners are
-    the minimal pairs outside them with both ranks below m, the number of
-    ranks read per axis: every pair outside the candidates has both ranks
-    at or above those of some corner.
+    The candidates are the pairs with (a + 1)(b + 1) <= k. On row rank a
+    the first col rank outside them is k // (a + 1); it is a corner, a
+    minimal pair outside, where it drops below the one on row rank a - 1.
+    Only corners with both ranks below m, the ranks read per axis, exist.
     """
-    def inside(a, b):
-        return (a + 1) * (b + 1) <= k
-
     cand = [(a, b) for a in range(k) for b in range(k // (a + 1))]
-    corners = [(a, b) for a in range(m) for b in range(m)
-               if not inside(a, b) and (a == 0 or inside(a - 1, b))
-               and (b == 0 or inside(a, b - 1))]
-    out = []
-    for pairs in (cand, corners):
-        ranks = np.array(pairs, dtype=np.intp).reshape(-1, 2).T.copy()
-        ranks.flags.writeable = False
-        out.extend(ranks)
-    return tuple(out)
+    corners = [(a, k // (a + 1)) for a in range(m)
+               if k // (a + 1) < m and (a == 0 or k // a > k // (a + 1))]
+    ranks = [np.array(pairs, dtype=np.intp).reshape(-1, 2).T.copy()
+             for pairs in (cand, corners)]
+    for r in ranks:
+        r.flags.writeable = False
+    return (*ranks[0], *ranks[1])
 
 
 def two_stage_topk(s_row: np.ndarray, s_col: np.ndarray, k: int):

@@ -157,13 +157,6 @@ def chunked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 _HIGH = 1 if sys.byteorder == "little" else 0
 
 
-def packed_words(packed: np.ndarray):
-    """(high, low) views of the 32-bit words of each element of the
-    C-contiguous uint64 array packed: high as int32, low as uint32."""
-    words = packed.view(np.uint32).reshape(packed.shape + (2,))
-    return words[..., _HIGH].view(np.int32), words[..., 1 - _HIGH]
-
-
 def _flip(b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """b ^ ~((b >> 31) | sign bit) into out: float32 bits to keys that
     ascend, as uint32, while the scores descend, and (an involution) back."""
@@ -173,12 +166,6 @@ def _flip(b: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.bitwise_xor(b, t, out=out)
 
 
-def key_scores(high: np.ndarray) -> np.ndarray:
-    """The float32 scores of the keys in high, in a new array: exact for
-    every non-NaN score, with -0 read back as +0."""
-    return _flip(high, np.empty(high.shape, np.int32)).view(np.float32)
-
-
 def packed_topk(score_bits: np.ndarray, low, k: int):
     """(low words, scores) of the k largest scores along the last axis, by
     one sort of packed uint64 words.
@@ -186,17 +173,20 @@ def packed_topk(score_bits: np.ndarray, low, k: int):
     score_bits: int32 view of float32 scores plus 0.0, so that -0 ties +0.
     Each word holds the key of its score in the high half, which ascends
     as the score descends (NaN last), and low, broadcast to the scores'
-    shape, in the low half, which ranks equal scores. The results cover
+    shape, in the low half, which ranks equal scores. Both results cover
     the sorted words' first k columns: the low words as a uint32 view, and
-    the scores read back by key_scores.
+    the scores read back from the keys, exact for every non-NaN score
+    (-0 reads back as +0).
     """
     packed = np.empty(score_bits.shape, np.uint64)
-    high, packed_low = packed_words(packed)
+    words = packed.view(np.uint32).reshape(packed.shape + (2,))
+    high, packed_low = words[..., _HIGH].view(np.int32), words[..., 1 - _HIGH]
     _flip(score_bits, high)
     high[np.isnan(score_bits.view(np.float32))] = -1
     packed_low[...] = low
     packed.sort(axis=-1)
-    return packed_low[..., :k], key_scores(high[..., :k])
+    top = high[..., :k]
+    return packed_low[..., :k], _flip(top, np.empty(top.shape, np.int32)).view(np.float32)
 
 
 def topk(scores: np.ndarray, k: int, ids: np.ndarray | None = None):
