@@ -240,7 +240,7 @@ def two_stage_topk(s_row: np.ndarray, s_col: np.ndarray, k: int):
         (ri, rv), (ci, cv) = topk(s_row, m), topk(s_col, m)
     sums = rv[..., rows] + cv[..., cols]
     flat = ri[..., rows] * n + ci[..., cols]
-    if packable:
+    if packable:  # read-back scores are never -0, so neither are their sums
         idx, vals = packed_topk(sums.view(np.int32), flat, k)
         idx = idx.astype(np.intp)
     else:

@@ -128,15 +128,20 @@ def _staircase_oracle(k, m):
     return cand, corners
 
 
+def _staircase_sets(k, m):
+    rows, cols, corner_rows, corner_cols = staircase(k, m)
+    for ranks in (rows, cols, corner_rows, corner_cols):
+        assert ranks.dtype == np.intp and not ranks.flags.writeable
+    cand = set(zip(rows.tolist(), cols.tolist()))
+    corners = set(zip(corner_rows.tolist(), corner_cols.tolist()))
+    assert len(cand) == rows.size and len(corners) == corner_rows.size
+    return cand, corners
+
+
 @pytest.mark.parametrize("k", range(1, 9))
 def test_staircase_candidates_and_corners(k):
     for m in (k, k + 1):
-        rows, cols, corner_rows, corner_cols = staircase(k, m)
-        for ranks in (rows, cols, corner_rows, corner_cols):
-            assert ranks.dtype == np.intp and not ranks.flags.writeable
-        cand = set(zip(rows.tolist(), cols.tolist()))
-        corners = set(zip(corner_rows.tolist(), corner_cols.tolist()))
-        assert len(cand) == rows.size and len(corners) == corner_rows.size
+        cand, corners = _staircase_sets(k, m)
         assert (cand, corners) == _staircase_oracle(k, m)
         # every rank pair of an n x n grid outside the candidates is at or
         # past some corner, so no corner sum below the k-th pick leaves a
@@ -147,11 +152,11 @@ def test_staircase_candidates_and_corners(k):
                     assert (a, b) in cand or any(
                         ca <= a and cb <= b for ca, cb in corners)
     if k == 8:
-        assert len(_staircase_oracle(8, 9)[0]) == 20
-        assert _staircase_oracle(8, 9)[1] == {(0, 8), (1, 4), (2, 2), (4, 1), (8, 0)}
-        assert _staircase_oracle(8, 8)[1] == {(1, 4), (2, 2), (4, 1)}
+        assert len(_staircase_sets(8, 9)[0]) == 20
+        assert _staircase_sets(8, 9)[1] == {(0, 8), (1, 4), (2, 2), (4, 1), (8, 0)}
+        assert _staircase_sets(8, 8)[1] == {(1, 4), (2, 2), (4, 1)}
     if k == 4:
-        assert len(_staircase_oracle(4, 5)[0]) == 8
+        assert len(_staircase_sets(4, 5)[0]) == 8
 
 
 def test_grid_reselection_only_where_a_tie_can_reach(grid_reselections):
