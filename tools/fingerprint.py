@@ -16,6 +16,11 @@ the public headmem API, in f32 and in f64:
                                   final parameters and buffers
   prefill/<lengths>/<precision>   logits of 20 prompts, on the cached-value
                                   path and on the direct path
+  prefill-collect/256-512/<precision>
+                                  20 collect=True forwards of 10 prompts,
+                                  each on both paths: logits, every block's
+                                  attention probabilities, and every memory
+                                  block's selected ids and weights
   importance/<precision>          head_importance scores on 40 recall
                                   sequences
   gradcheck/<precision>           the `headmem gradcheck` report
@@ -116,6 +121,25 @@ def _prefill(hm, net, lengths, text: np.ndarray, stream: int) -> str:
     return _sha(out)
 
 
+def _prefill_collect(hm, net, lengths, text: np.ndarray, stream: int) -> str:
+    """The caches of collecting forwards, which the backward and the
+    perfbench path check read."""
+    rng = np.random.default_rng([SEED, 2, stream])
+    caches = hm.build_value_caches(net)
+    out = []
+    for length in rng.choice(lengths, PROMPTS // 2):
+        start = int(rng.integers(0, text.size - length))
+        prompt = text[start:start + length].astype(np.int64)
+        for vc in (caches, None):
+            logits, trace = hm.model_forward(prompt, net, value_caches=vc, collect=True)
+            out.append(logits)
+            for block in trace["blocks"]:
+                out.extend(block["attn"]["attn"])
+                if "mem" in block:
+                    out.extend((block["mem"]["idx"], block["mem"]["w"]))
+    return _sha(out)
+
+
 def _scores(rng, shape, mode: str, dtype):
     """(s_row, s_col) in one of the three input modes of the grid-oracle
     property test: normal, tie-heavy or rounding-collision."""
@@ -168,6 +192,8 @@ def fingerprints(hm, mode: str):
     net = _read_model(hm)
     yield f"prefill/8-32/{mode}", _prefill(hm, net, np.arange(8, 33), text, 0)
     yield f"prefill/256-512/{mode}", _prefill(hm, net, np.arange(256, 513, 16), text, 1)
+    yield (f"prefill-collect/256-512/{mode}",
+           _prefill_collect(hm, net, np.arange(256, 513, 16), text, 2))
     inputs, targets = hm.RecallCorpus(vocab=256, num_pairs=256, seed=SEED + 2).full_sweep()
     report = hm.head_importance(net, list(zip(inputs[:40], targets[:40])))
     yield f"importance/{mode}", _sha([report.scores, report.variance])
