@@ -212,22 +212,26 @@ def retrieve(a: np.ndarray, p: MemoryBlockParams, training: bool = False,
 
 def memory_block_forward(x: np.ndarray, p: MemoryBlockParams, training: bool = False,
                          value_cache: np.ndarray | None = None,
-                         seq_len: int | None = None):
+                         seq_len: int | None = None, collect: bool = True):
     """Residual memory block: y = x + memory(queries(attention(norm(x)))).
 
     x: [B*s, d] token rows of B sequences of seq_len (None: one sequence).
     Retrieval runs once over all rows; attention and query batchnorm group
     them by sequence. The attention sublayer reuses the block's copied
     attention parameters; with output_projection off its raw concatenated
-    head outputs feed the memory directly. Returns (y, cache).
+    head outputs feed the memory directly. Returns (y, cache). Without
+    collect, cache is None and the attention's intermediates are freed
+    before the retrieval runs.
     """
     if value_cache is not None and training:
         raise ValueError("value cache is an inference path, not usable in training")
     xn, ncache = rms_norm_fwd(x, p.norm_gain)
-    ao, acache = causal_attention(xn, p.attn, seq_len=seq_len)
+    ao, acache = causal_attention(xn, p.attn, seq_len=seq_len, collect=collect)
     a = x + ao if p.kind.internal_residual else ao
-
+    del xn, ao  # without collect, no cache holds them through the retrieval
     m, mcache = retrieve(a, p, training, seq_len, value_cache)
     y = x + m
+    if not collect:
+        return y, None
     cache = {"norm": ncache, "attn": acache, "mem": mcache}
     return y, cache

@@ -310,9 +310,15 @@ def build_value_cache(bank: ValueBank) -> np.ndarray:
 def aggregate_values_cached(idx: np.ndarray, w: np.ndarray,
                             v_cached: np.ndarray) -> np.ndarray:
     """Gather-and-pool over the [H, N, d_h] rows of build_value_cache; the
-    same map as aggregate_values. Returns [rows, H * d_h]."""
+    same map as aggregate_values. Returns [rows, H * d_h].
+
+    One take over the [H * N, d_h] rows, with h * N added to head h's ids,
+    gathers what v_cached[h, idx[:, h]] does; the view copies nothing on
+    the C-contiguous cache."""
     rows, heads, _ = idx.shape
-    gathered = v_cached[np.arange(heads)[:, None], idx]  # [rows, H, k, d_h]
+    slots, d_h = v_cached.shape[1:]
+    flat = idx + np.arange(0, heads * slots, slots)[:, None]
+    gathered = np.take(v_cached.reshape(-1, d_h), flat, axis=0)  # [rows, H, k, d_h]
     out = np.einsum("shk,shkd->shd", w, gathered)
     return out.reshape(rows, heads * v_cached.shape[-1])
 

@@ -92,7 +92,9 @@ def model_forward(tokens: np.ndarray, model: ModelSpec, training: bool = False,
 
     caches is None unless collect=True. Its per-token activations are
     row-major over the B*s rows (memory idx/w [B*s, H, k]); attention
-    activations are [B, H, s, ...], with B = 1 for one sequence.
+    activations are [B, H, s, ...], with B = 1 for one sequence. Without
+    collect no block keeps a cache, so the forward holds one block's
+    activations at a time; the arithmetic, and so every bit, is the same.
     value_caches maps block index to the [H, N, d_h] value cache of a
     headwise memory block (build_value_caches; inference only).
     """
@@ -110,11 +112,12 @@ def model_forward(tokens: np.ndarray, model: ModelSpec, training: bool = False,
     block_caches = []
     for i, block in enumerate(model.blocks):
         if isinstance(block, TransformerBlockParams):
-            x, cache = transformer_block_forward(x, block, seq_len=seq_len)
+            x, cache = transformer_block_forward(x, block, seq_len=seq_len,
+                                                 collect=collect)
         elif isinstance(block, MemoryBlockParams):
             vc = value_caches.get(i) if value_caches else None
             x, cache = memory_block_forward(x, block, training=training, value_cache=vc,
-                                            seq_len=seq_len)
+                                            seq_len=seq_len, collect=collect)
         else:
             raise TypeError(f"unknown block type {type(block).__name__}")
         if collect:

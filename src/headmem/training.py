@@ -175,6 +175,8 @@ class ByteCorpus:
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.uint8)
+        if self.seq_len < 1:
+            raise ValueError(f"seq_len must be >= 1, got {self.seq_len}")
         if self.data.size < self.seq_len + 1:
             raise ValueError("corpus shorter than one window")
 
@@ -311,6 +313,9 @@ def evaluate(model: ModelSpec, inputs: np.ndarray, targets: np.ndarray) -> float
     """Mean next-token loss over a stack of sequences [B, s] (or one [s]),
     inference mode, in calls of max(1, ROWS // s) sequences."""
     inputs, targets = np.asarray(inputs), np.asarray(targets)
+    if inputs.ndim not in (1, 2) or inputs.size == 0:
+        raise ValueError(f"expected inputs [s] or [B, s] with s, B >= 1, "
+                         f"got shape {inputs.shape}")
     if inputs.ndim == 1:
         inputs, targets = inputs[None], targets[None]
     total = 0.0

@@ -134,7 +134,8 @@ def query_blocks(s: int):
     return [(i0, min(i0 + CHUNK, s)) for i0 in range(0, s, CHUNK)]
 
 
-def causal_attention(xn: np.ndarray, p: AttentionParams, seq_len: int | None = None):
+def causal_attention(xn: np.ndarray, p: AttentionParams, seq_len: int | None = None,
+                     collect: bool = True):
     """Multi-head block-causal self-attention over the sequences stacked in xn.
 
     xn: [B*s, d] (already normalized by the caller), B sequences of seq_len
@@ -147,8 +148,10 @@ def causal_attention(xn: np.ndarray, p: AttentionParams, seq_len: int | None = N
     dense formula. The concatenated head outputs go through p.w_o;
     attention without an output projection (p.w_o None) returns them raw,
     which downstream memory layers consume as queries. Returns (out [B*s,
-    d], cache); cache["attn"] lists each block's probabilities [B, H,
-    i1 - i0, i1], and qr, kr, v and ctx are [B, H, s, d_h] views.
+    d], cache). With collect, cache["attn"] lists each query block's
+    probabilities [B, H, i1 - i0, i1], and qr, kr, v and ctx are [B, H, s,
+    d_h] views; without, cache is None and each block's probabilities are
+    freed once its probs @ v is summed.
     """
     rows, d = xn.shape
     s = rows if seq_len is None else seq_len
@@ -169,9 +172,14 @@ def causal_attention(xn: np.ndarray, p: AttentionParams, seq_len: int | None = N
         scores = qr[:, :, i0:i1] @ kr[:, :, :i1].swapaxes(-1, -2)  # [B, H, n, i1]
         scores /= math.sqrt(d_h)
         scores[..., i0:] += mask[:i1 - i0, :i1 - i0]
-        probs.append(softmax(scores, axis=-1, out=scores))
-        ctx[:, :, i0:i1] = chunked_matmul(probs[-1], v[:, :, :i1])
+        softmax(scores, axis=-1, out=scores)
+        ctx[:, :, i0:i1] = chunked_matmul(scores, v[:, :, :i1])
+        if collect:
+            probs.append(scores)
+        del scores
     out = cat if p.w_o is None else cat @ p.w_o
+    if not collect:
+        return out, None
     cache = {
         "xn": xn, "qr": qr, "kr": kr, "v": v, "attn": probs, "ctx": ctx,
         "cat": cat, "cos": cos, "sin": sin, "seq_len": s,
@@ -190,17 +198,22 @@ def ffn_forward(z: np.ndarray, p: FfnParams):
 
 
 def transformer_block_forward(x: np.ndarray, p: TransformerBlockParams,
-                              seq_len: int | None = None):
+                              seq_len: int | None = None, collect: bool = True):
     """Pre-norm residual block: attention sublayer then FFN sublayer.
 
     x: [B*s, d] token rows of B sequences of seq_len (None: one sequence).
+    Returns (y, cache). Without collect, cache is None and the attention's
+    intermediates are freed before the FFN runs.
     """
     xn1, ncache1 = rms_norm_fwd(x, p.attn_gain)
-    ao, acache = causal_attention(xn1, p.attn, seq_len=seq_len)
+    ao, acache = causal_attention(xn1, p.attn, seq_len=seq_len, collect=collect)
     a = x + ao
+    del xn1, ao  # without collect, no cache holds them through the FFN
     xn2, ncache2 = rms_norm_fwd(a, p.ffn_gain)
     fo, fcache = ffn_forward(xn2, p.ffn)
     y = a + fo
+    if not collect:
+        return y, None
     cache = {"norm1": ncache1, "attn": acache, "norm2": ncache2, "ffn": fcache}
     return y, cache
 

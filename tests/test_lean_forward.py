@@ -1,0 +1,134 @@
+"""Forwards that collect no caches keep none, and compute the same bits.
+
+model_forward(collect=False) is every inference caller's path: prefill,
+training.evaluate and `headmem eval`. Its blocks return None as the cache
+and free each temporary after its last reader, so a long prompt holds one
+block's activations at a time. Only what is retained differs from the
+collecting path, which the backward reads; the arithmetic is the same.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from headmem.layers import MemoryBlockParams, MemoryLayerKind, memory_block_forward
+from headmem.memory import MemoryConfig
+from headmem.model import (
+    build_value_caches,
+    init_base_model,
+    model_forward,
+    named_params,
+)
+from headmem.numerics import make_rng, precision
+from headmem.transformer import (
+    TransformerBlockParams,
+    causal_attention,
+    transformer_block_forward,
+)
+from headmem.upscale import PlacementPolicy, UpscalePlan, build_memory_dus
+
+KINDS = ("linear", "pkm", "headwise")
+
+
+def _model(kind, d=32, d_ff=48, n=8, k=3, seed=0):
+    base = init_base_model(vocab=64, d=d, heads=4, d_ff=d_ff, depth=3,
+                           rng=make_rng(seed))
+    plan = UpscalePlan(policy=PlacementPolicy("distributed", 3, 2),
+                       insert_kind="memory_block",
+                       memory_kind=MemoryLayerKind.defaults(kind),
+                       memory_cfg=MemoryConfig(heads=4, n=n, k=k, d=d),
+                       seed=seed + 1)
+    model = build_memory_dus(base, plan)
+    rng = make_rng(seed + 2)
+    for path, arr in named_params(model):
+        if path.endswith(("v_base", ".values")):
+            arr[...] = 0.1 * rng.standard_normal(arr.shape)
+    return model
+
+
+def _block_forward(x, block, i, caches, collect):
+    if isinstance(block, TransformerBlockParams):
+        return transformer_block_forward(x, block, collect=collect)
+    return memory_block_forward(x, block, value_cache=caches.get(i), collect=collect)
+
+
+def _traced_peak(fn) -> int:
+    """Peak traced bytes of one call of fn, after a warm-up call (which
+    grows the shared attention tables to the sequence length)."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_long_inference_forward_holds_one_block_at_a_time():
+    """A 512-token cached-value forward of the prefill-long shape peaks near
+    its largest block alone; keeping every query block's probabilities, or
+    the previous block's cache, would take about twice that."""
+    with precision("f32"):
+        model = _model("headwise", d=64, d_ff=256, n=32, k=8)
+    caches = build_value_caches(model)
+    tokens = make_rng(3).integers(0, 64, 512)
+    forward = _traced_peak(lambda: model_forward(tokens, model, value_caches=caches))
+    block_peaks = []
+    x = model.embed[tokens]
+    for i, block in enumerate(model.blocks):
+        block_peaks.append(_traced_peak(
+            lambda: _block_forward(x, block, i, caches, collect=False)))
+        x, _ = _block_forward(x, block, i, caches, collect=False)
+    assert forward <= 1.5 * max(block_peaks), (forward, block_peaks)
+
+
+def test_lean_attention_holds_one_query_block_of_probabilities():
+    """At 512 positions, the four query blocks' probabilities are most of
+    what a collecting attention holds; the lean one holds the last block's
+    alone, about half the peak."""
+    with precision("f32"):
+        attn = _model("headwise", d=64, d_ff=256).blocks[0].attn
+    x = make_rng(8).standard_normal((512, 64)).astype(np.float32)
+    lean = _traced_peak(lambda: causal_attention(x, attn, collect=False))
+    full = _traced_peak(lambda: causal_attention(x, attn))
+    assert lean <= 0.7 * full, (lean, full)
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["direct", "cached"])
+@pytest.mark.parametrize("shape", [(300,), (2, 150)], ids=["one", "batch"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_lean_logits_equal_collected_logits_bitwise(kind, shape, cached):
+    """Sequences longer than one 128-row query block, so the attention
+    frees probabilities between blocks."""
+    with precision("f32"):
+        model = _model(kind, seed=4)
+    caches = build_value_caches(model) if cached else None
+    if cached and kind == "headwise":
+        assert caches
+    tokens = make_rng(5).integers(0, 64, shape)
+    lean, none = model_forward(tokens, model, value_caches=caches)
+    full, trace = model_forward(tokens, model, value_caches=caches, collect=True)
+    assert none is None and trace is not None
+    assert lean.tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_block_forwards_return_no_cache_without_collect(kind):
+    with precision("f64"):
+        model = _model(kind, seed=6)
+    caches = build_value_caches(model)
+    x = make_rng(7).standard_normal((2 * 140, model.d))
+    attn = model.blocks[0].attn
+    lean, none = causal_attention(x, attn, seq_len=140, collect=False)
+    full, cache = causal_attention(x, attn, seq_len=140)
+    assert none is None and len(cache["attn"]) == 2
+    assert np.array_equal(lean, full)
+    kinds = set()
+    for i, block in enumerate(model.blocks):
+        kinds.add(type(block))
+        lean, none = _block_forward(x, block, i, caches, collect=False)
+        full, cache = _block_forward(x, block, i, caches, collect=True)
+        assert none is None and cache is not None
+        assert np.array_equal(lean, full)
+    assert kinds == {TransformerBlockParams, MemoryBlockParams}

@@ -126,6 +126,12 @@ def test_byte_corpus_windows(tmp_path):
         ByteCorpus(np.zeros(4, dtype=np.uint8), seq_len=16)
 
 
+@pytest.mark.parametrize("seq_len", [0, -3])
+def test_byte_corpus_rejects_empty_windows(seq_len):
+    with pytest.raises(ValueError, match=f"seq_len must be >= 1, got {seq_len}"):
+        ByteCorpus(np.zeros(64, dtype=np.uint8), seq_len=seq_len)
+
+
 def _hash_params(model, paths):
     h = hashlib.sha256()
     arrays = dict(named_params(model))
@@ -268,6 +274,14 @@ def test_evaluate_takes_list_inputs_and_targets():
     assert evaluate(model, inputs[0].tolist(), targets[0].tolist()) == want
     with pytest.raises(ValueError, match="integers, got dtype float64"):
         evaluate(model, inputs[0].astype(float), targets[0])
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (0,), (3, 0)])
+def test_evaluate_rejects_empty_inputs(shape):
+    _, model = _memory_model(seed=11)
+    empty = np.zeros(shape, dtype=np.int64)
+    with pytest.raises(ValueError, match=rf"got shape \({shape[0]},"):
+        evaluate(model, empty, empty)
 
 
 # ---------------------------------------------------------------------------
