@@ -276,7 +276,8 @@ def test_evaluate_takes_list_inputs_and_targets():
         evaluate(model, inputs[0].astype(float), targets[0])
 
 
-@pytest.mark.parametrize("shape", [(0, 4), (0,), (3, 0)])
+@pytest.mark.parametrize("shape", [(0, 4), (0,), (3, 0)],
+                         ids=["no_sequences", "empty_sequence", "empty_sequences"])
 def test_evaluate_rejects_empty_inputs(shape):
     _, model = _memory_model(seed=11)
     empty = np.zeros(shape, dtype=np.int64)
