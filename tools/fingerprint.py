@@ -8,10 +8,12 @@ equal lines mean equal bits. Every input is made from a fixed seed through
 the public headmem API, in f32 and in f64:
 
   train/<task>/<precision>        15 training steps of the recall task
-                                  (headwise memory) and of 128-byte windows
-                                  (pkm memory), and 4 steps of 464-byte
-                                  windows (bytes-464: attention and weight
-                                  gradients over several 128-row chunks):
+                                  (headwise memory, and linear memory, which
+                                  selects through numerics.topk) and of
+                                  128-byte windows (pkm memory), and 4 steps
+                                  of 464-byte windows (bytes-464: attention
+                                  and weight gradients over several 128-row
+                                  chunks):
                                   losses, learning rates, write counts,
                                   final parameters and buffers
   prefill/<lengths>/<precision>   logits of 20 prompts, on the cached-value
@@ -184,6 +186,9 @@ def fingerprints(hm, mode: str):
     text = _text()
     yield (f"train/recall/{mode}",
            _train(hm, "headwise", 16, 4,
+                  hm.RecallCorpus(vocab=256, num_pairs=256, seed=SEED + 2), 16))
+    yield (f"train/linear/{mode}",
+           _train(hm, "linear", 16, 4,
                   hm.RecallCorpus(vocab=256, num_pairs=256, seed=SEED + 2), 16))
     yield (f"train/bytes/{mode}",
            _train(hm, "pkm", 32, 8, hm.ByteCorpus(text, seq_len=128), 8))
