@@ -17,7 +17,6 @@ from .memory import (
     aggregate_values_cached,
     build_value_cache,
     count_scoring_macs,
-    flat_index,
     fused_cartesian_topk,
     lookup_cost,
     param_count,

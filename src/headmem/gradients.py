@@ -162,7 +162,7 @@ def _norm_backward(dy: np.ndarray, cache: dict, grads: GradStore, path: str) -> 
 def lm_loss_backward(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Gradient of the mean cross entropy over every row of logits [rows, V]."""
     s = logits.shape[0]
-    d = softmax(logits, axis=-1)
+    d = softmax(logits)
     d[np.arange(s), targets] -= 1.0
     return d / s
 

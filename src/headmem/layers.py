@@ -194,7 +194,7 @@ def retrieve(a: np.ndarray, p: MemoryBlockParams, training: bool = False,
     qh = q.reshape(a.shape[0], cfg.heads, cfg.d_h)
     if kind == "linear":
         idx, vals = topk(head_scores(qh, bank.keys), cfg.k)
-        w = softmax(vals, axis=-1)
+        w = softmax(vals)
     else:
         idx, w = select_topk(*score_subkeys(qh, bank.pk), cfg.k)
     if kind != "headwise":

@@ -20,8 +20,8 @@ is at or past one of its corners, the minimal pairs outside it ((0, 8),
 (1, 4), (2, 2), (4, 1) and (8, 0) at k = 8), so its sum is at most that
 corner's. Where the k-th selected sum is strictly above every corner sum,
 the selection is exact; every other (token, head) is re-selected from its
-full grid. The final top-k takes the flat ids as tie-break ids, so
-candidate order is free. For float32 both axes sort in one buffer of
+full grid. The final top-k breaks ties by the flat ids, so candidate
+order is free. For float32 both axes sort in one buffer of
 packed uint64 words and the candidates in another, and the ids and sums
 are read back from the sorted words (numerics.packed_topk).
 fused_cartesian_topk materializes the full additive grid and takes a single
@@ -117,15 +117,6 @@ def init_value_bank(cfg: MemoryConfig, rng: np.random.Generator) -> ValueBank:
     )
 
 
-def flat_index(i, j, n: int):
-    """Composite slot id of sub-key pair (i, j): i * n + j, both 0-based."""
-    i = np.asarray(i)
-    j = np.asarray(j)
-    if np.any(i < 0) or np.any(i >= n) or np.any(j < 0) or np.any(j >= n):
-        raise ValueError(f"pair index out of range for n={n}")
-    return i * n + j
-
-
 def unflatten_index(idx, n: int):
     idx = np.asarray(idx)
     if np.any(idx < 0) or np.any(idx >= n * n):
@@ -213,14 +204,15 @@ def two_stage_topk(s_row: np.ndarray, s_col: np.ndarray, k: int):
     s_row, s_col: [..., n] with any leading shape. Returns (flat ids [..., k],
     softmax weights [..., k]). Candidates are the staircase of rank pairs
     (a, b) with (a + 1)(b + 1) <= k (see the module docstring); the final
-    top-k takes the flat ids as its tie-break ids, so ties fall (descending
-    sum, ascending flat id) as in a scan of the whole grid. Where a corner
-    pair outside the staircase could reach the k-th sum, the selection is
-    redone over the full grid.
+    top-k breaks ties by the flat ids, so ties fall (descending sum,
+    ascending flat id) as in a scan of the whole grid. Where a corner pair
+    outside the staircase could reach the k-th sum, the selection is redone
+    over the full grid.
 
     float32 scores, with flat ids that fit 32 bits, sort both axes in one
     packed uint64 buffer and the candidates in another, and read the ids
-    and scores back from the sorted words; other dtypes take numerics.topk.
+    and scores back from the sorted words. Other scores take numerics.topk
+    per axis and rank the candidates by np.lexsort((flat ids, -sums)).
     """
     if s_row.shape != s_col.shape:
         raise ValueError(f"axis score shapes differ: {s_row.shape} vs {s_col.shape}")
@@ -244,7 +236,9 @@ def two_stage_topk(s_row: np.ndarray, s_col: np.ndarray, k: int):
         idx, vals = packed_topk(sums.view(np.int32), flat, k)
         idx = idx.astype(np.intp)
     else:
-        idx, vals = topk(sums, k, ids=flat)
+        order = np.lexsort((flat, -sums), axis=-1)[..., :k]
+        idx = np.take_along_axis(flat, order, -1)
+        vals = np.take_along_axis(sums, order, -1)
     if corner_rows.size:
         # rank-major views, so each corner sum is one long elementwise add
         reach = np.max(rv.T[corner_rows] + cv.T[corner_cols], axis=0)
@@ -252,7 +246,7 @@ def two_stage_topk(s_row: np.ndarray, s_col: np.ndarray, k: int):
         if not safe.all():
             redo = ~safe
             idx[redo], vals[redo] = _grid_topk(s_row[redo], s_col[redo], k)
-    return idx, softmax(vals, axis=-1, out=vals)
+    return idx, softmax(vals, out=vals)
 
 
 def _grid_topk(s_row: np.ndarray, s_col: np.ndarray, k: int):
@@ -266,8 +260,8 @@ def fused_cartesian_topk(s_row: np.ndarray, s_col: np.ndarray, k: int):
     """Reference selection: one top-k over the materialized n x n grid.
 
     Same selected set, same order, same weights as two_stage_topk (a grid
-    position is its flat id, so the default tie-break ids are the flat
-    ids). No layer calls it; tests compare against it.
+    position is its flat id, so topk's ties by position fall by flat id).
+    No layer calls it; tests compare against it.
     """
     s, n = s_row.shape
     if s_col.shape != (s, n):
@@ -275,7 +269,7 @@ def fused_cartesian_topk(s_row: np.ndarray, s_col: np.ndarray, k: int):
     if k > n * n:
         raise ValueError(f"k={k} exceeds slot count {n * n}")
     idx, vals = _grid_topk(s_row, s_col, k)
-    return idx, softmax(vals, axis=-1)
+    return idx, softmax(vals)
 
 
 def select_topk(s_row: np.ndarray, s_col: np.ndarray, k: int):

@@ -4,14 +4,14 @@ Tensors are plain numpy arrays (row-major, float32 by default). A global
 precision switch flips newly created parameters and activations to float64,
 which the gradient verifier relies on. All ops here are bit-deterministic for
 a fixed precision and input: no threading knobs, and top-k breaks ties by
-ascending id so equal scores never reorder. Products that contract over
-token rows or positions run in CHUNK-wide pieces (chunked_matmul), so their
-bits do not depend on the BLAS thread count either. Top-k over float32 is one SIMD
-np.sort of packed uint64 words in one buffer (packed_topk): an
-order-reversing map of the score, written in place into each high 32-bit
-word, above the id in the low word; the ids and scores of the top k read
-back from the sorted words. float64 and ids too wide to pack take
-np.lexsort by score, then id.
+ascending position so equal scores never reorder. Products that contract
+over token rows or positions run in CHUNK-wide pieces (chunked_matmul), so
+their bits do not depend on the BLAS thread count either. Top-k over
+float32 is one SIMD np.sort of packed uint64 words in one buffer
+(packed_topk): an order-reversing map of the score, written in place into
+each high 32-bit word, above a tie-break word (the position, for topk) in
+the low one; the top k read back from the sorted words. float64 takes a
+stable np.argsort of the negated scores.
 
 Importing this module on glibc makes one mallopt call (_keep_freed_heap), so
 the memory one forward frees serves the next instead of going back to the
@@ -131,14 +131,14 @@ def assert_finite(x: np.ndarray, what: str = "tensor") -> None:
         raise NumericsError(f"{what} contains NaN/Inf")
 
 
-def softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
-    """Max-subtracted softmax; rows of the result sum to 1. out=x computes
-    in place, bit for bit as into a fresh array."""
-    if x.shape[axis] == 0:
+def softmax(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Max-subtracted softmax over the last axis; rows of the result sum to
+    1. out=x computes in place, bit for bit as into a fresh array."""
+    if x.shape[-1] == 0:
         raise ValueError("softmax over an empty axis")
-    e = np.subtract(x, np.max(x, axis=axis, keepdims=True), out=out)
+    e = np.subtract(x, np.max(x, axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
-    e /= np.sum(e, axis=axis, keepdims=True)
+    e /= np.sum(e, axis=-1, keepdims=True)
     return e
 
 
@@ -189,35 +189,28 @@ def packed_topk(score_bits: np.ndarray, low, k: int):
     return packed_low[..., :k], _flip(top, np.empty(top.shape, np.int32)).view(np.float32)
 
 
-def topk(scores: np.ndarray, k: int, ids: np.ndarray | None = None):
-    """(ids, values) of the k largest entries along the last axis.
+def topk(scores: np.ndarray, k: int):
+    """(positions, values) of the k largest entries along the last axis.
 
-    Descending by score, exact ties to the ascending id, then position:
-    np.lexsort((ids, -scores)) cut to k, whatever order the entries come in.
-    ids (non-negative ints, scores' shape) default to the positions.
-    float32 packs a uint64 per entry: descending key in the high word, id
-    and position in the low word. Other dtypes and ids too wide for the low
-    word take that lexsort itself. The values are gathered from scores, so
-    they keep its bits, -0 and NaN payloads included. Both results are
-    C-contiguous; scores and ids are left as they are.
+    Descending by score, exact ties to the ascending position:
+    np.lexsort((positions, -scores)) cut to k. float32 packs a uint64 per
+    entry, descending key in the high word and position in the low word;
+    float64 takes a stable np.argsort of -scores. The values are gathered
+    from scores, so they keep its bits, -0 and NaN payloads included. Both
+    results are C-contiguous; scores is left as it is.
     """
     c = scores.shape[-1]
     if not 1 <= k <= c:
         raise ValueError(f"k={k} out of range for axis of size {c}")
-    pos = np.arange(c, dtype=np.uint32)
-    tie = pos if ids is None else ids
-    bits = (c - 1).bit_length()  # the position packs below the id
-    if (scores.dtype == np.float32 and tie.min(initial=0) >= 0
-            and tie.max(initial=0) < 1 << (32 - bits)):
+    if scores.dtype == np.float32 and c <= 1 << 32:
         score_bits = np.add(scores, np.float32(0.0), order="C").view(np.int32)
-        low, _ = packed_topk(score_bits, np.left_shift(tie, bits) | pos, k)
-        order = (low & np.uint32((1 << bits) - 1)).astype(np.intp)
+        low, _ = packed_topk(score_bits, np.arange(c, dtype=np.uint32), k)
+        order = low.astype(np.intp)
     else:
-        order = np.lexsort((np.broadcast_to(tie, scores.shape), -scores), axis=-1)[..., :k]
+        order = np.argsort(-scores, axis=-1, kind="stable")[..., :k]
     # one flat gather: position j of row r is element r * c + j (a strided
     # scores is copied flat first)
     order = np.ascontiguousarray(order).reshape(-1, k)
     flat = order + np.arange(0, order.shape[0] * c, c)[:, None]
     shape = scores.shape[:-1] + (k,)
-    vals = scores.reshape(-1)[flat].reshape(shape)
-    return (order if ids is None else ids.reshape(-1)[flat]).reshape(shape), vals
+    return order.reshape(shape), scores.reshape(-1)[flat].reshape(shape)

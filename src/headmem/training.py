@@ -21,7 +21,7 @@ import numpy as np
 from .gradients import GradStore, lm_loss_backward, model_backward
 from .model import ModelSpec, model_forward, named_params, trainable_paths
 from .numerics import NumericsError, make_rng
-from .transformer import lm_loss
+from .transformer import check_targets, lm_loss
 
 # leaf tensor names that form the memory key/value group: these train at a
 # fixed learning rate with no weight decay, everything else inserted follows
@@ -210,9 +210,7 @@ def loss_and_grads(model: ModelSpec, inputs: np.ndarray, targets: np.ndarray,
     returns (loss, grads).
     """
     targets = np.asarray(targets)
-    if targets.shape != np.shape(inputs):
-        raise ValueError(f"targets shape {targets.shape} does not match inputs "
-                         f"{np.shape(inputs)}")
+    check_targets(targets, np.shape(inputs), model.vocab)
     logits, caches = model_forward(inputs, model, training=True, collect=True)
     logits = logits.reshape(-1, model.vocab)
     targets = targets.reshape(-1)
@@ -313,6 +311,7 @@ def evaluate(model: ModelSpec, inputs: np.ndarray, targets: np.ndarray) -> float
     """Mean next-token loss over a stack of sequences [B, s] (or one [s]),
     inference mode, in calls of max(1, ROWS // s) sequences."""
     inputs, targets = np.asarray(inputs), np.asarray(targets)
+    check_targets(targets, inputs.shape, model.vocab)
     if inputs.ndim not in (1, 2) or inputs.size == 0:
         raise ValueError(f"expected inputs [s] or [B, s] with s, B >= 1, "
                          f"got shape {inputs.shape}")
@@ -366,8 +365,7 @@ def head_importance(model: ModelSpec, dataset) -> HeadImportanceReport:
         if np.ndim(inputs) != 1 or targets.shape != np.shape(inputs):
             raise ValueError(f"expected inputs and targets of one sequence [s], "
                              f"got shapes {np.shape(inputs)} and {targets.shape}")
-        if np.any(targets < 0) or np.any(targets >= model.vocab):
-            raise ValueError("target id out of vocab range")
+        check_targets(targets, np.shape(inputs), model.vocab)
         logits, caches = model_forward(inputs, model, training=False,
                                        collect=True)
         probes: dict = {}

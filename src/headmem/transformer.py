@@ -124,11 +124,6 @@ def split_heads(x: np.ndarray, heads: int, seq_len: int | None = None) -> np.nda
     return x.reshape(rows // s, s, heads, d // heads).transpose(0, 2, 1, 3)
 
 
-def merge_heads(x: np.ndarray) -> np.ndarray:
-    """[B, H, s, d_h] -> [B*s, d], the inverse of split_heads."""
-    return x.swapaxes(1, 2).reshape(-1, x.shape[1] * x.shape[3])
-
-
 def query_blocks(s: int):
     """(i0, i1) of each CHUNK-row query block of a length-s sequence."""
     return [(i0, min(i0 + CHUNK, s)) for i0 in range(0, s, CHUNK)]
@@ -172,7 +167,7 @@ def causal_attention(xn: np.ndarray, p: AttentionParams, seq_len: int | None = N
         scores = qr[:, :, i0:i1] @ kr[:, :, :i1].swapaxes(-1, -2)  # [B, H, n, i1]
         scores /= math.sqrt(d_h)
         scores[..., i0:] += mask[:i1 - i0, :i1 - i0]
-        softmax(scores, axis=-1, out=scores)
+        softmax(scores, out=scores)
         ctx[:, :, i0:i1] = chunked_matmul(scores, v[:, :, :i1])
         if collect:
             probs.append(scores)
@@ -218,13 +213,21 @@ def transformer_block_forward(x: np.ndarray, p: TransformerBlockParams,
     return y, cache
 
 
+def check_targets(targets: np.ndarray, shape: tuple, vocab: int) -> None:
+    """Raise ValueError unless targets are integer token ids below vocab, one
+    for each input token of the given shape."""
+    if targets.shape != shape:
+        raise ValueError(f"targets shape {targets.shape} does not match inputs {shape}")
+    if not np.issubdtype(targets.dtype, np.integer):
+        raise ValueError(f"target ids must be integers, got dtype {targets.dtype}")
+    if np.any(targets < 0) or np.any(targets >= vocab):
+        raise ValueError("target id out of vocab range")
+
+
 def lm_loss(logits: np.ndarray, targets: np.ndarray) -> float:
     """Mean next-token cross entropy; targets are int token ids, one per row."""
     s, vocab = logits.shape
-    if targets.shape != (s,):
-        raise ValueError(f"targets shape {targets.shape} does not match {s} rows")
-    if np.any(targets < 0) or np.any(targets >= vocab):
-        raise ValueError("target id out of vocab range")
+    check_targets(targets, (s,), vocab)
     shifted = logits - np.max(logits, axis=-1, keepdims=True)
     logz = np.log(np.sum(np.exp(shifted), axis=-1))
     picked = shifted[np.arange(s), targets]

@@ -147,7 +147,7 @@ def _reference(a, p, seq_len, dm):
             s_col = q_h[:, d_p:] @ bank.pk.k_col[h].T
             idx_h = grid_topk_oracle(s_row, s_col, cfg.k)
             vals = s_row[take, idx_h // n] + s_col[take, idx_h % n]
-        w_h = softmax(vals, axis=-1)
+        w_h = softmax(vals)
         rows_v = table[idx_h]  # [rows, k, width]
         pooled = np.einsum("rk,rkw->rw", w_h, rows_v)
         if kind == "headwise":

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -285,6 +286,38 @@ def test_evaluate_rejects_empty_inputs(shape):
         evaluate(model, empty, empty)
 
 
+def _no_forward(*args, **kwargs):
+    raise AssertionError("a forward ran before the targets were checked")
+
+
+@pytest.mark.parametrize("shape,target_shape", [((8,), (8, 1)), ((8,), (1, 8)),
+                                                 ((2, 8), (8,))],
+                         ids=["column_targets", "row_targets", "one_row_of_two"])
+def test_evaluate_rejects_targets_of_another_shape(monkeypatch, shape, target_shape):
+    _, model = _memory_model(seed=11)
+    monkeypatch.setattr("headmem.training.model_forward", _no_forward)
+    inputs, targets = np.ones(shape, np.int64), np.ones(target_shape, np.int64)
+    with pytest.raises(ValueError, match=re.escape(
+            f"targets shape {target_shape} does not match inputs {shape}")):
+        evaluate(model, inputs, targets)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.bool_], ids=["float", "bool"])
+@pytest.mark.parametrize("entry", ["evaluate", "loss_and_grads", "head_importance"])
+def test_non_integer_targets_raise_value_error(monkeypatch, entry, dtype):
+    """Float targets once escaped as IndexError ("arrays used as indices")
+    and bool targets as a boolean-index mismatch."""
+    _, model = _memory_model(seed=11)
+    monkeypatch.setattr("headmem.training.model_forward", _no_forward)
+    inputs, targets = np.arange(8), np.ones(8, dtype)
+    call = {"evaluate": lambda: evaluate(model, inputs, targets),
+            "loss_and_grads": lambda: loss_and_grads(model, inputs, targets),
+            "head_importance": lambda: head_importance(model, [(inputs, targets)])}
+    with pytest.raises(ValueError,
+                       match=f"target ids must be integers, got dtype {np.dtype(dtype)}"):
+        call[entry]()
+
+
 # ---------------------------------------------------------------------------
 # head importance
 
@@ -366,7 +399,6 @@ def test_head_importance_matches_finite_differences():
     from headmem.transformer import (
         ffn_forward,
         lm_loss,
-        merge_heads,
         rms_norm_fwd,
     )
 
@@ -385,7 +417,7 @@ def test_head_importance_matches_finite_differences():
     p = model.blocks[0]
 
     def loss_with_ctx(c):
-        attn_out = merge_heads(c[None]) @ p.attn.w_o
+        attn_out = c.swapaxes(0, 1).reshape(c.shape[1], -1) @ p.attn.w_o  # merge heads
         x2 = x + attn_out
         xn2, _ = rms_norm_fwd(x2, p.ffn_gain)
         ff, _ = ffn_forward(xn2, p.ffn)
