@@ -17,13 +17,12 @@ import struct
 
 import numpy as np
 
-from .layers import BN_EPS, BN_MOMENTUM, MemoryLayerKind
+from .layers import MemoryLayerKind
 from .memory import MemoryConfig
 from .model import (
     ModelSpec,
     init_base_model,
     init_transformer_block,
-    named_buffers,
     named_params,
     tensor_slots,
 )
@@ -37,7 +36,7 @@ _DTYPES = {"float32": np.float32, "float64": np.float64}
 
 # descriptor fields of files written while these were settable; a file may
 # still carry one, at the constant's value
-_FIXED = {"rope_base": ROPE_BASE, "bn_momentum": BN_MOMENTUM, "bn_eps": BN_EPS}
+_FIXED = {"rope_base": ROPE_BASE}
 
 
 class CheckpointError(Exception):
@@ -63,7 +62,7 @@ def _block_descriptor(block) -> dict:
 
 
 def save_checkpoint(path: str, model: ModelSpec, config: dict | None = None):
-    tensors = list(named_params(model)) + list(named_buffers(model))
+    tensors = list(named_params(model))
     table = [{"name": name, "shape": list(arr.shape), "dtype": arr.dtype.name}
              for name, arr in tensors]
     for entry in table:
@@ -148,7 +147,14 @@ def _skeleton_block(desc: dict, prefix: str, sizes: dict, rng: _ZeroDraws):
     if desc["type"] == "transformer":
         block = init_transformer_block(d, heads, sizes["d_ff"], rng)
     elif desc["type"] == "memory":
-        lk = MemoryLayerKind(**desc["toggles"])
+        toggles = dict(desc["toggles"])
+        # files written while query batchnorm existed carry its toggle (and,
+        # when it was on, bn_momentum and bn_eps, which are ignored)
+        if toggles.pop("query_batchnorm", False) is not False:
+            raise CheckpointError(f"{prefix} has toggles.query_batchnorm "
+                                  f"{desc['toggles']['query_batchnorm']!r}; query "
+                                  "batchnorm was removed, so its model cannot load")
+        lk = MemoryLayerKind(**toggles)
         _require(all(type(v) is bool for v in dataclasses.astuple(lk)[1:]),
                  f"{prefix} toggles are not booleans")
         # older files carry selection-route fields in cfg too; they are ignored
@@ -198,6 +204,10 @@ def _build_model(header: dict, payload: memoryview):
     draws, then filled from the file block by block, so a header that
     disagrees with the payload fails before the next block is allocated."""
     tensors = _read_tensors(header, payload)
+    batchnorm = sorted(name for name in tensors if ".query_bn." in name)
+    if batchnorm:
+        raise CheckpointError("query batchnorm was removed, so a file with its "
+                              f"tensors cannot load: {', '.join(batchnorm)}")
     info = header["model"]
     # older files also record base_depth, which is ignored
     sizes = {key: _size(info[key], f"model.{key}") for key in ("vocab", "d", "heads", "d_ff")}

@@ -135,8 +135,9 @@ def parse_config_text(text: str) -> dict:
 def config_from_snapshot(snapshot) -> dict:
     """The config a checkpoint header carries, checked like a config file:
     every SCHEMA key must be there with a value of its type. Keys SCHEMA no
-    longer has (older files carry memory.route, memory.fused_threshold and
-    train.loss_scale) are dropped."""
+    longer has (older files carry memory.route, memory.fused_threshold,
+    memory.query_batchnorm and train.loss_scale) are dropped; the model
+    comes from the file's block descriptors, not from this snapshot."""
     cfg = default_config()
     for sect, keys in SCHEMA.items():
         for key, (conv, default, *_) in keys.items():

@@ -22,7 +22,6 @@ import numpy as np
 from .gradients import (
     GradStore,
     attention_backward,
-    batchnorm_backward,
     ffn_backward,
     lm_loss_backward,
     memory_block_backward,
@@ -31,13 +30,7 @@ from .gradients import (
     softmax_backward,
     transformer_block_backward,
 )
-from .layers import (
-    MEMORY_TOGGLES,
-    MemoryLayerKind,
-    batchnorm_query,
-    init_batchnorm,
-    memory_block_forward,
-)
+from .layers import MEMORY_TOGGLES, MemoryLayerKind, memory_block_forward
 from .memory import MemoryConfig
 from .model import (
     init_attention,
@@ -169,28 +162,6 @@ def check_softmax(seed: int = 0) -> CheckResult:
     return _fd_compare("softmax", loss, [("x", x, dx)])
 
 
-def check_batchnorm(seed: int = 0, training: bool = True) -> CheckResult:
-    rng = make_rng(seed)
-    with precision("f64"):
-        bn = init_batchnorm(6)
-        bn.gamma[...] = rng.standard_normal(6)
-        bn.beta[...] = rng.standard_normal(6)
-        bn.running_mean[...] = rng.standard_normal(6) * 0.1
-        bn.running_var[...] = 1.0 + 0.1 * rng.random(6)
-    x = rng.standard_normal((8, 6))
-    r = rng.standard_normal((8, 6))
-
-    def loss():
-        out, _ = batchnorm_query(x, bn, training)
-        return float(np.sum(out * r))
-
-    _, cache = batchnorm_query(x, bn, training)
-    dx, dgamma, dbeta = batchnorm_backward(r, cache)
-    name = "batchnorm_train" if training else "batchnorm_eval"
-    return _fd_compare(name, loss, [("x", x, dx), ("gamma", bn.gamma, dgamma),
-                                    ("beta", bn.beta, dbeta)])
-
-
 def check_attention(seed: int = 0, with_projection: bool = True) -> CheckResult:
     rng = make_rng(seed)
     with precision("f64"):
@@ -237,13 +208,13 @@ def check_memory_block(kind: str, seed: int = 0, all_toggles: bool = False,
                        batch: int = 1) -> CheckResult:
     """all_toggles switches every ablation toggle on; batch > 1 stacks that
     many 5-token sequences into one call, which exercises per-sequence
-    attention and query batchnorm over token rows."""
+    attention over token rows."""
     p, cfg, rng = _memory_block_fixture(kind, all_toggles, seed)
     x = rng.standard_normal((batch * 5, cfg.d))
     r = rng.standard_normal((batch * 5, cfg.d))
     name = (f"memory_block_{kind}" + ("_all_toggles" if all_toggles else "")
             + (f"_batch{batch}" if batch > 1 else ""))
-    return _check_block(name, partial(memory_block_forward, training=True, seq_len=5),
+    return _check_block(name, partial(memory_block_forward, seq_len=5),
                         memory_block_backward, p, x, r)
 
 
@@ -283,8 +254,6 @@ def check_full_model(kind: str = "headwise", seed: int = 0,
 LAYER_CHECKS = {
     "rms_norm": check_rms_norm,
     "softmax": check_softmax,
-    "batchnorm_train": partial(check_batchnorm, training=True),
-    "batchnorm_eval": partial(check_batchnorm, training=False),
     "attention_projected": partial(check_attention, with_projection=True),
     "attention_raw_heads": partial(check_attention, with_projection=False),
     "ffn": check_ffn,
@@ -297,6 +266,8 @@ LAYER_CHECKS = {
     "memory_block_linear_batch3": partial(check_memory_block, "linear", batch=3),
     "memory_block_pkm_batch3": partial(check_memory_block, "pkm", batch=3),
     "memory_block_headwise_batch3": partial(check_memory_block, "headwise", batch=3),
+    "full_model_linear": partial(check_full_model, "linear"),
+    "full_model_pkm": partial(check_full_model, "pkm"),
     "full_model_headwise": partial(check_full_model, "headwise"),
     "full_model_headwise_batch3": partial(check_full_model, "headwise", batch=3),
 }

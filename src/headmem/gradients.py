@@ -167,25 +167,6 @@ def lm_loss_backward(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return d / s
 
 
-def batchnorm_backward(dy: np.ndarray, cache: dict, with_params: bool = True):
-    """(dx, dgamma, dbeta); training-mode moments are per sequence, as in
-    the forward. dgamma and dbeta are None when with_params is False."""
-    xhat, inv, gamma = cache["xhat"], cache["inv"], cache["gamma"]
-    dgamma = np.sum(dy * xhat, axis=0) if with_params else None
-    dbeta = np.sum(dy, axis=0) if with_params else None
-    if cache["training"]:
-        rows, f = dy.shape
-        s = cache["seq_len"]
-        dxhat = (dy * gamma).reshape(rows // s, s, f)
-        xh = xhat.reshape(rows // s, s, f)
-        dx = inv * (dxhat - np.mean(dxhat, axis=1, keepdims=True)
-                    - xh * np.mean(dxhat * xh, axis=1, keepdims=True))
-        dx = dx.reshape(rows, f)
-    else:
-        dx = dy * gamma * inv
-    return dx, dgamma, dbeta
-
-
 def _add_block(acc: np.ndarray, part: np.ndarray, i0: int) -> None:
     """Sum query block [i0, i1)'s part [B, H, i1, d_h] into acc over
     positions [0, i1): positions below i0 already hold earlier blocks'
@@ -277,20 +258,6 @@ def _key_backward(dsel: np.ndarray, ids: np.ndarray, width: int, q: np.ndarray,
     return (ds @ keys).swapaxes(0, 1)
 
 
-def _query_pipeline_backward(dq: np.ndarray, mcache: dict, p: MemoryBlockParams,
-                             grads: GradStore, prefix: str) -> np.ndarray:
-    if mcache["ln"] is not None:
-        dq = _norm_backward(dq, mcache["ln"], grads, f"{prefix}.query_ln_gain")
-    if mcache["bn"] is not None:
-        gamma, beta = f"{prefix}.query_bn.gamma", f"{prefix}.query_bn.beta"
-        dq, dgamma, dbeta = batchnorm_backward(
-            dq, mcache["bn"], grads.wants(gamma) or grads.wants(beta))
-        if dgamma is not None:
-            grads.add(gamma, dgamma)
-            grads.add(beta, dbeta)
-    return dq
-
-
 def retrieve_backward(dm: np.ndarray, mcache: dict, p: MemoryBlockParams,
                       grads: GradStore, prefix: str) -> np.ndarray:
     """Backward of layers.retrieve for every kind; returns the gradient
@@ -333,7 +300,9 @@ def retrieve_backward(dm: np.ndarray, mcache: dict, p: MemoryBlockParams,
                           f"{prefix}.bank.pk.k_row"),
             _key_backward(dsums, idx % n, n, qh[..., d_p:], pk.k_col, grads,
                           f"{prefix}.bank.pk.k_col")], axis=-1)
-    dq = _query_pipeline_backward(dq.reshape(rows, cfg.d), mcache, p, grads, prefix)
+    dq = dq.reshape(rows, cfg.d)
+    if mcache["ln"] is not None:
+        dq = _norm_backward(dq, mcache["ln"], grads, f"{prefix}.query_ln_gain")
     if kind == "headwise":
         return dq
     grads.add_matmul(f"{prefix}.bank.w_q", mcache["a"], dq)

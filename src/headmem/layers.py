@@ -2,7 +2,7 @@
 
 Three retrieval designs share one block shape (x + memory(attention(norm(x)))):
 
-  linear   flat N-way lookup per head over private key banks, batch-normalized
+  linear   flat N-way lookup per head over private key banks, RMS-normalized
            projected queries, one shared full-width value table, head outputs
            summed;
   pkm      product-key selection per head (same query pipeline as linear),
@@ -16,8 +16,14 @@ All three keep their tables in one MemoryBank, made by init_bank; a field
 the kind does not use is None. All three read through one function,
 retrieve, which scores, selects and pools every head in one call. The
 toggles on MemoryLayerKind reshape the pipeline for ablations: query
-batchnorm, query layernorm (RMS-style, matching the backbone), internal
-residual a = x + attn_out, and attention output projection.
+layernorm (RMS-style, matching the backbone), internal residual
+a = x + attn_out, and attention output projection.
+
+Only the causal attention mixes positions; every later step works on one
+token row at a time. So position t's read depends on tokens 0..t alone, and
+training and inference compute one function. Query normalization is per
+token for that reason: the query batchnorm of Lample et al. 2019 takes its
+moments over all positions, which lets later tokens into earlier queries.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from .memory import (
     score_subkeys,
     select_topk,
 )
-from .numerics import gaussian, ones, softmax, topk, zeros
+from .numerics import gaussian, softmax, topk, zeros
 from .transformer import AttentionParams, causal_attention, rms_norm_fwd
 
 MEMORY_KINDS = ("linear", "pkm", "headwise")
@@ -47,7 +53,6 @@ MEMORY_KINDS = ("linear", "pkm", "headwise")
 @dataclass
 class MemoryLayerKind:
     kind: str
-    query_batchnorm: bool = False
     query_layernorm: bool = False
     internal_residual: bool = False
     output_projection: bool = False
@@ -62,69 +67,13 @@ class MemoryLayerKind:
         # projected queries inside a full residual sublayer); headwise strips
         # all of that away and reads the raw head outputs directly.
         if kind in ("linear", "pkm"):
-            return MemoryLayerKind(kind, query_batchnorm=True, query_layernorm=False,
-                                   internal_residual=True, output_projection=True)
+            return MemoryLayerKind(kind, query_layernorm=True, internal_residual=True,
+                                   output_projection=True)
         return MemoryLayerKind(kind)
 
 
 # names of the boolean ablation toggles, in declaration order
 MEMORY_TOGGLES = tuple(f.name for f in fields(MemoryLayerKind) if f.name != "kind")
-
-
-BN_MOMENTUM = 0.1  # query batchnorm: weight of a sequence in the running statistics
-BN_EPS = 1e-5  # query batchnorm: variance floor
-
-
-@dataclass
-class BatchNorm:
-    """Feature-wise batch normalization with running statistics.
-
-    Training mode standardizes each token sequence with the moments of its
-    own rows (biased variance) and folds them into the running buffers; eval
-    mode uses the buffers. When several equal-length sequences share one
-    call, moments stay per sequence (the backward matches) and the buffers
-    are folded once per sequence in batch order, so a batched call matches
-    the same sequences run one after another. Moments pooled over the whole
-    batch (the PKM convention of Lample et al. 2019) are not used: they would
-    make a sequence's output depend on how the trainer groups sequences
-    into calls.
-    """
-
-    gamma: np.ndarray  # [f]
-    beta: np.ndarray  # [f]
-    running_mean: np.ndarray  # [f]
-    running_var: np.ndarray  # [f]
-
-
-def init_batchnorm(features: int) -> BatchNorm:
-    return BatchNorm(gamma=ones(features), beta=zeros(features),
-                     running_mean=zeros(features), running_var=ones(features))
-
-
-def batchnorm_query(q: np.ndarray, bn: BatchNorm, training: bool,
-                    seq_len: int | None = None):
-    """Standardize queries [B*s, f] of B sequences of seq_len rows (None: one
-    sequence); returns (out, cache for backward)."""
-    rows, f = q.shape
-    s = rows if seq_len is None else seq_len
-    if training:
-        qs = q.reshape(rows // s, s, f)
-        mean = np.mean(qs, axis=1, keepdims=True)  # [B, 1, f]
-        var = np.var(qs, axis=1, keepdims=True)
-        for b in range(qs.shape[0]):
-            bn.running_mean[...] = ((1.0 - BN_MOMENTUM) * bn.running_mean
-                                    + BN_MOMENTUM * mean[b, 0])
-            bn.running_var[...] = ((1.0 - BN_MOMENTUM) * bn.running_var
-                                   + BN_MOMENTUM * var[b, 0])
-        inv = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = ((qs - mean) * inv).reshape(rows, f)
-    else:
-        inv = 1.0 / np.sqrt(bn.running_var + BN_EPS)
-        xhat = (q - bn.running_mean) * inv
-    out = bn.gamma * xhat + bn.beta
-    cache = {"xhat": xhat, "inv": inv, "gamma": bn.gamma, "training": training,
-             "seq_len": s}
-    return out, cache
 
 
 @dataclass
@@ -164,31 +113,27 @@ class MemoryBlockParams:
     attn: AttentionParams  # w_o is None unless kind.output_projection
     norm_gain: np.ndarray  # [d]
     bank: MemoryBank
-    query_bn: BatchNorm | None = None
     query_ln_gain: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
 # retrieval
 
-def retrieve(a: np.ndarray, p: MemoryBlockParams, training: bool = False,
-             seq_len: int | None = None, value_cache: np.ndarray | None = None):
+def retrieve(a: np.ndarray, p: MemoryBlockParams, value_cache: np.ndarray | None = None):
     """The memory read of every kind over token rows a [rows, d]; returns
     (m [rows, d], cache).
 
     Queries are a @ w_q (linear, pkm) or a itself (headwise), then the
-    optional batchnorm (moments grouped by seq_len) and layernorm. The h-th
-    d_h slice of a query row addresses head h. All H heads are scored in one
-    call, flat keys [rows, H, N] or sub-key axes [rows, H, n], and selected
-    once. linear and pkm pool the shared full-width table and sum over heads;
-    headwise pools its factorized values (or gathers from value_cache, the
+    optional per-token layernorm. The h-th d_h slice of a query row
+    addresses head h. All H heads are scored in one call, flat keys
+    [rows, H, N] or sub-key axes [rows, H, n], and selected once. linear
+    and pkm pool the shared full-width table and sum over heads; headwise
+    pools its factorized values (or gathers from value_cache, the
     [H, N, d_h] table of build_value_cache) and concatenates heads.
     """
     kind, cfg, bank = p.kind.kind, p.cfg, p.bank
     q = a if kind == "headwise" else a @ bank.w_q
-    bn_cache = ln_cache = None
-    if p.kind.query_batchnorm:
-        q, bn_cache = batchnorm_query(q, p.query_bn, training, seq_len)
+    ln_cache = None
     if p.kind.query_layernorm:
         q, ln_cache = rms_norm_fwd(q, p.query_ln_gain)
     qh = q.reshape(a.shape[0], cfg.heads, cfg.d_h)
@@ -203,33 +148,31 @@ def retrieve(a: np.ndarray, p: MemoryBlockParams, training: bool = False,
         m = aggregate_values_cached(idx, w, value_cache)
     else:
         m = aggregate_values(idx, w, bank.values)
-    cache = {"a": a, "q": q, "bn": bn_cache, "ln": ln_cache, "idx": idx, "w": w}
+    cache = {"a": a, "q": q, "ln": ln_cache, "idx": idx, "w": w}
     return m, cache
 
 
 # ---------------------------------------------------------------------------
 # block packaging
 
-def memory_block_forward(x: np.ndarray, p: MemoryBlockParams, training: bool = False,
+def memory_block_forward(x: np.ndarray, p: MemoryBlockParams,
                          value_cache: np.ndarray | None = None,
                          seq_len: int | None = None, collect: bool = True):
     """Residual memory block: y = x + memory(queries(attention(norm(x)))).
 
     x: [B*s, d] token rows of B sequences of seq_len (None: one sequence).
-    Retrieval runs once over all rows; attention and query batchnorm group
-    them by sequence. The attention sublayer reuses the block's copied
+    Retrieval runs once over all rows; only attention groups them by
+    sequence. The attention sublayer reuses the block's copied
     attention parameters; with output_projection off its raw concatenated
     head outputs feed the memory directly. Returns (y, cache). Without
     collect, cache is None and the attention's intermediates are freed
     before the retrieval runs.
     """
-    if value_cache is not None and training:
-        raise ValueError("value cache is an inference path, not usable in training")
     xn, ncache = rms_norm_fwd(x, p.norm_gain)
     ao, acache = causal_attention(xn, p.attn, seq_len=seq_len, collect=collect)
     a = x + ao if p.kind.internal_residual else ao
     del xn, ao  # without collect, no cache holds them through the retrieval
-    m, mcache = retrieve(a, p, training, seq_len, value_cache)
+    m, mcache = retrieve(a, p, value_cache)
     y = x + m
     if not collect:
         return y, None

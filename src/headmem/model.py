@@ -87,8 +87,9 @@ def model_forward(tokens: np.ndarray, model: ModelSpec, training: bool = False,
 
     tokens: one sequence [s] or B equal-length sequences [B, s]. Every
     per-token op (norms, projections, FFN, retrieval, unembedding) runs once
-    over the B*s token rows; only causal attention and query batchnorm group
-    the rows by sequence. logits: [s, V] or [B, s, V].
+    over the B*s token rows; only causal attention groups the rows by
+    sequence. logits: [s, V] or [B, s, V]. Logit t of a sequence depends on
+    its tokens 0..t alone.
 
     caches is None unless collect=True. Its per-token activations are
     row-major over the B*s rows (memory idx/w [B*s, H, k]); attention
@@ -96,7 +97,10 @@ def model_forward(tokens: np.ndarray, model: ModelSpec, training: bool = False,
     collect no block keeps a cache, so the forward holds one block's
     activations at a time; the arithmetic, and so every bit, is the same.
     value_caches maps block index to the [H, N, d_h] value cache of a
-    headwise memory block (build_value_caches; inference only).
+    headwise memory block (build_value_caches). training changes no
+    arithmetic, so every forward computes one function; it only refuses
+    value_caches, an inference path, and stays a parameter because the
+    benchmark in perfbench/ passes it.
     """
     tokens = np.asarray(tokens)
     if tokens.ndim not in (1, 2) or tokens.size == 0:
@@ -106,6 +110,8 @@ def model_forward(tokens: np.ndarray, model: ModelSpec, training: bool = False,
         raise ValueError(f"token ids must be integers, got dtype {tokens.dtype}")
     if np.any(tokens < 0) or np.any(tokens >= model.vocab):
         raise ValueError("token id out of vocab range")
+    if training and value_caches:
+        raise ValueError("value cache is an inference path, not usable in training")
     seq_len = tokens.shape[-1]
     flat = tokens.reshape(-1)
     x = model.embed[flat]  # [B*s, d]
@@ -116,8 +122,8 @@ def model_forward(tokens: np.ndarray, model: ModelSpec, training: bool = False,
                                                  collect=collect)
         elif isinstance(block, MemoryBlockParams):
             vc = value_caches.get(i) if value_caches else None
-            x, cache = memory_block_forward(x, block, training=training, value_cache=vc,
-                                            seq_len=seq_len, collect=collect)
+            x, cache = memory_block_forward(x, block, value_cache=vc, seq_len=seq_len,
+                                            collect=collect)
         else:
             raise TypeError(f"unknown block type {type(block).__name__}")
         if collect:
@@ -144,10 +150,6 @@ def build_value_caches(model: ModelSpec) -> dict[int, np.ndarray]:
 
 # ---------------------------------------------------------------------------
 # parameter walking
-
-# leaves that checkpoints carry but no optimizer touches
-_BUFFER_LEAVES = ("running_mean", "running_var")
-
 
 def tensor_slots(node, prefix: str = ""):
     """(dotted path, owner, field name) of every array under a model or block.
@@ -193,22 +195,12 @@ def map_tensors(fn, node, *others):
     return replace(node, **changes) if changes else node
 
 
-def _named(node, prefix: str, buffers: bool):
-    for path, owner, name in tensor_slots(node, prefix):
-        if (name in _BUFFER_LEAVES) == buffers:
-            yield path, getattr(owner, name)
-
-
 def named_params(node, prefix: str = ""):
-    """Learnable parameters of a model, or of one block with paths under
-    prefix, as (dotted path, array) in walk order: the checkpoint payload
-    and optimizer state order."""
-    return _named(node, prefix, False)
-
-
-def named_buffers(node, prefix: str = ""):
-    """Non-learnable state that checkpoints must still carry (BN statistics)."""
-    return _named(node, prefix, True)
+    """Parameters of a model, or of one block with paths under prefix, as
+    (dotted path, array) in walk order: the checkpoint payload and optimizer
+    state order."""
+    for path, owner, name in tensor_slots(node, prefix):
+        yield path, getattr(owner, name)
 
 
 def param_count_total(model: ModelSpec) -> int:

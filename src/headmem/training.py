@@ -317,12 +317,14 @@ def evaluate(model: ModelSpec, inputs: np.ndarray, targets: np.ndarray) -> float
                          f"got shape {inputs.shape}")
     if inputs.ndim == 1:
         inputs, targets = inputs[None], targets[None]
-    total = 0.0
+    total, batch = 0.0, inputs.shape[0]
     for part in _calls(*inputs.shape):
         logits, _ = model_forward(inputs[part], model, training=False)
         loss = lm_loss(logits.reshape(-1, model.vocab), targets[part].reshape(-1))
-        total += loss * (part.stop - part.start)
-    return total / inputs.shape[0]
+        # weighted by the call's share of sequences: one call's weight is
+        # exactly 1, so a batch that fits one call returns its loss unrounded
+        total += loss * ((part.stop - part.start) / batch)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -32,12 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import (
-    MemoryBlockParams,
-    MemoryLayerKind,
-    init_bank,
-    init_batchnorm,
-)
+from .layers import MemoryBlockParams, MemoryLayerKind, init_bank
 from .memory import MemoryConfig
 from .model import ModelSpec, map_tensors
 from .numerics import make_rng, ones
@@ -200,7 +195,6 @@ def init_memory_block(source: TransformerBlockParams, kind: MemoryLayerKind,
     return MemoryBlockParams(
         kind=kind, cfg=cfg, attn=attn, norm_gain=source.attn_gain.copy(),
         bank=init_bank(kind.kind, cfg, rng),
-        query_bn=init_batchnorm(cfg.d) if kind.query_batchnorm else None,
         query_ln_gain=ones(cfg.d) if kind.query_layernorm else None,
     )
 

@@ -1,5 +1,6 @@
 """End-to-end runs of every CLI subcommand through main()."""
 
+import hashlib
 import json
 import struct
 
@@ -393,15 +394,32 @@ def _old_route_keys(header):
 
 
 def _parent_format(header):
-    """The descriptor fields and config key files carried while the RoPE
-    base, the batchnorm momentum and eps and the loss scale were settable,
-    and while the model recorded its base depth."""
+    """The descriptor fields and config keys files carried while the RoPE
+    base and the loss scale were settable, while the model recorded its
+    base depth, and while query batchnorm existed, switched off (every
+    headwise file has it so)."""
     header["model"]["base_depth"] = 2
     for desc in header["model"]["blocks"]:
         desc["rope_base"] = 10000.0
-        if desc["type"] == "memory" and desc["toggles"]["query_batchnorm"]:
-            desc.update(bn_momentum=0.1, bn_eps=1e-5)
+        if desc["type"] == "memory":
+            desc["toggles"]["query_batchnorm"] = False
+    header["config"]["memory"]["query_batchnorm"] = None
     header["config"]["train"]["loss_scale"] = 1.0
+
+
+def _with_query_bn_tensors(blob):
+    """The file plus the two learnable query batchnorm tensors of its first
+    memory block, as files written with query batchnorm on held them."""
+    header, end = _read_header(blob)
+    block = next(i for i, d in enumerate(header["model"]["blocks"])
+                 if d["type"] == "memory")
+    d = header["model"]["d"]
+    payload = blob[end:] + np.ones(d, "<f4").tobytes() + np.zeros(d, "<f4").tobytes()
+    header["tensors"] += [{"name": f"blocks.{block}.query_bn.{name}", "shape": [d],
+                           "dtype": "float32"} for name in ("gamma", "beta")]
+    header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    return blob[:12] + struct.pack("<Q", len(text)) + text + payload
 
 
 def _first_block(kind, key, value):
@@ -429,6 +447,10 @@ CHECKPOINT_CASES = {
         b, _first_block("memory", "bn_momentum", 0.2)),
     "bn_eps_1e-3": lambda b: _rewrite_header(
         b, _first_block("memory", "bn_eps", 1e-3)),
+    "query_batchnorm_true": lambda b: _rewrite_header(
+        b, lambda h: next(d for d in h["model"]["blocks"]
+                          if d["type"] == "memory")["toggles"].update(query_batchnorm=True)),
+    "query_bn_tensors": _with_query_bn_tensors,
     "rope_base_string": lambda b: _rewrite_header(
         b, _first_block("transformer", "rope_base", "x")),
     "memory_rope_base_zero": lambda b: _rewrite_header(
@@ -449,9 +471,16 @@ CHECKPOINT_CASES = {
 }
 
 
+# cases that load: fields of older files that no longer select anything
+LOADS = ("old_route_keys", "parent_format", "bn_momentum_0.2", "bn_eps_1e-3")
+# what the error line of a case names
+NAMED = {"query_batchnorm_true": "toggles.query_batchnorm True",
+         "query_bn_tensors": "query_bn.beta, blocks.1.query_bn.gamma"}
+
+
 @pytest.fixture
 def pkm_cfg(tmp_path):
-    # a pkm block holds the parts its toggles add: query batchnorm, w_o
+    # a pkm block holds the parts its toggles add: query_ln_gain, w_o
     path = tmp_path / "pkm.cfg"
     path.write_text(SMALL_HEAD.replace("[memory]\n", "[memory]\nkind = pkm\n")
                     + SMALL_TRAIN)
@@ -469,8 +498,9 @@ def test_checkpoint_table_exits_2_or_loads_bitwise(capsys, tmp_path, pkm_cfg, ca
     code, out, err = run(capsys, "eval", "--ckpt", str(path))
     assert "Traceback" not in out + err
     assert "base_depth" not in _read_header(good.read_bytes())[0]["model"]
-    if case not in ("old_route_keys", "parent_format"):
+    if case not in LOADS:
         assert code == 2 and "error:" in err
+        assert NAMED.get(case, "") in err
         return
     assert code == 0 and "eval loss:" in out
     loaded, _ = load_checkpoint(str(path))

@@ -35,7 +35,6 @@ from headmem.model import (
     init_transformer_block,
     map_tensors,
     model_forward,
-    named_buffers,
     named_params,
     tensor_slots,
 )
@@ -54,6 +53,8 @@ def test_defaults_are_complete():
     cfg = default_config()
     assert cfg["model"]["d"] == 64
     assert cfg["memory"]["kind"] == "headwise"
+    assert sorted(cfg["memory"]) == ["internal_residual", "k", "kind", "n",
+                                     "output_projection", "query_layernorm"]
     assert cfg["upscale"]["policy"] == "distributed"
     assert cfg["train"]["mode"] == "cpt"
     assert cfg["run"]["precision"] == "f32"
@@ -71,8 +72,8 @@ depth = 2
 kind = pkm
 n = 8
 k = 2
-query_layernorm = true
-query_batchnorm = false
+query_layernorm = false
+output_projection = false
 
 [upscale]
 inserted = 1
@@ -80,8 +81,8 @@ inserted = 1
     cfg = parse_config_text(text)
     assert cfg["model"]["d"] == 32
     assert cfg["memory"]["kind"] == "pkm"
-    assert cfg["memory"]["query_layernorm"] is True
-    assert cfg["memory"]["query_batchnorm"] is False
+    assert cfg["memory"]["query_layernorm"] is False
+    assert cfg["memory"]["output_projection"] is False
     assert cfg["memory"]["internal_residual"] is None  # untouched stays default
     assert cfg["model"]["vocab"] == 256  # unset keys fall back
 
@@ -91,6 +92,8 @@ def test_parse_rejections():
         parse_config_text("[mystery]\nx = 1\n")
     with pytest.raises(ConfigError, match=r"model\.flavor"):
         parse_config_text("[model]\nflavor = 3\n")
+    with pytest.raises(ConfigError, match=r"memory\.query_batchnorm"):
+        parse_config_text("[memory]\nquery_batchnorm = false\n")
     with pytest.raises(ConfigError):
         parse_config_text("[model]\nd = soup\n")
     with pytest.raises(ConfigError):
@@ -177,19 +180,9 @@ def _small_model(kind, seed=0):
     return cfg, model
 
 
-def _dirty_batchnorm(model):
-    """Push some forward passes in training mode so running stats move."""
-    rng = make_rng(9)
-    for _ in range(3):
-        toks = rng.integers(0, 64, 10)
-        model_forward(toks, model, training=True)
-
-
 @pytest.mark.parametrize("kind", ["linear", "pkm", "headwise"])
 def test_checkpoint_roundtrip_bitwise(kind, tmp_path):
     cfg, model = _small_model(kind)
-    if kind in ("linear", "pkm"):
-        _dirty_batchnorm(model)  # running stats must survive the trip
     path = str(tmp_path / "model.ckpt")
     save_checkpoint(path, model, config=cfg)
     loaded, cfg_back = load_checkpoint(path)
@@ -201,11 +194,6 @@ def test_checkpoint_roundtrip_bitwise(kind, tmp_path):
     for name in want_p:
         assert want_p[name].dtype == got_p[name].dtype, name
         assert np.array_equal(want_p[name], got_p[name]), name
-    want_b = dict(named_buffers(model))
-    got_b = dict(named_buffers(loaded))
-    assert sorted(want_b) == sorted(got_b)
-    for name in want_b:
-        assert np.array_equal(want_b[name], got_b[name]), name
 
     toks = make_rng(4).integers(0, 64, 12)
     a, _ = model_forward(toks, model, training=False)
@@ -217,23 +205,21 @@ def test_checkpoint_roundtrip_bitwise(kind, tmp_path):
 # order; these lists are the order files were written in before the walk
 # became generic.
 _ATTN = ["attn.w_q", "attn.w_k", "attn.w_v"]
-_QUERY = ["query_bn.gamma", "query_bn.beta", "query_ln_gain"]
-_BN = ["query_bn.running_mean", "query_bn.running_var"]
 WALK_ORDER = {
-    "transformer": (_ATTN + ["attn.w_o", "attn_gain", "ffn.w_gate", "ffn.w_up",
-                             "ffn.w_down", "ffn_gain"], []),
-    ("linear", False): (_ATTN + ["norm_gain", "bank.w_q", "bank.keys", "bank.values"], []),
-    ("linear", True): (_ATTN + ["attn.w_o", "norm_gain", "bank.w_q", "bank.keys",
-                                "bank.values"] + _QUERY, _BN),
-    ("pkm", False): (_ATTN + ["norm_gain", "bank.w_q", "bank.pk.k_row", "bank.pk.k_col",
-                              "bank.values"], []),
-    ("pkm", True): (_ATTN + ["attn.w_o", "norm_gain", "bank.w_q", "bank.pk.k_row",
-                             "bank.pk.k_col", "bank.values"] + _QUERY, _BN),
-    ("headwise", False): (_ATTN + ["norm_gain", "bank.pk.k_row", "bank.pk.k_col",
-                                   "bank.values.v_base", "bank.values.w_heads"], []),
-    ("headwise", True): (_ATTN + ["attn.w_o", "norm_gain", "bank.pk.k_row",
-                                  "bank.pk.k_col", "bank.values.v_base",
-                                  "bank.values.w_heads"] + _QUERY, _BN),
+    "transformer": _ATTN + ["attn.w_o", "attn_gain", "ffn.w_gate", "ffn.w_up",
+                            "ffn.w_down", "ffn_gain"],
+    ("linear", False): _ATTN + ["norm_gain", "bank.w_q", "bank.keys", "bank.values"],
+    ("linear", True): _ATTN + ["attn.w_o", "norm_gain", "bank.w_q", "bank.keys",
+                               "bank.values", "query_ln_gain"],
+    ("pkm", False): _ATTN + ["norm_gain", "bank.w_q", "bank.pk.k_row", "bank.pk.k_col",
+                             "bank.values"],
+    ("pkm", True): _ATTN + ["attn.w_o", "norm_gain", "bank.w_q", "bank.pk.k_row",
+                            "bank.pk.k_col", "bank.values", "query_ln_gain"],
+    ("headwise", False): _ATTN + ["norm_gain", "bank.pk.k_row", "bank.pk.k_col",
+                                  "bank.values.v_base", "bank.values.w_heads"],
+    ("headwise", True): _ATTN + ["attn.w_o", "norm_gain", "bank.pk.k_row",
+                                 "bank.pk.k_col", "bank.values.v_base",
+                                 "bank.values.w_heads", "query_ln_gain"],
 }
 
 
@@ -243,25 +229,23 @@ def test_walk_order_is_pinned(case):
     block = source
     if case != "transformer":
         kind, on = case
-        block = init_memory_block(source, MemoryLayerKind(kind, *[on] * 4),
+        block = init_memory_block(source, MemoryLayerKind(kind, *[on] * 3),
                                   MemoryConfig(heads=2, n=4, k=2, d=8), make_rng(1))
-    params, buffers = WALK_ORDER[case]
-    assert [p for p, _ in named_params(block)] == params
-    assert [p for p, _ in named_buffers(block)] == buffers
+    assert [p for p, _ in named_params(block)] == WALK_ORDER[case]
 
 
 def _walk_cases():
     source = init_transformer_block(8, 2, 12, make_rng(0))
     yield "transformer", source
     for kind in MEMORY_KINDS:
-        for toggles in itertools.product((False, True), repeat=4):
+        for toggles in itertools.product((False, True), repeat=3):
             block = init_memory_block(source, MemoryLayerKind(kind, *toggles),
                                       MemoryConfig(heads=2, n=4, k=2, d=8), make_rng(1))
             yield (kind, toggles), block
     base = init_base_model(vocab=11, d=8, heads=2, d_ff=12, depth=3, rng=make_rng(2))
     plan = UpscalePlan(policy=PlacementPolicy("distributed", 3, 2),
                        insert_kind="memory_block",
-                       memory_kind=MemoryLayerKind("pkm", True, True, True, False),
+                       memory_kind=MemoryLayerKind("pkm", True, True, False),
                        memory_cfg=MemoryConfig(heads=2, n=4, k=2, d=8), seed=3)
     yield "model", build_memory_dus(base, plan)
 
@@ -296,7 +280,6 @@ def test_map_tensors_follows_the_walk():
             assert (got.attn.w_o is None) == (src.attn.w_o is None), case
             if isinstance(src, MemoryBlockParams):
                 assert got.kind is src.kind and got.cfg is src.cfg
-                assert (got.query_bn is None) == (src.query_bn is None), case
                 assert (got.query_ln_gain is None) == (src.query_ln_gain is None), case
         if case == "model":
             for name in ("vocab", "d", "heads", "d_ff"):
@@ -306,7 +289,7 @@ def test_map_tensors_follows_the_walk():
 
 
 @settings(max_examples=40, deadline=None)
-@given(kind=st.sampled_from(MEMORY_KINDS), toggles=st.tuples(*[st.booleans()] * 4),
+@given(kind=st.sampled_from(MEMORY_KINDS), toggles=st.tuples(*[st.booleans()] * 3),
        prec=st.sampled_from(("f32", "f64")), policy=st.sampled_from(POLICY_NAMES),
        heads=st.integers(1, 3), half=st.integers(1, 2), n=st.integers(1, 4),
        k=st.integers(1, 4), depth=st.integers(1, 3), inserted=st.integers(0, 3),
@@ -330,17 +313,15 @@ def test_checkpoint_roundtrip_property(kind, toggles, prec, policy, heads, half,
         arr += 0.1 * rng.standard_normal(arr.shape).astype(arr.dtype)
     model.trainable = [bool(b) for b in rng.integers(0, 2, len(model.blocks))]
     tokens = rng.integers(0, 11, (2, 5))
-    model_forward(tokens, model, training=True)  # moves the batchnorm buffers
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "model.ckpt")
         save_checkpoint(path, model)
         loaded, _ = load_checkpoint(path)
 
-    for walk in (named_params, named_buffers):
-        want, got = list(walk(model)), list(walk(loaded))
-        assert [p for p, _ in got] == [p for p, _ in want]
-        for (name, a), (_, b) in zip(want, got):
-            assert a.dtype == b.dtype and np.array_equal(a, b), name
+    want, got = list(named_params(model)), list(named_params(loaded))
+    assert [p for p, _ in got] == [p for p, _ in want]
+    for (name, a), (_, b) in zip(want, got):
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
     assert loaded.trainable == model.trainable
     want, _ = model_forward(tokens, model)
     got, _ = model_forward(tokens, loaded)

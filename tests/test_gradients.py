@@ -80,7 +80,7 @@ def test_dedup_scatter_counter_and_bounds():
     p = init_memory_block(init_transformer_block(8, 4, 12, rng),
                           MemoryLayerKind.defaults("pkm"), cfg, rng)
     a = rng.standard_normal((16, 8))
-    _, cache = retrieve(a, p, training=True, seq_len=16)
+    _, cache = retrieve(a, p)
     grads = GradStore()
     retrieve_backward(rng.standard_normal((16, 8)), cache, p, grads, "m")
     idx = cache["idx"]

@@ -1,60 +1,34 @@
-"""Memory block kinds, query pipeline toggles, batch norm behavior, MAC counts."""
+"""Memory block kinds, query pipeline toggles, MAC counts."""
 
 import numpy as np
 import pytest
 
 from headmem.bench import memory_block_macs, transformer_block_macs
-from headmem.layers import (
-    BN_EPS,
-    MemoryLayerKind,
-    batchnorm_query,
-    init_bank,
-    init_batchnorm,
-    memory_block_forward,
-)
+from headmem.layers import MEMORY_TOGGLES, MemoryLayerKind, init_bank, memory_block_forward
 from headmem.memory import MemoryConfig, build_value_cache
-from headmem.model import init_transformer_block
+from headmem.model import (
+    build_value_caches,
+    init_base_model,
+    init_transformer_block,
+    model_forward,
+)
 from headmem.numerics import gaussian, make_rng, precision
-from headmem.upscale import init_memory_block
+from headmem.upscale import PlacementPolicy, UpscalePlan, build_memory_dus, init_memory_block
 
 
 def test_kind_defaults():
+    assert MEMORY_TOGGLES == ("query_layernorm", "internal_residual", "output_projection")
     lin = MemoryLayerKind.defaults("linear")
-    assert (lin.query_batchnorm, lin.query_layernorm,
-            lin.internal_residual, lin.output_projection) == (True, False, True, True)
+    assert (lin.query_layernorm, lin.internal_residual,
+            lin.output_projection) == (True, True, True)
     pkm = MemoryLayerKind.defaults("pkm")
-    assert (pkm.query_batchnorm, pkm.query_layernorm,
-            pkm.internal_residual, pkm.output_projection) == (True, False, True, True)
+    assert (pkm.query_layernorm, pkm.internal_residual,
+            pkm.output_projection) == (True, True, True)
     hw = MemoryLayerKind.defaults("headwise")
-    assert (hw.query_batchnorm, hw.query_layernorm,
-            hw.internal_residual, hw.output_projection) == (False, False, False, False)
+    assert (hw.query_layernorm, hw.internal_residual,
+            hw.output_projection) == (False, False, False)
     with pytest.raises(ValueError):
         MemoryLayerKind("dense")
-
-
-def test_batchnorm_training_normalizes_and_tracks():
-    rng = make_rng(0)
-    with precision("f64"):
-        bn = init_batchnorm(5)
-    x = 3.0 + 2.0 * rng.standard_normal((64, 5))
-    out, _ = batchnorm_query(x, bn, training=True)
-    assert np.allclose(out.mean(axis=0), 0.0, atol=1e-10)
-    assert np.allclose(out.var(axis=0), 1.0, atol=1e-6)  # biased variance
-    assert np.allclose(bn.running_mean, 0.1 * x.mean(axis=0), atol=1e-10)
-    # eval path uses the running statistics, not the batch
-    out_eval, _ = batchnorm_query(x[:4], bn, training=False)
-    want = ((x[:4] - bn.running_mean) / np.sqrt(bn.running_var + BN_EPS)
-            * bn.gamma + bn.beta)
-    assert np.allclose(out_eval, want, atol=1e-12)
-
-
-def test_batchnorm_eval_does_not_mutate_stats():
-    with precision("f64"):
-        bn = init_batchnorm(3)
-    before = bn.running_mean.copy(), bn.running_var.copy()
-    batchnorm_query(make_rng(1).standard_normal((8, 3)), bn, training=False)
-    assert np.array_equal(bn.running_mean, before[0])
-    assert np.array_equal(bn.running_var, before[1])
 
 
 def _fresh_block(kind, seed=0, toggles=None):
@@ -70,7 +44,7 @@ def test_memory_block_is_identity_at_init(kind):
     with precision("f64"):
         p, cfg, rng = _fresh_block(kind)
         x = rng.standard_normal((7, cfg.d))
-        y, cache = memory_block_forward(x, p, training=True)
+        y, cache = memory_block_forward(x, p)
     assert np.array_equal(y, x)  # zero value tables add nothing
     # caches hold activations; the kind and toggles are read from p
     assert "kind" not in cache["mem"] and "residual" not in cache
@@ -85,7 +59,7 @@ def test_memory_block_responds_once_values_set(kind):
         else:
             p.bank.values[...] = rng.standard_normal(p.bank.values.shape)
         x = rng.standard_normal((5, cfg.d))
-        y, _ = memory_block_forward(x, p, training=True)
+        y, _ = memory_block_forward(x, p)
     assert not np.array_equal(y, x)
 
 
@@ -94,10 +68,9 @@ def test_headwise_cached_forward_matches_training_path():
         p, cfg, rng = _fresh_block("headwise", seed=2)
         p.bank.values.v_base[...] = rng.standard_normal(p.bank.values.v_base.shape)
         x = rng.standard_normal((6, cfg.d))
-        y_train, direct_cache = memory_block_forward(x, p, training=False)
+        y_train, direct_cache = memory_block_forward(x, p)
         cache = build_value_cache(p.bank.values)
-        y_cached, fwd_cache = memory_block_forward(x, p, training=False,
-                                                   value_cache=cache)
+        y_cached, fwd_cache = memory_block_forward(x, p, value_cache=cache)
     assert np.max(np.abs(y_train - y_cached)) < 1e-10
     # the cache changes only how values are read, never which slots
     assert np.array_equal(fwd_cache["mem"]["idx"], direct_cache["mem"]["idx"])
@@ -105,39 +78,45 @@ def test_headwise_cached_forward_matches_training_path():
 
 def test_value_cache_rejected_in_training():
     with precision("f64"):
-        p, cfg, rng = _fresh_block("headwise", seed=3)
-        cache = build_value_cache(p.bank.values)
-        x = rng.standard_normal((4, cfg.d))
-        with pytest.raises(ValueError):
-            memory_block_forward(x, p, training=True, value_cache=cache)
+        model = build_memory_dus(
+            init_base_model(vocab=11, d=12, heads=2, d_ff=20, depth=2, rng=make_rng(3)),
+            UpscalePlan(policy=PlacementPolicy("distributed", 2, 1),
+                        insert_kind="memory_block",
+                        memory_kind=MemoryLayerKind.defaults("headwise"),
+                        memory_cfg=MemoryConfig(heads=2, n=6, k=3, d=12), seed=4))
+    caches = build_value_caches(model)
+    tokens = make_rng(5).integers(0, 11, 4)
+    model_forward(tokens, model, value_caches=caches)
+    model_forward(tokens, model, training=True)
+    with pytest.raises(ValueError, match="inference path"):
+        model_forward(tokens, model, training=True, value_caches=caches)
 
 
 def test_all_toggles_pipeline_runs_for_headwise():
-    toggles = MemoryLayerKind("headwise", query_batchnorm=True,
-                              query_layernorm=True, internal_residual=True,
+    toggles = MemoryLayerKind("headwise", query_layernorm=True, internal_residual=True,
                               output_projection=True)
     with precision("f64"):
         p, cfg, rng = _fresh_block("headwise", toggles=toggles, seed=5)
-        assert p.query_bn is not None and p.query_ln_gain is not None
+        assert p.query_ln_gain is not None
         assert p.attn.w_o is not None
         x = rng.standard_normal((5, cfg.d))
-        y, cache = memory_block_forward(x, p, training=True)
+        y, cache = memory_block_forward(x, p)
     assert np.array_equal(y, x)  # still identity: values are zero
-    assert cache["mem"]["bn"] is not None and cache["mem"]["ln"] is not None
+    assert cache["mem"]["ln"] is not None
 
 
 def test_linear_and_pkm_support_layernorm_toggle():
     for kind in ("linear", "pkm"):
-        toggles = MemoryLayerKind(kind, query_batchnorm=False,
-                                  query_layernorm=True, internal_residual=True,
-                                  output_projection=True)
-        with precision("f64"):
-            p, cfg, rng = _fresh_block(kind, toggles=toggles, seed=6)
-            assert p.query_bn is None and p.query_ln_gain is not None
-            x = rng.standard_normal((4, cfg.d))
-            y, cache = memory_block_forward(x, p, training=True)
-        assert np.array_equal(y, x)
-        assert cache["mem"]["ln"] is not None
+        for on in (False, True):
+            toggles = MemoryLayerKind(kind, query_layernorm=on, internal_residual=True,
+                                      output_projection=True)
+            with precision("f64"):
+                p, cfg, rng = _fresh_block(kind, toggles=toggles, seed=6)
+                assert (p.query_ln_gain is not None) == on
+                x = rng.standard_normal((4, cfg.d))
+                y, cache = memory_block_forward(x, p)
+            assert np.array_equal(y, x)
+            assert (cache["mem"]["ln"] is not None) == on
 
 
 def test_init_bank_draws_in_field_order():

@@ -6,18 +6,17 @@ plain loop over heads, one 2-D problem at a time, is the oracle: selection
 by the exhaustive grid scan, scatters by np.add.at.
 """
 
-import copy
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from headmem.gradients import GradStore, batchnorm_backward, retrieve_backward
-from headmem.layers import MemoryLayerKind, batchnorm_query, retrieve
+from headmem.gradients import GradStore, retrieve_backward, rms_norm_backward
+from headmem.layers import MemoryLayerKind, retrieve
 from headmem.memory import MemoryConfig, fused_cartesian_topk, select_topk
 from headmem.model import init_transformer_block
 from headmem.numerics import make_rng, precision, softmax
+from headmem.transformer import rms_norm_fwd
 from headmem.upscale import init_memory_block
 from test_acceptance import grid_topk_oracle
 
@@ -114,15 +113,15 @@ def _block(kind, seed):
     return p, rng
 
 
-def _reference(a, p, seq_len, dm):
+def _reference(a, p, dm):
     """Per-head loop forward and backward of the retrieval; returns (m, idx,
     gradients by name, da)."""
     cfg, bank, kind = p.cfg, p.bank, p.kind.kind
     rows, n, d_h, d_p = a.shape[0], cfg.n, cfg.d_h, cfg.d_p
     q = a if kind == "headwise" else a @ bank.w_q
-    bn_cache = None
-    if p.query_bn is not None:
-        q, bn_cache = batchnorm_query(q, p.query_bn, True, seq_len)
+    ln_cache = None
+    if p.query_ln_gain is not None:
+        q, ln_cache = rms_norm_fwd(q, p.query_ln_gain)
     table = bank.values.v_base if kind == "headwise" else bank.values
     m, dq = np.zeros((rows, cfg.d)), np.zeros_like(q)
     grads = {"table": np.zeros_like(table)}
@@ -176,8 +175,8 @@ def _reference(a, p, seq_len, dm):
             grads["k_row"][h] = ds_row.T @ q_h[:, :d_p]
             grads["k_col"][h] = ds_col.T @ q_h[:, d_p:]
         idx.append(idx_h)
-    if bn_cache is not None:
-        dq, grads["gamma"], grads["beta"] = batchnorm_backward(dq, bn_cache)
+    if ln_cache is not None:
+        dq, grads["gain"] = rms_norm_backward(dq, ln_cache)
     if kind != "headwise":
         grads["w_q"] = a.T @ dq
         dq = dq @ bank.w_q.T
@@ -188,7 +187,7 @@ GRAD_PATHS = {
     "table": ("bank.values", "bank.values.v_base"),
     "w_heads": ("bank.values.w_heads",), "keys": ("bank.keys",),
     "k_row": ("bank.pk.k_row",), "k_col": ("bank.pk.k_col",),
-    "w_q": ("bank.w_q",), "gamma": ("query_bn.gamma",), "beta": ("query_bn.beta",),
+    "w_q": ("bank.w_q",), "gain": ("query_ln_gain",),
 }
 
 
@@ -205,11 +204,10 @@ def test_one_call_retrieval_matches_per_head_loop(kind, batch):
         seq_len = 5
         a = rng.standard_normal(((batch or 1) * seq_len, p.cfg.d))
         dm = rng.standard_normal(a.shape)
-        m, cache = retrieve(a, copy.deepcopy(p), training=True, seq_len=seq_len)
+        m, cache = retrieve(a, p)
         grads = GradStore()
         da = retrieve_backward(dm, cache, p, grads, "m")
-        want_m, want_idx, want_grads, want_da = _reference(a, copy.deepcopy(p),
-                                                           seq_len, dm)
+        want_m, want_idx, want_grads, want_da = _reference(a, p, dm)
     assert np.array_equal(cache["idx"], want_idx)
     _close(m, want_m)
     _close(da, want_da)

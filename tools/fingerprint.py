@@ -15,7 +15,7 @@ the public headmem API, in f32 and in f64:
                                   and weight gradients over several 128-row
                                   chunks):
                                   losses, learning rates, write counts,
-                                  final parameters and buffers
+                                  final parameters
   prefill/<lengths>/<precision>   logits of 20 prompts, on the cached-value
                                   path and on the direct path
   prefill-collect/256-512/<precision>
@@ -88,15 +88,12 @@ def _model(hm, kind: str, n: int, k: int):
 
 
 def _train(hm, kind: str, n: int, k: int, corpus, batch: int, steps: int = STEPS) -> str:
-    from headmem.model import named_buffers
-
     net = _model(hm, kind, n, k)
     groups = hm.build_optim_groups(net, "cpt", dense_lr=3e-3, memory_lr=1e-2)
     rep = hm.train(net, corpus, groups, steps=steps, batch_size=batch, seed=SEED)
     logs = [np.array(x) for x in (rep.losses, rep.lr_inserted_dense,
                                   rep.lr_memory_keys_values, rep.unique_index_writes)]
-    tensors = [a for _, a in hm.named_params(net)] + [a for _, a in named_buffers(net)]
-    return _sha(logs + tensors)
+    return _sha(logs + [a for _, a in hm.named_params(net)])
 
 
 def _read_model(hm):
