@@ -42,7 +42,7 @@ def main():
         plan = UpscalePlan(
             policy=PlacementPolicy(name, base_depth=4, inserted=2),
             insert_kind="memory_block",
-            memory_kind=MemoryLayerKind.defaults("headwise"),
+            memory_kind=MemoryLayerKind("headwise"),
             memory_cfg=cfg,
             seed=3,
         )
@@ -63,7 +63,7 @@ def main():
     plan = UpscalePlan(
         policy=PlacementPolicy("distributed", base_depth=4, inserted=2),
         insert_kind="memory_block",
-        memory_kind=MemoryLayerKind.defaults("headwise"),
+        memory_kind=MemoryLayerKind("headwise"),
         memory_cfg=cfg,
         seed=3,
     )

@@ -43,7 +43,7 @@ def main():
     # one transformer block against a memory block of each kind in its place
     rng = make_rng(1)
     tblock = init_transformer_block(d=64, heads=4, d_ff=192, rng=rng)
-    mblocks = {kind: init_memory_block(tblock, MemoryLayerKind.defaults(kind), cfg, rng)
+    mblocks = {kind: init_memory_block(tblock, MemoryLayerKind(kind), cfg, rng)
                for kind in MEMORY_KINDS}
     print("forward MACs per block, d=64 (attention scores left out):")
     print("length  " + "".join(f"{name:>14}" for name in ("transformer", *mblocks)))

@@ -31,7 +31,7 @@ def main():
     plan = UpscalePlan(
         policy=PlacementPolicy("distributed", base_depth=3, inserted=1),
         insert_kind="memory_block",
-        memory_kind=MemoryLayerKind.defaults("headwise"),
+        memory_kind=MemoryLayerKind("headwise"),
         memory_cfg=MemoryConfig(heads=4, n=16, k=4, d=32),
         seed=3,
     )

@@ -45,7 +45,7 @@ def main():
     # queries are the raw head outputs, so any [tokens, d] rows will do
     rng = make_rng(1)
     block = init_memory_block(init_transformer_block(small.d, small.heads, 128, rng),
-                              MemoryLayerKind.defaults("headwise"), small, rng)
+                              MemoryLayerKind("headwise"), small, rng)
     values = block.bank.values
     values.v_base[...] = rng.standard_normal(values.v_base.shape)
     q = rng.standard_normal((6, small.d))

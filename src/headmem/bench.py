@@ -24,13 +24,11 @@ def memory_block_macs(p: MemoryBlockParams, length: int) -> int:
     cfg = p.cfg
     d, heads, k, d_h = cfg.d, cfg.heads, cfg.k, cfg.d_h
     macs = 3 * d * d
-    if p.kind.output_projection:
-        macs += d * d
     if p.kind.kind == "headwise":
         macs += heads * lookup_cost(cfg, "product")
         macs += heads * k * d_h
     else:
-        macs += d * d  # query projection
+        macs += 2 * d * d  # output and query projections
         macs += heads * lookup_cost(cfg, "flat" if p.kind.kind == "linear" else "product")
         macs += heads * k * d     # full-width shared values
     return length * macs

@@ -38,6 +38,16 @@ _DTYPES = {"float32": np.float32, "float64": np.float64}
 # still carry one, at the constant's value
 _FIXED = {"rope_base": ROPE_BASE}
 
+# toggles files carried while the query pipeline was settable, each with the
+# value it must hold in a (linear or pkm, headwise) block: query batchnorm is
+# gone, and the kind now fixes the rest
+_RETIRED_TOGGLES = {
+    "query_batchnorm": (False, False),
+    "query_layernorm": (True, False),
+    "internal_residual": (True, False),
+    "output_projection": (True, False),
+}
+
 
 class CheckpointError(Exception):
     """Corrupt or incompatible checkpoint file."""
@@ -148,15 +158,15 @@ def _skeleton_block(desc: dict, prefix: str, sizes: dict, rng: _ZeroDraws):
         block = init_transformer_block(d, heads, sizes["d_ff"], rng)
     elif desc["type"] == "memory":
         toggles = dict(desc["toggles"])
-        # files written while query batchnorm existed carry its toggle (and,
-        # when it was on, bn_momentum and bn_eps, which are ignored)
-        if toggles.pop("query_batchnorm", False) is not False:
-            raise CheckpointError(f"{prefix} has toggles.query_batchnorm "
-                                  f"{desc['toggles']['query_batchnorm']!r}; query "
-                                  "batchnorm was removed, so its model cannot load")
-        lk = MemoryLayerKind(**toggles)
-        _require(all(type(v) is bool for v in dataclasses.astuple(lk)[1:]),
-                 f"{prefix} toggles are not booleans")
+        lk = MemoryLayerKind(toggles.pop("kind"))
+        # files written while query batchnorm existed may also carry its
+        # bn_momentum and bn_eps, which are ignored
+        for name, value in toggles.items():
+            _require(name in _RETIRED_TOGGLES, f"{prefix} has unknown toggle {name!r}")
+            want = _RETIRED_TOGGLES[name][lk.kind == "headwise"]
+            if value is not want:
+                raise CheckpointError(f"{prefix} has toggles.{name} {value!r}; a "
+                                      f"{lk.kind} block now always has {want}")
         # older files carry selection-route fields in cfg too; they are ignored
         cfg = MemoryConfig(**{key: _size(desc["cfg"][key], f"{prefix} cfg.{key}")
                               for key in ("heads", "n", "k", "d")})

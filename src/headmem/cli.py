@@ -25,7 +25,6 @@ from .config import (
     parse_config,
 )
 from .gradcheck import DEFAULT_TOL, format_report, run_gradcheck
-from .layers import MEMORY_TOGGLES
 from .model import named_params, param_count_total, trainable_paths
 from .numerics import NumericsError, make_rng, set_default_dtype
 from .training import RecallCorpus, evaluate, head_importance, train
@@ -152,8 +151,6 @@ def cmd_params(args) -> int:
         vcfg = copy.deepcopy(cfg)
         if kind is not None:
             vcfg["memory"]["kind"] = kind
-            for toggle in MEMORY_TOGGLES:
-                vcfg["memory"][toggle] = None
             vcfg["upscale"]["init_source"] = "subsequent"
             vcfg["upscale"]["zero_init_copies"] = False
         vcfg["upscale"]["insert_kind"] = insert_kind

@@ -11,7 +11,7 @@ import configparser
 import dataclasses
 import os
 
-from .layers import MEMORY_KINDS, MEMORY_TOGGLES, MemoryLayerKind
+from .layers import MEMORY_KINDS, MemoryLayerKind
 from .memory import MemoryConfig
 from .model import ModelSpec, init_base_model
 from .numerics import make_rng
@@ -56,9 +56,8 @@ class Range:
 _NONNEG = Range(0)
 _POSITIVE = Range(1)
 
-# section -> key -> (type, default[, limit]); None default means "absent
-# unless set"; a limit (a Range, or a tuple of the admitted choices) is
-# checked on every value a config file sets
+# section -> key -> (type, default[, limit]); a limit (a Range, or a tuple
+# of the admitted choices) is checked on every value a config file sets
 SCHEMA = {
     "model": {
         "vocab": (int, 256, _POSITIVE), "d": (int, 64, _POSITIVE),
@@ -68,7 +67,6 @@ SCHEMA = {
     "memory": {
         "kind": (str, "headwise", MEMORY_KINDS),
         "n": (int, 16, _POSITIVE), "k": (int, 4, _POSITIVE),
-        **{name: (_bool, None) for name in MEMORY_TOGGLES},
     },
     "upscale": {
         "policy": (str, "distributed", POLICY_NAMES),
@@ -136,17 +134,18 @@ def config_from_snapshot(snapshot) -> dict:
     """The config a checkpoint header carries, checked like a config file:
     every SCHEMA key must be there with a value of its type. Keys SCHEMA no
     longer has (older files carry memory.route, memory.fused_threshold,
-    memory.query_batchnorm and train.loss_scale) are dropped; the model
+    train.loss_scale and a memory key for each toggle in
+    checkpoint._RETIRED_TOGGLES) are dropped; the model
     comes from the file's block descriptors, not from this snapshot."""
     cfg = default_config()
     for sect, keys in SCHEMA.items():
-        for key, (conv, default, *_) in keys.items():
+        for key, (conv, *_) in keys.items():
             try:
                 val = snapshot[sect][key]
             except (KeyError, TypeError):
                 raise ConfigError(f"config snapshot has no {sect}.{key}") from None
             json_types = {float: (int, float), _bool: (bool,)}.get(conv, (conv,))
-            if not (val is None and default is None or type(val) in json_types):
+            if type(val) not in json_types:
                 raise ConfigError(f"config snapshot {sect}.{key} has the wrong type: {val!r}")
             _check_value(sect, key, val)
             cfg[sect][key] = val
@@ -158,13 +157,6 @@ def parse_config(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}")
     with open(path, encoding="utf-8") as f:
         return parse_config_text(f.read())
-
-
-def memory_layer_kind(cfg: dict) -> MemoryLayerKind:
-    m = cfg["memory"]
-    lk = MemoryLayerKind.defaults(m["kind"])
-    overrides = {name: m[name] for name in MEMORY_TOGGLES if m[name] is not None}
-    return dataclasses.replace(lk, **overrides) if overrides else lk
 
 
 def memory_config(cfg: dict) -> MemoryConfig:
@@ -185,7 +177,7 @@ def build_plan(cfg: dict) -> UpscalePlan:
     return UpscalePlan(policy=policy, insert_kind=up["insert_kind"],
                        init_source=up["init_source"],
                        zero_init_copies=up["zero_init_copies"],
-                       memory_kind=memory_layer_kind(cfg) if memory else None,
+                       memory_kind=MemoryLayerKind(cfg["memory"]["kind"]) if memory else None,
                        memory_cfg=memory_config(cfg) if memory else None,
                        seed=up["seed"])
 

@@ -30,7 +30,7 @@ from .gradients import (
     softmax_backward,
     transformer_block_backward,
 )
-from .layers import MEMORY_TOGGLES, MemoryLayerKind, memory_block_forward
+from .layers import MemoryLayerKind, memory_block_forward
 from .memory import MemoryConfig
 from .model import (
     init_attention,
@@ -192,28 +192,23 @@ def check_transformer_block(seed: int = 0) -> CheckResult:
                         transformer_block_backward, p, x, r)
 
 
-def _memory_block_fixture(kind: str, all_toggles: bool, seed: int):
+def _memory_block_fixture(kind: str, seed: int):
     rng = make_rng(seed)
     with precision("f64"):
         cfg = MemoryConfig(heads=2, n=6, k=3, d=12)
         source = init_transformer_block(12, 2, 16, rng)
-        lk = (MemoryLayerKind(kind, *[True] * len(MEMORY_TOGGLES)) if all_toggles
-              else MemoryLayerKind.defaults(kind))
-        p = init_memory_block(source, lk, cfg, rng)
+        p = init_memory_block(source, MemoryLayerKind(kind), cfg, rng)
     _fill_value_tables(p, rng, 1.0)
     return p, cfg, rng
 
 
-def check_memory_block(kind: str, seed: int = 0, all_toggles: bool = False,
-                       batch: int = 1) -> CheckResult:
-    """all_toggles switches every ablation toggle on; batch > 1 stacks that
-    many 5-token sequences into one call, which exercises per-sequence
-    attention over token rows."""
-    p, cfg, rng = _memory_block_fixture(kind, all_toggles, seed)
+def check_memory_block(kind: str, seed: int = 0, batch: int = 1) -> CheckResult:
+    """batch > 1 stacks that many 5-token sequences into one call, which
+    exercises per-sequence attention over token rows."""
+    p, cfg, rng = _memory_block_fixture(kind, seed)
     x = rng.standard_normal((batch * 5, cfg.d))
     r = rng.standard_normal((batch * 5, cfg.d))
-    name = (f"memory_block_{kind}" + ("_all_toggles" if all_toggles else "")
-            + (f"_batch{batch}" if batch > 1 else ""))
+    name = f"memory_block_{kind}" + (f"_batch{batch}" if batch > 1 else "")
     return _check_block(name, partial(memory_block_forward, seq_len=5),
                         memory_block_backward, p, x, r)
 
@@ -229,7 +224,7 @@ def check_full_model(kind: str = "headwise", seed: int = 0,
         cfg = MemoryConfig(heads=4, n=8, k=3, d=32)
         plan = UpscalePlan(policy=PlacementPolicy("distributed", 2, 2),
                            insert_kind="memory_block",
-                           memory_kind=MemoryLayerKind.defaults(kind),
+                           memory_kind=MemoryLayerKind(kind),
                            memory_cfg=cfg, seed=seed + 1)
         model = build_memory_dus(base, plan)
     _fill_value_tables(model, rng, 0.1)
@@ -261,8 +256,6 @@ LAYER_CHECKS = {
     "memory_block_linear": partial(check_memory_block, "linear"),
     "memory_block_pkm": partial(check_memory_block, "pkm"),
     "memory_block_headwise": partial(check_memory_block, "headwise"),
-    "memory_block_headwise_all_toggles": partial(check_memory_block, "headwise",
-                                                 all_toggles=True),
     "memory_block_linear_batch3": partial(check_memory_block, "linear", batch=3),
     "memory_block_pkm_batch3": partial(check_memory_block, "pkm", batch=3),
     "memory_block_headwise_batch3": partial(check_memory_block, "headwise", batch=3),

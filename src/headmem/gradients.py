@@ -301,10 +301,9 @@ def retrieve_backward(dm: np.ndarray, mcache: dict, p: MemoryBlockParams,
             _key_backward(dsums, idx % n, n, qh[..., d_p:], pk.k_col, grads,
                           f"{prefix}.bank.pk.k_col")], axis=-1)
     dq = dq.reshape(rows, cfg.d)
-    if mcache["ln"] is not None:
-        dq = _norm_backward(dq, mcache["ln"], grads, f"{prefix}.query_ln_gain")
     if kind == "headwise":
         return dq
+    dq = _norm_backward(dq, mcache["ln"], grads, f"{prefix}.query_ln_gain")
     grads.add_matmul(f"{prefix}.bank.w_q", mcache["a"], dq)
     return dq @ bank.w_q.T
 
@@ -314,8 +313,8 @@ def memory_block_backward(dy: np.ndarray, cache: dict, p: MemoryBlockParams,
     da = retrieve_backward(dy, cache["mem"], p, grads, prefix)
     dxn = attention_backward(da, cache["attn"], p.attn, grads, f"{prefix}.attn")
     dx = dy + _norm_backward(dxn, cache["norm"], grads, f"{prefix}.norm_gain")
-    if p.kind.internal_residual:
-        dx = dx + da
+    if p.kind.kind != "headwise":
+        dx = dx + da  # the internal residual
     return dx
 
 

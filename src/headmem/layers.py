@@ -12,12 +12,14 @@ Three retrieval designs share one block shape (x + memory(attention(norm(x)))):
            internal residual), values factorized as a shared d_h-wide table
            plus per-head transforms, head outputs concatenated.
 
+The query pipeline is fixed by the kind. linear and pkm follow the
+product-key recipe of Lample et al. 2019: the attention output projection,
+the internal residual a = x + attn_out, then projected queries with a
+per-token RMS norm (matching the backbone). headwise has none of these.
+
 All three keep their tables in one MemoryBank, made by init_bank; a field
 the kind does not use is None. All three read through one function,
-retrieve, which scores, selects and pools every head in one call. The
-toggles on MemoryLayerKind reshape the pipeline for ablations: query
-layernorm (RMS-style, matching the backbone), internal residual
-a = x + attn_out, and attention output projection.
+retrieve, which scores, selects and pools every head in one call.
 
 Only the causal attention mixes positions; every later step works on one
 token row at a time. So position t's read depends on tokens 0..t alone, and
@@ -28,7 +30,7 @@ moments over all positions, which lets later tokens into earlier queries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,9 +55,6 @@ MEMORY_KINDS = ("linear", "pkm", "headwise")
 @dataclass
 class MemoryLayerKind:
     kind: str
-    query_layernorm: bool = False
-    internal_residual: bool = False
-    output_projection: bool = False
 
     def __post_init__(self):
         if self.kind not in MEMORY_KINDS:
@@ -63,17 +62,9 @@ class MemoryLayerKind:
 
     @staticmethod
     def defaults(kind: str) -> "MemoryLayerKind":
-        # linear/pkm follow the conventional memory-block recipe (normalized
-        # projected queries inside a full residual sublayer); headwise strips
-        # all of that away and reads the raw head outputs directly.
-        if kind in ("linear", "pkm"):
-            return MemoryLayerKind(kind, query_layernorm=True, internal_residual=True,
-                                   output_projection=True)
+        # the kind fixes the whole pipeline, so this is MemoryLayerKind(kind);
+        # it stays for callers that must also run where the kind had toggles
         return MemoryLayerKind(kind)
-
-
-# names of the boolean ablation toggles, in declaration order
-MEMORY_TOGGLES = tuple(f.name for f in fields(MemoryLayerKind) if f.name != "kind")
 
 
 @dataclass
@@ -110,10 +101,10 @@ def init_bank(kind: str, cfg: MemoryConfig, rng: np.random.Generator) -> MemoryB
 class MemoryBlockParams:
     kind: MemoryLayerKind
     cfg: MemoryConfig
-    attn: AttentionParams  # w_o is None unless kind.output_projection
+    attn: AttentionParams  # w_o is None in a headwise block
     norm_gain: np.ndarray  # [d]
     bank: MemoryBank
-    query_ln_gain: np.ndarray | None = None
+    query_ln_gain: np.ndarray | None = None  # [d]; None in a headwise block
 
 
 # ---------------------------------------------------------------------------
@@ -123,19 +114,19 @@ def retrieve(a: np.ndarray, p: MemoryBlockParams, value_cache: np.ndarray | None
     """The memory read of every kind over token rows a [rows, d]; returns
     (m [rows, d], cache).
 
-    Queries are a @ w_q (linear, pkm) or a itself (headwise), then the
-    optional per-token layernorm. The h-th d_h slice of a query row
-    addresses head h. All H heads are scored in one call, flat keys
-    [rows, H, N] or sub-key axes [rows, H, n], and selected once. linear
-    and pkm pool the shared full-width table and sum over heads; headwise
-    pools its factorized values (or gathers from value_cache, the
-    [H, N, d_h] table of build_value_cache) and concatenates heads.
+    Queries are the per-token RMS norm of a @ w_q (linear, pkm) or a
+    itself (headwise). The h-th d_h slice of a query row addresses head h.
+    All H heads are scored in one call, flat keys [rows, H, N] or sub-key
+    axes [rows, H, n], and selected once. linear and pkm pool the shared
+    full-width table and sum over heads; headwise pools its factorized
+    values (or gathers from value_cache, the [H, N, d_h] table of
+    build_value_cache) and concatenates heads.
     """
     kind, cfg, bank = p.kind.kind, p.cfg, p.bank
-    q = a if kind == "headwise" else a @ bank.w_q
-    ln_cache = None
-    if p.kind.query_layernorm:
-        q, ln_cache = rms_norm_fwd(q, p.query_ln_gain)
+    if kind == "headwise":
+        q, ln_cache = a, None
+    else:
+        q, ln_cache = rms_norm_fwd(a @ bank.w_q, p.query_ln_gain)
     qh = q.reshape(a.shape[0], cfg.heads, cfg.d_h)
     if kind == "linear":
         idx, vals = topk(head_scores(qh, bank.keys), cfg.k)
@@ -162,15 +153,15 @@ def memory_block_forward(x: np.ndarray, p: MemoryBlockParams,
 
     x: [B*s, d] token rows of B sequences of seq_len (None: one sequence).
     Retrieval runs once over all rows; only attention groups them by
-    sequence. The attention sublayer reuses the block's copied
-    attention parameters; with output_projection off its raw concatenated
-    head outputs feed the memory directly. Returns (y, cache). Without
-    collect, cache is None and the attention's intermediates are freed
-    before the retrieval runs.
+    sequence. The attention sublayer reuses the block's copied attention
+    parameters; in a headwise block, which has no output projection and no
+    internal residual, its raw concatenated head outputs feed the memory
+    directly. Returns (y, cache). Without collect, cache is None and the
+    attention's intermediates are freed before the retrieval runs.
     """
     xn, ncache = rms_norm_fwd(x, p.norm_gain)
     ao, acache = causal_attention(xn, p.attn, seq_len=seq_len, collect=collect)
-    a = x + ao if p.kind.internal_residual else ao
+    a = ao if p.kind.kind == "headwise" else x + ao
     del xn, ao  # without collect, no cache holds them through the retrieval
     m, mcache = retrieve(a, p, value_cache)
     y = x + m

@@ -187,15 +187,17 @@ def init_memory_block(source: TransformerBlockParams, kind: MemoryLayerKind,
                       cfg: MemoryConfig, rng) -> MemoryBlockParams:
     """A fresh memory block of kind in the place of source. It sees the same
     normalized context as source's attention: gain and attention weights
-    are copied together. The output projection travels only when the
-    variant consumes projected outputs. The bank comes from init_bank."""
+    are copied together. A headwise block reads the raw head outputs, so
+    it drops the output projection and has no query norm gain. The bank
+    comes from init_bank."""
+    headwise = kind.kind == "headwise"
     attn = map_tensors(np.copy, source.attn)
-    if not kind.output_projection:
+    if headwise:
         attn.w_o = None
     return MemoryBlockParams(
         kind=kind, cfg=cfg, attn=attn, norm_gain=source.attn_gain.copy(),
         bank=init_bank(kind.kind, cfg, rng),
-        query_ln_gain=ones(cfg.d) if kind.query_layernorm else None,
+        query_ln_gain=None if headwise else ones(cfg.d),
     )
 
 

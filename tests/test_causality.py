@@ -8,9 +8,6 @@ headwise blocks. Memory queries must then be normalized per token: moments
 pooled over a sequence would carry its later tokens into earlier queries.
 """
 
-import dataclasses
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,23 +20,18 @@ from headmem.numerics import make_rng, precision
 from headmem.training import ROWS, evaluate, loss_and_grads
 from headmem.upscale import PlacementPolicy, UpscalePlan, build_memory_dus
 
-TOGGLES = ("query_layernorm", "internal_residual", "output_projection")
 VOCAB = 13
 
 
-def _model(kind, toggles, prec, heads, half, n, k, depth, seed):
+def _model(kind, prec, heads, half, n, k, depth, seed):
     """An expanded model with one memory block per base block, every
-    parameter moved off its init so each memory read carries signal.
-    toggles None keeps the kind's defaults."""
+    parameter moved off its init so each memory read carries signal."""
     d = 2 * half * heads
     rng = make_rng(seed)
-    lk = MemoryLayerKind.defaults(kind)
-    if toggles is not None:
-        lk = dataclasses.replace(lk, **dict(zip(TOGGLES, toggles)))
     with precision(prec):
         base = init_base_model(vocab=VOCAB, d=d, heads=heads, d_ff=6, depth=depth, rng=rng)
         plan = UpscalePlan(policy=PlacementPolicy("distributed", depth, depth),
-                           insert_kind="memory_block", memory_kind=lk,
+                           insert_kind="memory_block", memory_kind=MemoryLayerKind(kind),
                            memory_cfg=MemoryConfig(heads=heads, n=n, k=min(k, n), d=d),
                            seed=seed)
         model = build_memory_dus(base, plan)
@@ -60,21 +52,19 @@ def _forwards(model):
         yield f"training collect={collect}", dict(training=True, collect=collect)
 
 
-@pytest.mark.parametrize("toggles", list(itertools.product((False, True), repeat=3)),
-                         ids=lambda t: "".join("01"[on] for on in t))
 @pytest.mark.parametrize("kind", MEMORY_KINDS)
 @settings(max_examples=16, deadline=None)
 @given(prec=st.sampled_from(("f32", "f64")), heads=st.integers(1, 3),
        half=st.integers(1, 2), n=st.integers(1, 4), k=st.integers(1, 4),
        depth=st.integers(1, 2), batch=st.integers(1, 3), seq=st.integers(2, 9),
        pick=st.integers(0, 2 ** 16), seed=st.integers(0, 2 ** 16))
-def test_every_forward_is_causal(kind, toggles, prec, heads, half, n, k, depth, batch,
-                                 seq, pick, seed):
-    """Every kind and toggle set (ids: the TOGGLES bits), random shapes and
-    precision: changing the token at (b, t) leaves every logit of b before
-    t, and every logit of the other sequences, unchanged, bitwise; and the
-    direct forwards all give the same logits."""
-    model, rng = _model(kind, toggles, prec, heads, half, n, k, depth, seed)
+def test_every_forward_is_causal(kind, prec, heads, half, n, k, depth, batch, seq, pick,
+                                 seed):
+    """Every kind, random shapes and precision: changing the token at (b, t)
+    leaves every logit of b before t, and every logit of the other
+    sequences, unchanged, bitwise; and the direct forwards all give the
+    same logits."""
+    model, rng = _model(kind, prec, heads, half, n, k, depth, seed)
     tokens = rng.integers(0, VOCAB, (batch, seq))
     b, t = pick % batch, 1 + pick % (seq - 1)
     changed = tokens.copy()
@@ -96,9 +86,9 @@ def test_every_forward_is_causal(kind, toggles, prec, heads, half, n, k, depth, 
 @pytest.mark.parametrize("batch,seq", [(1, 7), (3, 5), (4, 32), (5, 25)])
 def test_training_loss_equals_evaluate(kind, prec, batch, seq):
     """On a batch evaluate runs in one call, the training loss is its loss,
-    bit for bit, at the kind's default toggles."""
+    bit for bit."""
     assert batch <= ROWS // seq
-    model, rng = _model(kind, None, prec, heads=2, half=2, n=4, k=2, depth=2, seed=3)
+    model, rng = _model(kind, prec, heads=2, half=2, n=4, k=2, depth=2, seed=3)
     inputs = rng.integers(0, VOCAB, (batch, seq))
     targets = rng.integers(0, VOCAB, (batch, seq))
     want = evaluate(model, inputs, targets)

@@ -218,6 +218,9 @@ REMOVED_KEYS = [
     ("train", "loss_scale = 1"),
     ("train", "loss_scale = 0"),
     ("train", "loss_scale = -1"),
+    ("memory", "query_layernorm = true"),
+    ("memory", "internal_residual = true"),
+    ("memory", "output_projection = false"),
 ]
 
 
@@ -396,14 +399,17 @@ def _old_route_keys(header):
 def _parent_format(header):
     """The descriptor fields and config keys files carried while the RoPE
     base and the loss scale were settable, while the model recorded its
-    base depth, and while query batchnorm existed, switched off (every
-    headwise file has it so)."""
+    base depth, while query batchnorm existed, switched off (every
+    headwise file has it so), and while the query pipeline had toggles, at
+    the values a pkm block always has."""
     header["model"]["base_depth"] = 2
     for desc in header["model"]["blocks"]:
         desc["rope_base"] = 10000.0
         if desc["type"] == "memory":
-            desc["toggles"]["query_batchnorm"] = False
-    header["config"]["memory"]["query_batchnorm"] = None
+            desc["toggles"].update(query_batchnorm=False, query_layernorm=True,
+                                   internal_residual=True, output_projection=True)
+    header["config"]["memory"].update(query_batchnorm=None, query_layernorm=None,
+                                      internal_residual=None, output_projection=None)
     header["config"]["train"]["loss_scale"] = 1.0
 
 
@@ -429,6 +435,13 @@ def _first_block(kind, key, value):
     return edit
 
 
+def _first_toggle(name, value):
+    def edit(header):
+        next(d for d in header["model"]["blocks"]
+             if d["type"] == "memory")["toggles"][name] = value
+    return edit
+
+
 CHECKPOINT_CASES = {
     "truncated_0": lambda b: b[:0],
     "truncated_10": lambda b: b[:10],
@@ -448,8 +461,15 @@ CHECKPOINT_CASES = {
     "bn_eps_1e-3": lambda b: _rewrite_header(
         b, _first_block("memory", "bn_eps", 1e-3)),
     "query_batchnorm_true": lambda b: _rewrite_header(
-        b, lambda h: next(d for d in h["model"]["blocks"]
-                          if d["type"] == "memory")["toggles"].update(query_batchnorm=True)),
+        b, _first_toggle("query_batchnorm", True)),
+    "query_layernorm_false": lambda b: _rewrite_header(
+        b, _first_toggle("query_layernorm", False)),
+    "internal_residual_false": lambda b: _rewrite_header(
+        b, _first_toggle("internal_residual", False)),
+    "output_projection_false": lambda b: _rewrite_header(
+        b, _first_toggle("output_projection", False)),
+    "output_projection_one": lambda b: _rewrite_header(
+        b, _first_toggle("output_projection", 1)),
     "query_bn_tensors": _with_query_bn_tensors,
     "rope_base_string": lambda b: _rewrite_header(
         b, _first_block("transformer", "rope_base", "x")),
@@ -474,13 +494,20 @@ CHECKPOINT_CASES = {
 # cases that load: fields of older files that no longer select anything
 LOADS = ("old_route_keys", "parent_format", "bn_momentum_0.2", "bn_eps_1e-3")
 # what the error line of a case names
-NAMED = {"query_batchnorm_true": "toggles.query_batchnorm True",
+NAMED = {"query_batchnorm_true": "blocks.1 has toggles.query_batchnorm True; "
+                                 "a pkm block now always has False",
+         "query_layernorm_false": "toggles.query_layernorm False; "
+                                  "a pkm block now always has True",
+         "internal_residual_false": "toggles.internal_residual False",
+         "output_projection_false": "blocks.1 has toggles.output_projection False; "
+                                    "a pkm block now always has True",
+         "output_projection_one": "toggles.output_projection 1;",
          "query_bn_tensors": "query_bn.beta, blocks.1.query_bn.gamma"}
 
 
 @pytest.fixture
 def pkm_cfg(tmp_path):
-    # a pkm block holds the parts its toggles add: query_ln_gain, w_o
+    # a pkm block holds the parts a headwise block has not: query_ln_gain, w_o
     path = tmp_path / "pkm.cfg"
     path.write_text(SMALL_HEAD.replace("[memory]\n", "[memory]\nkind = pkm\n")
                     + SMALL_TRAIN)

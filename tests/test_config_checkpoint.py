@@ -1,6 +1,5 @@
 """Config parsing, model builders, and the checkpoint container format."""
 
-import itertools
 import json
 import os
 import struct
@@ -53,8 +52,7 @@ def test_defaults_are_complete():
     cfg = default_config()
     assert cfg["model"]["d"] == 64
     assert cfg["memory"]["kind"] == "headwise"
-    assert sorted(cfg["memory"]) == ["internal_residual", "k", "kind", "n",
-                                     "output_projection", "query_layernorm"]
+    assert sorted(cfg["memory"]) == ["k", "kind", "n"]
     assert cfg["upscale"]["policy"] == "distributed"
     assert cfg["train"]["mode"] == "cpt"
     assert cfg["run"]["precision"] == "f32"
@@ -72,8 +70,6 @@ depth = 2
 kind = pkm
 n = 8
 k = 2
-query_layernorm = false
-output_projection = false
 
 [upscale]
 inserted = 1
@@ -81,9 +77,6 @@ inserted = 1
     cfg = parse_config_text(text)
     assert cfg["model"]["d"] == 32
     assert cfg["memory"]["kind"] == "pkm"
-    assert cfg["memory"]["query_layernorm"] is False
-    assert cfg["memory"]["output_projection"] is False
-    assert cfg["memory"]["internal_residual"] is None  # untouched stays default
     assert cfg["model"]["vocab"] == 256  # unset keys fall back
 
 
@@ -92,8 +85,10 @@ def test_parse_rejections():
         parse_config_text("[mystery]\nx = 1\n")
     with pytest.raises(ConfigError, match=r"model\.flavor"):
         parse_config_text("[model]\nflavor = 3\n")
-    with pytest.raises(ConfigError, match=r"memory\.query_batchnorm"):
-        parse_config_text("[memory]\nquery_batchnorm = false\n")
+    for key in ("query_batchnorm", "query_layernorm", "internal_residual",
+                "output_projection"):
+        with pytest.raises(ConfigError, match=rf"unknown key memory\.{key}"):
+            parse_config_text(f"[memory]\n{key} = false\n")
     with pytest.raises(ConfigError):
         parse_config_text("[model]\nd = soup\n")
     with pytest.raises(ConfigError):
@@ -208,28 +203,21 @@ _ATTN = ["attn.w_q", "attn.w_k", "attn.w_v"]
 WALK_ORDER = {
     "transformer": _ATTN + ["attn.w_o", "attn_gain", "ffn.w_gate", "ffn.w_up",
                             "ffn.w_down", "ffn_gain"],
-    ("linear", False): _ATTN + ["norm_gain", "bank.w_q", "bank.keys", "bank.values"],
-    ("linear", True): _ATTN + ["attn.w_o", "norm_gain", "bank.w_q", "bank.keys",
-                               "bank.values", "query_ln_gain"],
-    ("pkm", False): _ATTN + ["norm_gain", "bank.w_q", "bank.pk.k_row", "bank.pk.k_col",
-                             "bank.values"],
-    ("pkm", True): _ATTN + ["attn.w_o", "norm_gain", "bank.w_q", "bank.pk.k_row",
-                            "bank.pk.k_col", "bank.values", "query_ln_gain"],
-    ("headwise", False): _ATTN + ["norm_gain", "bank.pk.k_row", "bank.pk.k_col",
-                                  "bank.values.v_base", "bank.values.w_heads"],
-    ("headwise", True): _ATTN + ["attn.w_o", "norm_gain", "bank.pk.k_row",
-                                 "bank.pk.k_col", "bank.values.v_base",
-                                 "bank.values.w_heads", "query_ln_gain"],
+    "linear": _ATTN + ["attn.w_o", "norm_gain", "bank.w_q", "bank.keys", "bank.values",
+                       "query_ln_gain"],
+    "pkm": _ATTN + ["attn.w_o", "norm_gain", "bank.w_q", "bank.pk.k_row",
+                    "bank.pk.k_col", "bank.values", "query_ln_gain"],
+    "headwise": _ATTN + ["norm_gain", "bank.pk.k_row", "bank.pk.k_col",
+                         "bank.values.v_base", "bank.values.w_heads"],
 }
 
 
-@pytest.mark.parametrize("case", list(WALK_ORDER), ids=str)
+@pytest.mark.parametrize("case", list(WALK_ORDER))
 def test_walk_order_is_pinned(case):
     source = init_transformer_block(8, 2, 12, make_rng(0))
     block = source
     if case != "transformer":
-        kind, on = case
-        block = init_memory_block(source, MemoryLayerKind(kind, *[on] * 3),
+        block = init_memory_block(source, MemoryLayerKind(case),
                                   MemoryConfig(heads=2, n=4, k=2, d=8), make_rng(1))
     assert [p for p, _ in named_params(block)] == WALK_ORDER[case]
 
@@ -238,14 +226,12 @@ def _walk_cases():
     source = init_transformer_block(8, 2, 12, make_rng(0))
     yield "transformer", source
     for kind in MEMORY_KINDS:
-        for toggles in itertools.product((False, True), repeat=3):
-            block = init_memory_block(source, MemoryLayerKind(kind, *toggles),
+        yield kind, init_memory_block(source, MemoryLayerKind(kind),
                                       MemoryConfig(heads=2, n=4, k=2, d=8), make_rng(1))
-            yield (kind, toggles), block
     base = init_base_model(vocab=11, d=8, heads=2, d_ff=12, depth=3, rng=make_rng(2))
     plan = UpscalePlan(policy=PlacementPolicy("distributed", 3, 2),
                        insert_kind="memory_block",
-                       memory_kind=MemoryLayerKind("pkm", True, True, False),
+                       memory_kind=MemoryLayerKind("pkm"),
                        memory_cfg=MemoryConfig(heads=2, n=4, k=2, d=8), seed=3)
     yield "model", build_memory_dus(base, plan)
 
@@ -289,14 +275,13 @@ def test_map_tensors_follows_the_walk():
 
 
 @settings(max_examples=40, deadline=None)
-@given(kind=st.sampled_from(MEMORY_KINDS), toggles=st.tuples(*[st.booleans()] * 3),
-       prec=st.sampled_from(("f32", "f64")), policy=st.sampled_from(POLICY_NAMES),
-       heads=st.integers(1, 3), half=st.integers(1, 2), n=st.integers(1, 4),
-       k=st.integers(1, 4), depth=st.integers(1, 3), inserted=st.integers(0, 3),
-       seed=st.integers(0, 2 ** 16))
-def test_checkpoint_roundtrip_property(kind, toggles, prec, policy, heads, half, n, k,
-                                       depth, inserted, seed):
-    """Random small shapes, every kind, toggle set, precision and placement,
+@given(kind=st.sampled_from(MEMORY_KINDS), prec=st.sampled_from(("f32", "f64")),
+       policy=st.sampled_from(POLICY_NAMES), heads=st.integers(1, 3),
+       half=st.integers(1, 2), n=st.integers(1, 4), k=st.integers(1, 4),
+       depth=st.integers(1, 3), inserted=st.integers(0, 3), seed=st.integers(0, 2 ** 16))
+def test_checkpoint_roundtrip_property(kind, prec, policy, heads, half, n, k, depth,
+                                       inserted, seed):
+    """Random small shapes, every kind, precision and placement,
     with every tensor and mask bit moved off its init: the loaded model is
     the saved one, bitwise and dtype for dtype."""
     d = 2 * half * heads
@@ -305,7 +290,7 @@ def test_checkpoint_roundtrip_property(kind, toggles, prec, policy, heads, half,
         base = init_base_model(vocab=11, d=d, heads=heads, d_ff=6, depth=depth, rng=rng)
         plan = UpscalePlan(policy=PlacementPolicy(policy, depth, min(inserted, depth)),
                            insert_kind="memory_block",
-                           memory_kind=MemoryLayerKind(kind, *toggles),
+                           memory_kind=MemoryLayerKind(kind),
                            memory_cfg=MemoryConfig(heads=heads, n=n, k=min(k, n), d=d),
                            seed=seed)
         model = build_memory_dus(base, plan)

@@ -147,7 +147,7 @@ def _walked_block_paths(check_name):
         block = init_transformer_block(16, 2, 24, make_rng(0))
     else:
         kind = check_name.split("_")[2]
-        block = _memory_block_fixture(kind, check_name.endswith("all_toggles"), 0)[0]
+        block = _memory_block_fixture(kind, 0)[0]
     return tuple(path for path, _ in named_params(block))
 
 

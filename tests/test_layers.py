@@ -1,10 +1,10 @@
-"""Memory block kinds, query pipeline toggles, MAC counts."""
+"""Memory block kinds, the query pipeline each kind fixes, MAC counts."""
 
 import numpy as np
 import pytest
 
 from headmem.bench import memory_block_macs, transformer_block_macs
-from headmem.layers import MEMORY_TOGGLES, MemoryLayerKind, init_bank, memory_block_forward
+from headmem.layers import MEMORY_KINDS, MemoryLayerKind, init_bank, memory_block_forward
 from headmem.memory import MemoryConfig, build_value_cache
 from headmem.model import (
     build_value_caches,
@@ -13,30 +13,22 @@ from headmem.model import (
     model_forward,
 )
 from headmem.numerics import gaussian, make_rng, precision
+from headmem.transformer import causal_attention, rms_norm_fwd
 from headmem.upscale import PlacementPolicy, UpscalePlan, build_memory_dus, init_memory_block
 
 
 def test_kind_defaults():
-    assert MEMORY_TOGGLES == ("query_layernorm", "internal_residual", "output_projection")
-    lin = MemoryLayerKind.defaults("linear")
-    assert (lin.query_layernorm, lin.internal_residual,
-            lin.output_projection) == (True, True, True)
-    pkm = MemoryLayerKind.defaults("pkm")
-    assert (pkm.query_layernorm, pkm.internal_residual,
-            pkm.output_projection) == (True, True, True)
-    hw = MemoryLayerKind.defaults("headwise")
-    assert (hw.query_layernorm, hw.internal_residual,
-            hw.output_projection) == (False, False, False)
+    for kind in MEMORY_KINDS:
+        assert MemoryLayerKind.defaults(kind) == MemoryLayerKind(kind)
     with pytest.raises(ValueError):
         MemoryLayerKind("dense")
 
 
-def _fresh_block(kind, seed=0, toggles=None):
+def _fresh_block(kind, seed=0):
     rng = make_rng(seed)
     cfg = MemoryConfig(heads=2, n=6, k=3, d=12)
     source = init_transformer_block(12, 2, 20, rng)
-    lk = toggles if toggles is not None else MemoryLayerKind.defaults(kind)
-    return init_memory_block(source, lk, cfg, rng), cfg, rng
+    return init_memory_block(source, MemoryLayerKind(kind), cfg, rng), cfg, rng
 
 
 @pytest.mark.parametrize("kind", ["linear", "pkm", "headwise"])
@@ -46,7 +38,7 @@ def test_memory_block_is_identity_at_init(kind):
         x = rng.standard_normal((7, cfg.d))
         y, cache = memory_block_forward(x, p)
     assert np.array_equal(y, x)  # zero value tables add nothing
-    # caches hold activations; the kind and toggles are read from p
+    # caches hold activations; the kind is read from p
     assert "kind" not in cache["mem"] and "residual" not in cache
 
 
@@ -92,31 +84,22 @@ def test_value_cache_rejected_in_training():
         model_forward(tokens, model, training=True, value_caches=caches)
 
 
-def test_all_toggles_pipeline_runs_for_headwise():
-    toggles = MemoryLayerKind("headwise", query_layernorm=True, internal_residual=True,
-                              output_projection=True)
-    with precision("f64"):
-        p, cfg, rng = _fresh_block("headwise", toggles=toggles, seed=5)
-        assert p.query_ln_gain is not None
-        assert p.attn.w_o is not None
-        x = rng.standard_normal((5, cfg.d))
-        y, cache = memory_block_forward(x, p)
-    assert np.array_equal(y, x)  # still identity: values are zero
-    assert cache["mem"]["ln"] is not None
-
-
-def test_linear_and_pkm_support_layernorm_toggle():
-    for kind in ("linear", "pkm"):
-        for on in (False, True):
-            toggles = MemoryLayerKind(kind, query_layernorm=on, internal_residual=True,
-                                      output_projection=True)
-            with precision("f64"):
-                p, cfg, rng = _fresh_block(kind, toggles=toggles, seed=6)
-                assert (p.query_ln_gain is not None) == on
-                x = rng.standard_normal((4, cfg.d))
-                y, cache = memory_block_forward(x, p)
-            assert np.array_equal(y, x)
-            assert (cache["mem"]["ln"] is not None) == on
+def test_query_pipeline_is_fixed_by_kind():
+    """linear and pkm project the attention output, add the internal
+    residual and RMS-normalize their projected queries; headwise reads the
+    raw head outputs with none of these."""
+    for kind in MEMORY_KINDS:
+        full = kind != "headwise"
+        with precision("f64"):
+            p, cfg, rng = _fresh_block(kind, seed=6)
+            x = rng.standard_normal((4, cfg.d))
+            y, cache = memory_block_forward(x, p)
+            ao, _ = causal_attention(rms_norm_fwd(x, p.norm_gain)[0], p.attn)
+        assert np.array_equal(y, x)  # still identity: values are zero
+        assert (p.attn.w_o is not None) == full, kind
+        assert (p.query_ln_gain is not None) == full, kind
+        assert (cache["mem"]["ln"] is not None) == full, kind
+        assert np.array_equal(cache["mem"]["a"], x + ao if full else ao), kind
 
 
 def test_init_bank_draws_in_field_order():
@@ -167,15 +150,6 @@ def test_memory_block_macs_per_token(kind):
     assert memory_block_macs(p, 1) == want
     for length in (2, 7, 128, 513):  # linear in length
         assert memory_block_macs(p, length) == length * want
-
-
-def test_output_projection_adds_d_squared_macs():
-    plain, cfg, _ = _fresh_block("headwise")
-    projected, _, _ = _fresh_block(
-        "headwise", toggles=MemoryLayerKind("headwise", output_projection=True))
-    for length in (1, 5, 300):
-        assert (memory_block_macs(projected, length)
-                - memory_block_macs(plain, length)) == length * cfg.d ** 2
 
 
 def test_transformer_block_macs_per_token():

@@ -216,11 +216,10 @@ def test_dus_init_sources():
                 assert a.dtype == b.dtype and np.array_equal(a, b), (plan, path)
             assert model.trainable == [q in positions for q in range(4 + inserted)]
             _assert_detached(model, base, base_arrays, base_blocks)
-        for kind, toggles, policy in itertools.product(
-                MEMORY_KINDS, itertools.product((False, True), repeat=3), POLICY_NAMES):
+        for kind, policy in itertools.product(MEMORY_KINDS, POLICY_NAMES):
             plan = UpscalePlan(policy=PlacementPolicy(policy, 4, 2),
                                insert_kind="memory_block",
-                               memory_kind=MemoryLayerKind(kind, *toggles),
+                               memory_kind=MemoryLayerKind(kind),
                                memory_cfg=MemoryConfig(heads=2, n=4, k=2, d=16), seed=3)
             with precision(prec):
                 model = build_memory_dus(base, plan)
@@ -281,14 +280,14 @@ def test_memory_dus_identity_at_init(kind, policy):
 
 
 @settings(max_examples=80, deadline=None)
-@given(kind=st.sampled_from(MEMORY_KINDS), toggles=st.tuples(*[st.booleans()] * 3),
-       prec=st.sampled_from(("f32", "f64")), policy=st.sampled_from(POLICY_NAMES),
-       heads=st.integers(1, 3), half=st.integers(1, 2), n=st.integers(1, 4),
-       k=st.integers(1, 4), depth=st.integers(1, 4), inserted=st.integers(0, 4),
-       batch=st.integers(1, 3), seq=st.integers(1, 6), seed=st.integers(0, 2 ** 16))
-def test_memory_dus_identity_at_init_property(kind, toggles, prec, policy, heads, half,
-                                              n, k, depth, inserted, batch, seq, seed):
-    """Random small shapes, every kind, toggle set, precision and placement:
+@given(kind=st.sampled_from(MEMORY_KINDS), prec=st.sampled_from(("f32", "f64")),
+       policy=st.sampled_from(POLICY_NAMES), heads=st.integers(1, 3),
+       half=st.integers(1, 2), n=st.integers(1, 4), k=st.integers(1, 4),
+       depth=st.integers(1, 4), inserted=st.integers(0, 4), batch=st.integers(1, 3),
+       seq=st.integers(1, 6), seed=st.integers(0, 2 ** 16))
+def test_memory_dus_identity_at_init_property(kind, prec, policy, heads, half, n, k,
+                                              depth, inserted, batch, seq, seed):
+    """Random small shapes, every kind, precision and placement:
     the expanded model's logits are the base model's, bitwise."""
     d = 2 * half * heads
     rng = make_rng(seed)
@@ -296,7 +295,7 @@ def test_memory_dus_identity_at_init_property(kind, toggles, prec, policy, heads
         base = init_base_model(vocab=13, d=d, heads=heads, d_ff=6, depth=depth, rng=rng)
         plan = UpscalePlan(policy=PlacementPolicy(policy, depth, min(inserted, depth)),
                            insert_kind="memory_block",
-                           memory_kind=MemoryLayerKind(kind, *toggles),
+                           memory_kind=MemoryLayerKind(kind),
                            memory_cfg=MemoryConfig(heads=heads, n=n, k=min(k, n), d=d),
                            seed=seed)
         model = build_memory_dus(base, plan)

@@ -36,7 +36,9 @@ the public headmem API, in f32 and in f64:
                                   selects
 
 The model shape is d=64, H=4, d_ff=256, base depth 4 plus 2 memory blocks
-placed by the `distributed` policy.
+placed by the `distributed` policy. Models are built with
+`MemoryLayerKind.defaults(kind)`, which gives each kind's query pipeline
+on checkouts from both before and after the kind fixed that pipeline.
 """
 
 from __future__ import annotations
