@@ -66,9 +66,8 @@ def _size(v, what: str, lo: int = 1) -> int:
 def _block_descriptor(block) -> dict:
     if isinstance(block, TransformerBlockParams):
         return {"type": "transformer"}
-    cfg = block.cfg
     return {"type": "memory", "toggles": dataclasses.asdict(block.kind),
-            "cfg": {"heads": cfg.heads, "n": cfg.n, "k": cfg.k, "d": cfg.d}}
+            "cfg": dataclasses.asdict(block.cfg)}
 
 
 def save_checkpoint(path: str, model: ModelSpec, config: dict | None = None):
@@ -105,6 +104,8 @@ def _read_tensors(header: dict, payload: memoryview) -> dict[str, np.ndarray]:
         raise CheckpointError("payload checksum mismatch")
     out, offset = {}, 0
     for entry in header["tensors"]:
+        if entry["name"] in out:
+            raise CheckpointError(f"tensor {entry['name']} appears twice in the table")
         if entry["dtype"] not in _DTYPES:
             raise CheckpointError(f"unsupported dtype {entry['dtype']!r}")
         dtype = np.dtype(_DTYPES[entry["dtype"]]).newbyteorder("<")
@@ -168,8 +169,9 @@ def _skeleton_block(desc: dict, prefix: str, sizes: dict, rng: _ZeroDraws):
                 raise CheckpointError(f"{prefix} has toggles.{name} {value!r}; a "
                                       f"{lk.kind} block now always has {want}")
         # older files carry selection-route fields in cfg too; they are ignored
+        keys = [f.name for f in dataclasses.fields(MemoryConfig)]
         cfg = MemoryConfig(**{key: _size(desc["cfg"][key], f"{prefix} cfg.{key}")
-                              for key in ("heads", "n", "k", "d")})
+                              for key in keys})
         _require((cfg.heads, cfg.d) == (heads, d),
                  f"{prefix} memory sizes differ from the model's")
         # a memory block copies only the attention and gain of its source,

@@ -25,6 +25,7 @@ from .config import (
     parse_config,
 )
 from .gradcheck import DEFAULT_TOL, format_report, run_gradcheck
+from .layers import MEMORY_KINDS
 from .model import named_params, param_count_total, trainable_paths
 from .numerics import NumericsError, make_rng, set_default_dtype
 from .training import RecallCorpus, evaluate, head_importance, train
@@ -135,18 +136,11 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _count(model, paths) -> int:
-    sizes = {name: arr.size for name, arr in named_params(model)}
-    return sum(sizes[p] for p in paths)
-
-
 def cmd_params(args) -> int:
     cfg = _load_config(args)
     lines = ["method,inserted_blocks,trainable_params,total_params"]
-    variants = [("dus_copy", "transformer_copy", None),
-                ("mem_linear", "memory_block", "linear"),
-                ("mem_pkm", "memory_block", "pkm"),
-                ("mem_headwise", "memory_block", "headwise")]
+    variants = [("dus_copy", "transformer_copy", None)]
+    variants += [(f"mem_{kind}", "memory_block", kind) for kind in MEMORY_KINDS]
     for method, insert_kind, kind in variants:
         vcfg = copy.deepcopy(cfg)
         if kind is not None:
@@ -155,7 +149,8 @@ def cmd_params(args) -> int:
             vcfg["upscale"]["zero_init_copies"] = False
         vcfg["upscale"]["insert_kind"] = insert_kind
         _, model = build_model(vcfg)
-        trainable = _count(model, trainable_paths(model, "cpt"))
+        keep = trainable_paths(model, "cpt")
+        trainable = sum(arr.size for path, arr in named_params(model) if path in keep)
         lines.append(f"{method},{vcfg['upscale']['inserted']},{trainable},"
                      f"{param_count_total(model)}")
     _emit(args, "params.csv", "\n".join(lines) + "\n")

@@ -10,6 +10,10 @@ whose true gradient is near zero are compared absolutely:
 Selection routing is piecewise constant; with h = 1e-5 and generic random
 inputs a perturbation never crosses a selection boundary, so the comparison
 is exact differentiation territory.
+
+Layer and block checks drive each backward directly; the full-model checks
+differentiate training.loss_and_grads, the function train steps with, and
+take finite differences of training.evaluate.
 """
 
 from __future__ import annotations
@@ -23,28 +27,20 @@ from .gradients import (
     GradStore,
     attention_backward,
     ffn_backward,
-    lm_loss_backward,
     memory_block_backward,
-    model_backward,
     rms_norm_backward,
     softmax_backward,
     transformer_block_backward,
 )
-from .layers import MemoryLayerKind, memory_block_forward
+from .layers import MEMORY_KINDS, MemoryLayerKind, memory_block_forward
 from .memory import MemoryConfig
-from .model import (
-    init_attention,
-    init_base_model,
-    init_transformer_block,
-    model_forward,
-    named_params,
-)
+from .model import init_attention, init_base_model, init_transformer_block, named_params
 from .numerics import make_rng, precision, softmax
+from .training import evaluate, loss_and_grads
 from .transformer import (
     FfnParams,
     causal_attention,
     ffn_forward,
-    lm_loss,
     rms_norm_fwd,
     transformer_block_forward,
 )
@@ -215,9 +211,10 @@ def check_memory_block(kind: str, seed: int = 0, batch: int = 1) -> CheckResult:
 
 def check_full_model(kind: str = "headwise", seed: int = 0,
                      coords_per_param: int = 6, batch: int = 0) -> CheckResult:
-    """Loss-level check over an expanded model; samples coordinates from
-    every parameter tensor, memory tables and attention and FFN included.
-    batch 0 feeds one 9-token sequence [9]; batch B >= 1 feeds [B, 9]."""
+    """loss_and_grads of an expanded model against finite differences of
+    evaluate, at coordinates sampled from every parameter tensor, memory
+    tables and attention and FFN included. batch 0 feeds one 9-token
+    sequence [9]; batch B >= 1 feeds [B, 9]."""
     rng = make_rng(seed)
     with precision("f64"):
         base = init_base_model(vocab=41, d=32, heads=4, d_ff=48, depth=2, rng=rng)
@@ -230,16 +227,9 @@ def check_full_model(kind: str = "headwise", seed: int = 0,
     _fill_value_tables(model, rng, 0.1)
     shape = (batch, 9) if batch else (9,)
     tokens = rng.integers(0, model.vocab, shape)
-    targets_tok = rng.integers(0, model.vocab, shape).reshape(-1)
-
-    def loss():
-        logits, _ = model_forward(tokens, model, training=True)
-        return lm_loss(logits.reshape(-1, model.vocab), targets_tok)
-
-    logits, caches = model_forward(tokens, model, training=True, collect=True)
-    logits = logits.reshape(-1, model.vocab)
-    grads = model_backward(lm_loss_backward(logits, targets_tok), caches, model,
-                           GradStore())
+    targets_tok = rng.integers(0, model.vocab, shape)
+    loss = partial(evaluate, model, tokens, targets_tok)
+    _, grads = loss_and_grads(model, tokens, targets_tok)
     fd_rng = make_rng(seed + 7)
     targets = [(path, arr, grads[path]) for path, arr in named_params(model)]
     name = f"full_model_{kind}" + (f"_batch{batch}" if batch else "")
@@ -253,15 +243,10 @@ LAYER_CHECKS = {
     "attention_raw_heads": partial(check_attention, with_projection=False),
     "ffn": check_ffn,
     "transformer_block": check_transformer_block,
-    "memory_block_linear": partial(check_memory_block, "linear"),
-    "memory_block_pkm": partial(check_memory_block, "pkm"),
-    "memory_block_headwise": partial(check_memory_block, "headwise"),
-    "memory_block_linear_batch3": partial(check_memory_block, "linear", batch=3),
-    "memory_block_pkm_batch3": partial(check_memory_block, "pkm", batch=3),
-    "memory_block_headwise_batch3": partial(check_memory_block, "headwise", batch=3),
-    "full_model_linear": partial(check_full_model, "linear"),
-    "full_model_pkm": partial(check_full_model, "pkm"),
-    "full_model_headwise": partial(check_full_model, "headwise"),
+    **{f"memory_block_{kind}": partial(check_memory_block, kind) for kind in MEMORY_KINDS},
+    **{f"memory_block_{kind}_batch3": partial(check_memory_block, kind, batch=3)
+       for kind in MEMORY_KINDS},
+    **{f"full_model_{kind}": partial(check_full_model, kind) for kind in MEMORY_KINDS},
     "full_model_headwise_batch3": partial(check_full_model, "headwise", batch=3),
 }
 

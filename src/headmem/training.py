@@ -34,6 +34,9 @@ MEMORY_TABLE_LEAVES = {"keys", "values", "k_row", "k_col", "v_base", "w_heads"}
 # sequences: sixty-four 2-token recall sequences, or one 128-byte window.
 ROWS = 128
 
+# the optimizer groups train_report.csv has a learning-rate column for
+REPORT_GROUPS = ("inserted_dense", "memory_keys_values")
+
 ADAM_BETAS = (0.9, 0.95)  # AdamW moment decay rates
 ADAM_EPS = 1e-8  # AdamW denominator floor
 
@@ -259,7 +262,9 @@ class TrainReport:
 def train(model: ModelSpec, corpus, groups: list[OptimGroup], steps: int,
           batch_size: int = 16, seed: int = 0) -> TrainReport:
     """Seeded stochastic training. A non-finite loss aborts immediately;
-    parameters outside the given groups are never written to.
+    parameters outside the given groups are never written to. Each group
+    is named after a REPORT_GROUPS column, no two alike, and a path is in
+    at most one group; otherwise ValueError before the first step.
 
     Each step's [batch_size, s] minibatch runs in calls of max(1, ROWS // s)
     sequences; the step's loss and gradient are the means over its
@@ -269,12 +274,24 @@ def train(model: ModelSpec, corpus, groups: list[OptimGroup], steps: int,
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    allowed = {p for g in groups for p in g.paths}
+    group_of: dict[str, str] = {}  # path -> the one group that trains it
+    for i, g in enumerate(groups):
+        if g.name not in REPORT_GROUPS:
+            raise ValueError(f"group {g.name!r} has no train_report column; "
+                             f"expected one of {REPORT_GROUPS}")
+        if any(h.name == g.name for h in groups[:i]):
+            raise ValueError(f"two groups are named {g.name!r}")
+        for p in g.paths:
+            if p in group_of:
+                raise ValueError(f"path {p} is in group {group_of[p]!r} "
+                                 f"and in group {g.name!r}")
+            group_of[p] = g.name
     by_path = dict(named_params(model))
-    missing = allowed - set(by_path)
+    missing = set(group_of) - set(by_path)
     if missing:
         raise ValueError(f"group paths not in model: {sorted(missing)[:3]}")
-    params = {p: by_path[p] for g in groups for p in g.paths}
+    params = {p: by_path[p] for p in group_of}
+    allowed = set(params)
     opt = AdamW(params)
     rng = make_rng(seed)
     report = TrainReport()
@@ -293,7 +310,7 @@ def train(model: ModelSpec, corpus, groups: list[OptimGroup], steps: int,
         if not np.isfinite(mean_loss):
             raise NumericsError(f"non-finite loss {mean_loss} at step {step}")
         lr_wd = {}
-        lrs = {"inserted_dense": 0.0, "memory_keys_values": 0.0}
+        lrs = dict.fromkeys(REPORT_GROUPS, 0.0)
         for g in groups:
             lr = schedule_lr(g.schedule, step, steps, g.max_lr, g.warmup_ratio)
             lrs[g.name] = lr
@@ -353,7 +370,8 @@ class HeadImportanceReport:
 
 def head_importance(model: ModelSpec, dataset) -> HeadImportanceReport:
     """Per-layer, per-head mean inner product between each head's attention
-    output and the loss gradient at that output.
+    output and the loss gradient at that output, both probed from the
+    trainer's own loss_and_grads (which keeps no weight gradient here).
 
     dataset is an iterable of (inputs, targets) pairs, each one sequence
     [s]. For each sequence the per-position inner products are averaged
@@ -367,12 +385,8 @@ def head_importance(model: ModelSpec, dataset) -> HeadImportanceReport:
         if np.ndim(inputs) != 1 or targets.shape != np.shape(inputs):
             raise ValueError(f"expected inputs and targets of one sequence [s], "
                              f"got shapes {np.shape(inputs)} and {targets.shape}")
-        check_targets(targets, np.shape(inputs), model.vocab)
-        logits, caches = model_forward(inputs, model, training=False,
-                                       collect=True)
         probes: dict = {}
-        model_backward(lm_loss_backward(logits, targets), caches, model,
-                       GradStore(set(), probes))
+        loss_and_grads(model, inputs, targets, GradStore(set(), probes))
         seq = np.empty((n_layers, model.heads), dtype=np.float64)
         for i in range(n_layers):
             ctx, dctx = probes[f"blocks.{i}.attn"]  # [1, heads, positions, d_h]

@@ -5,7 +5,6 @@ tolerance and, where a wall-clock budget applies, asserts it. Oracles are
 defined locally so every comparison is against an independent computation.
 """
 
-import math
 import time
 
 import numpy as np

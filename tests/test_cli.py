@@ -413,19 +413,33 @@ def _parent_format(header):
     header["config"]["train"]["loss_scale"] = 1.0
 
 
-def _with_query_bn_tensors(blob):
-    """The file plus the two learnable query batchnorm tensors of its first
-    memory block, as files written with query batchnorm on held them."""
+def _with_tensors(blob, edit):
+    """A checkpoint blob whose header and payload went through
+    edit(header, payload), with the payload checksum made to match."""
     header, end = _read_header(blob)
-    block = next(i for i, d in enumerate(header["model"]["blocks"])
-                 if d["type"] == "memory")
-    d = header["model"]["d"]
-    payload = blob[end:] + np.ones(d, "<f4").tobytes() + np.zeros(d, "<f4").tobytes()
-    header["tensors"] += [{"name": f"blocks.{block}.query_bn.{name}", "shape": [d],
-                           "dtype": "float32"} for name in ("gamma", "beta")]
+    payload = edit(header, blob[end:])
     header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
     text = json.dumps(header, sort_keys=True).encode("utf-8")
     return blob[:12] + struct.pack("<Q", len(text)) + text + payload
+
+
+def _query_bn_tensors(header, payload):
+    """The two learnable query batchnorm tensors of the first memory block
+    appended, as files written with query batchnorm on held them."""
+    block = next(i for i, d in enumerate(header["model"]["blocks"])
+                 if d["type"] == "memory")
+    d = header["model"]["d"]
+    header["tensors"] += [{"name": f"blocks.{block}.query_bn.{name}", "shape": [d],
+                           "dtype": "float32"} for name in ("gamma", "beta")]
+    return payload + np.ones(d, "<f4").tobytes() + np.zeros(d, "<f4").tobytes()
+
+
+def _duplicate_embed(header, payload):
+    """A second embed entry, of other bytes, ahead of the file's own."""
+    entry = header["tensors"][0]
+    assert entry["name"] == "embed" and entry["dtype"] == "float32"
+    header["tensors"].insert(0, dict(entry))
+    return np.ones(entry["shape"], "<f4").tobytes() + payload
 
 
 def _first_block(kind, key, value):
@@ -470,7 +484,8 @@ CHECKPOINT_CASES = {
         b, _first_toggle("output_projection", False)),
     "output_projection_one": lambda b: _rewrite_header(
         b, _first_toggle("output_projection", 1)),
-    "query_bn_tensors": _with_query_bn_tensors,
+    "query_bn_tensors": lambda b: _with_tensors(b, _query_bn_tensors),
+    "duplicate_tensor": lambda b: _with_tensors(b, _duplicate_embed),
     "rope_base_string": lambda b: _rewrite_header(
         b, _first_block("transformer", "rope_base", "x")),
     "memory_rope_base_zero": lambda b: _rewrite_header(
@@ -502,7 +517,8 @@ NAMED = {"query_batchnorm_true": "blocks.1 has toggles.query_batchnorm True; "
          "output_projection_false": "blocks.1 has toggles.output_projection False; "
                                     "a pkm block now always has True",
          "output_projection_one": "toggles.output_projection 1;",
-         "query_bn_tensors": "query_bn.beta, blocks.1.query_bn.gamma"}
+         "query_bn_tensors": "query_bn.beta, blocks.1.query_bn.gamma",
+         "duplicate_tensor": "tensor embed appears twice"}
 
 
 @pytest.fixture

@@ -19,7 +19,6 @@ from headmem.checkpoint import (
 )
 from headmem.config import (
     ConfigError,
-    build_base,
     build_corpus,
     build_groups,
     build_model,

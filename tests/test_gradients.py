@@ -166,6 +166,29 @@ def test_corrupted_backward_is_caught(monkeypatch):
     assert "FAIL ffn_corrupted" in format_report(results)
 
 
+def test_registry_names_and_order_are_pinned():
+    """`headmem gradcheck` prints its lines, and the fingerprint hashes them,
+    in registry order."""
+    assert list(LAYER_CHECKS) == [
+        "rms_norm", "softmax", "attention_projected", "attention_raw_heads", "ffn",
+        "transformer_block", "memory_block_linear", "memory_block_pkm",
+        "memory_block_headwise", "memory_block_linear_batch3", "memory_block_pkm_batch3",
+        "memory_block_headwise_batch3", "full_model_linear", "full_model_pkm",
+        "full_model_headwise", "full_model_headwise_batch3"]
+
+
+def test_full_model_check_differentiates_the_trainer(monkeypatch):
+    """Negative control: a loss backward that scales its gradient by 1.5
+    inside the trainer's loss_and_grads must fail the full-model check."""
+    import headmem.training
+    true_backward = headmem.training.lm_loss_backward
+    monkeypatch.setattr(headmem.training, "lm_loss_backward",
+                        lambda logits, targets: 1.5 * true_backward(logits, targets))
+    res = check_full_model("headwise")
+    assert not res.ok(), (res.max_rel_err, res.worst_param)
+    assert res.max_rel_err > 0.3
+
+
 @pytest.mark.parametrize("kind", ["pkm", "linear"])
 def test_full_model_gradients_other_kinds(kind):
     res = check_full_model(kind, seed=1, coords_per_param=4)
@@ -246,7 +269,6 @@ def test_frozen_paths_accumulate_nothing():
     from headmem.memory import MemoryConfig
     from headmem.numerics import precision
     from headmem.upscale import PlacementPolicy, UpscalePlan, build_memory_dus
-    from headmem.transformer import lm_loss
 
     rng = make_rng(4)
     with precision("f64"):

@@ -5,7 +5,6 @@ import pytest
 
 from headmem.memory import (
     MemoryConfig,
-    ValueBank,
     aggregate_values,
     aggregate_values_cached,
     build_value_cache,

@@ -15,6 +15,7 @@ from headmem.numerics import NumericsError, make_rng, precision
 from headmem.training import (
     AdamW,
     ByteCorpus,
+    OptimGroup,
     RecallCorpus,
     build_optim_groups,
     evaluate,
@@ -223,6 +224,38 @@ def test_train_rejects_bad_batch_size_loss_scale_and_steps():
         args = {"steps": 2, **kwargs}
         with pytest.raises(ValueError):
             train(model, corpus, groups, **args)
+
+
+def _overlapping(dense, mem):
+    return [dense, OptimGroup("memory_keys_values", mem.paths + dense.paths[:1])]
+
+
+def _same_name(dense, mem):
+    return [dense, OptimGroup("inserted_dense", mem.paths)]
+
+
+def _no_column(dense, mem):
+    return [OptimGroup("all", dense.paths + mem.paths, max_lr=1e-2)]
+
+
+@pytest.mark.parametrize("make,message", [
+    (_overlapping, "path {} is in group 'inserted_dense' "
+                   "and in group 'memory_keys_values'"),
+    (_same_name, "two groups are named 'inserted_dense'"),
+    (_no_column, "group 'all' has no train_report column"),
+], ids=["overlapping", "same_name", "no_column"])
+def test_train_rejects_groups_it_cannot_apply_or_report(make, message):
+    """A path in two groups would train at the later group's rate, and a
+    group without a report column would log a rate of 0; both are refused
+    before the first step writes anything."""
+    _, model = _memory_model(seed=7)
+    all_paths = [p for p, _ in named_params(model)]
+    before = _hash_params(model, all_paths)
+    dense, mem = build_optim_groups(model, "cpt")
+    corpus = RecallCorpus(vocab=64, num_pairs=16, seed=0)
+    with pytest.raises(ValueError, match=re.escape(message.format(dense.paths[0]))):
+        train(model, corpus, make(dense, mem), steps=2, batch_size=2)
+    assert _hash_params(model, all_paths) == before
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

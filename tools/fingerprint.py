@@ -25,7 +25,10 @@ the public headmem API, in f32 and in f64:
                                   block's selected ids and weights
   importance/<precision>          head_importance scores on 40 recall
                                   sequences
-  gradcheck/<precision>           the `headmem gradcheck` report
+  gradcheck/<precision>           the `headmem gradcheck` report; its
+                                  full-model lines also cover the
+                                  trainer's loss_and_grads and evaluate,
+                                  which those checks run
   select/<precision>              select_topk ids and weights on [512, 4, 32]
                                   axis scores with k in {1, 4, 8, 32}, each
                                   axis pair in both orders, for
