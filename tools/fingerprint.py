@@ -13,7 +13,10 @@ the public headmem API, in f32 and in f64:
                                   128-byte windows (pkm memory), and 4 steps
                                   of 464-byte windows (bytes-464: attention
                                   and weight gradients over several 128-row
-                                  chunks):
+                                  chunks), and 3 steps of 128-byte windows
+                                  with pkm at n = 256 (bytes-n256: value
+                                  tables of 65,536 rows, each larger than
+                                  one optimizer chunk or scatter block):
                                   losses, learning rates, write counts,
                                   final parameters
   prefill/<lengths>/<precision>   logits of 20 prompts, on the cached-value
@@ -56,6 +59,7 @@ import numpy as np
 SEED = 57
 STEPS = 15
 LONG_STEPS = 4  # bytes-464 steps
+WIDE_STEPS = 3  # bytes-n256 steps
 PROMPTS = 20
 
 
@@ -196,6 +200,8 @@ def fingerprints(hm, mode: str):
            _train(hm, "pkm", 32, 8, hm.ByteCorpus(text, seq_len=128), 8))
     yield (f"train/bytes-464/{mode}",
            _train(hm, "pkm", 32, 8, hm.ByteCorpus(text, seq_len=464), 2, LONG_STEPS))
+    yield (f"train/bytes-n256/{mode}",
+           _train(hm, "pkm", 256, 8, hm.ByteCorpus(text, seq_len=128), 2, WIDE_STEPS))
     net = _read_model(hm)
     yield f"prefill/8-32/{mode}", _prefill(hm, net, np.arange(8, 33), text, 0)
     yield f"prefill/256-512/{mode}", _prefill(hm, net, np.arange(256, 513, 16), text, 1)
