@@ -8,7 +8,9 @@ equal-length sequences, so every weight gradient sums over the whole batch.
 
 Frozen parameters cost nothing: a weight gradient is formed only when the
 GradStore keeps its path, and the reverse walk stops at the lowest block
-that has a kept parameter unless the embedding or head probes need more.
+that has a kept parameter unless the embedding or head probes need more
+(first_visited_block). A training call collects caches from that block up
+only, since the walk reads no block below it.
 
 Selection is treated as a constant routing decision: gradients flow through
 the softmax weights and the value rows of the selected slots only, and
@@ -18,12 +20,15 @@ There is no straight-through approximation.
 The value-table gradient is one indexed add of every weighted (row, head,
 slot) contribution into a zeroed table, so each slot sums its contributions
 in (row, head, k) order. The add runs on the flat table, indexed by cell
-(slot * width + column) in blocks of at most 2^14 cells: numpy >= 1.25 has
-a fast path for 1-D ufunc.at, and each table element still receives its
-contributions in the same order, so the sums are the ones a row-wise
-indexed add gives, bit for bit. The embedding gradient uses the same add.
-The GradStore also carries the unique value-table slot count and, when
-asked for, the head-importance probes.
+(slot * width + column), a block of rows at a time: each block's weighted
+contributions and cell ids (at most 2^14 of each) go into two buffers that
+every block reuses. numpy >= 1.25 has a fast path for 1-D ufunc.at, and
+each table element still receives its contributions in the same order, so
+the sums are the ones a row-wise indexed add gives, bit for bit. The
+embedding gradient uses the same add. The pooling-weight gradient gathers
+table[idx] in blocks of at most 2^16 values, so neither backward forms a
+[rows, H, k, width] array. The GradStore also carries the unique
+value-table slot count and, when asked for, the head-importance probes.
 """
 
 from __future__ import annotations
@@ -53,7 +58,8 @@ class GradStore(dict):
     still drops paths outside `allowed`, which keeps frozen parameter groups
     at exactly zero accumulated gradient. writes counts the unique
     value-table slots written; probes, when a dict, receives each
-    attention's (per-head outputs, their gradients).
+    attention's (per-head outputs, their gradients). visit holds
+    first_visited_block's (model, block index) for the last model asked.
     """
 
     def __init__(self, allowed: set[str] | None = None,
@@ -62,6 +68,7 @@ class GradStore(dict):
         self.allowed = allowed
         self.probes = probes
         self.writes = 0
+        self.visit = None
 
     def wants(self, path: str) -> bool:
         return self.allowed is None or path in self.allowed
@@ -84,28 +91,42 @@ class GradStore(dict):
 # ---------------------------------------------------------------------------
 # scatter kernels
 
-# flat cells indexed per add: bounds the int64 index's memory (128 KiB)
+# flat cells per add: bounds the add's cell-id (int64) and contribution
+# buffers, 128 KiB of ids
 _CELL_BLOCK = 1 << 14
+# table values per gather of weight_grad_backward
+_GATHER_BLOCK = 1 << 16
 
 
-def _scatter_rows(rows: np.ndarray, values: np.ndarray, size: int,
-                  dtype) -> np.ndarray:
-    """A zeroed [size, D] table plus np.add.at(table, rows, values).
+def _scatter_rows(rows: np.ndarray, g: np.ndarray, size: int,
+                  w: np.ndarray | None = None) -> np.ndarray:
+    """A zeroed [size, D] table plus np.add.at(table, rows, w[..., None] * g[:, None]).
 
-    rows [R] ints, values [R, D]. The add runs on the flat table at cells
-    rows[r] * D + column, a block of rows at a time; every element still
-    sums its contributions in r order, so the result is bitwise the
-    row-wise add's.
+    rows [B, K] ints, g [B, D], w [B, K] (None: every weight is one, added
+    without a product). The add runs on the flat table at cells
+    rows * D + column, a block of rows of g at a time: the block's
+    contributions and cells go into two buffers of at most _CELL_BLOCK
+    (or one row's K * D) entries, reused by every block. Each element
+    still sums its contributions in (b, k) order, so the result is bitwise
+    the row-wise add's.
     """
     rows = rows.astype(np.intp, copy=False)  # narrow ints would wrap in rows * D
-    width = values.shape[1]
-    table = np.zeros(size * width, dtype=dtype)
-    cols = np.arange(width)
-    step = max(1, _CELL_BLOCK // max(width, 1))
-    for start in range(0, rows.shape[0], step):
-        cells = rows[start:start + step, None] * width + cols
-        np.add.at(table, cells.ravel(), values[start:start + step].ravel())
-    return table.reshape(size, width)
+    (B, K), D = rows.shape, g.shape[1]
+    table = np.zeros(size * D, dtype=g.dtype)
+    step = max(1, _CELL_BLOCK // max(K * D, 1))
+    cells = np.empty((min(step, B), K, D), dtype=np.intp)
+    contrib = None if w is None else np.empty(cells.shape, dtype=g.dtype)
+    cols = np.arange(D)
+    for b0 in range(0, B, step):
+        b1 = min(b0 + step, B)
+        c = np.multiply(rows[b0:b1, :, None], D, out=cells[:b1 - b0])
+        c += cols
+        if w is None:
+            v = np.broadcast_to(g[b0:b1, None, :], c.shape)
+        else:
+            v = np.multiply(g[b0:b1, None, :], w[b0:b1, :, None], out=contrib[:b1 - b0])
+        np.add.at(table, c.reshape(-1), v.reshape(-1))
+    return table.reshape(size, D)
 
 
 def dedup_scatter_backward(g_out: np.ndarray, idx: np.ndarray, w: np.ndarray,
@@ -114,23 +135,32 @@ def dedup_scatter_backward(g_out: np.ndarray, idx: np.ndarray, w: np.ndarray,
 
     g_out [B, D], idx [B, K], w [B, K] -> [table_size, D]. One indexed add
     of the B*K weighted contributions into a zeroed table, run on flat cells
-    idx * D + column (_scatter_rows): each table element sums its
-    contributions in (b, k) order, however often its slot repeats, exactly
-    as a row-wise np.add.at would.
+    idx * D + column a block at a time (_scatter_rows): each table element
+    sums its contributions in (b, k) order, however often its slot repeats,
+    exactly as a row-wise np.add.at would.
     """
-    B, K = idx.shape
     if np.any(idx < 0) or np.any(idx >= table_size):
         raise ValueError(f"slot index out of range for table of {table_size}")
-    g_token = (g_out[:, None, :] * w[:, :, None]).reshape(B * K, -1)
-    return _scatter_rows(idx.reshape(B * K), g_token, table_size, g_out.dtype)
+    return _scatter_rows(idx, g_out, table_size, w)
 
 
 def weight_grad_backward(g_out: np.ndarray, idx: np.ndarray,
                          table: np.ndarray) -> np.ndarray:
-    """Gradient w.r.t. the pooling weights: grad[b, k] = g_out[b] . table[idx[b, k]]."""
+    """Gradient w.r.t. the pooling weights: grad[b, k] = g_out[b] . table[idx[b, k]].
+
+    g_out [B, D], idx [B, K] -> [B, K]. table[idx] is gathered for a block
+    of rows at a time, at most _GATHER_BLOCK values (or one row's K * D);
+    each row's products are the unblocked einsum's, bit for bit.
+    """
     if np.any(idx < 0) or np.any(idx >= table.shape[0]):
         raise ValueError(f"slot index out of range for table of {table.shape[0]}")
-    return np.einsum("bd,bkd->bk", g_out, table[idx])
+    (B, K), D = idx.shape, table.shape[1]
+    out = np.empty((B, K), dtype=np.result_type(g_out, table))
+    step = max(1, _GATHER_BLOCK // max(K * D, 1))
+    for b0 in range(0, B, step):
+        b1 = min(b0 + step, B)
+        np.einsum("bd,bkd->bk", g_out[b0:b1], table[idx[b0:b1]], out=out[b0:b1])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +249,10 @@ def attention_backward(dout: np.ndarray, cache: dict, p: AttentionParams,
 
 def ffn_backward(dy: np.ndarray, cache: dict, p, grads: GradStore,
                  prefix: str) -> np.ndarray:
-    z, g, u, sg, h = cache["z"], cache["g"], cache["u"], cache["sg"], cache["h"]
-    grads.add_matmul(f"{prefix}.w_down", h, dy)
+    z, g, u, sg = cache["z"], cache["g"], cache["u"], cache["sg"]
+    if grads.wants(f"{prefix}.w_down"):
+        # h = silu(g) * u by the forward's own expression, so the same bits
+        grads.add_matmul(f"{prefix}.w_down", g * sg * u, dy)
     dh = dy @ p.w_down.T
     du = dh * (g * sg)
     dg = dh * u * (sg * (1.0 + g * (1.0 - sg)))  # silu'(g)
@@ -321,24 +353,45 @@ def memory_block_backward(dy: np.ndarray, cache: dict, p: MemoryBlockParams,
 # ---------------------------------------------------------------------------
 # whole model
 
+def first_visited_block(model: ModelSpec, grads: GradStore) -> int:
+    """Index of the lowest block model_backward visits for grads.
+
+    0 when grads keeps the embedding or collects probes, else the lowest
+    block with a kept parameter (len(model.blocks) when there is none).
+    The answer is kept in grads.visit, so the parameter walk runs once per
+    store and model: a training step's calls, and each call's forward and
+    backward, share it.
+    """
+    if grads.visit is None or grads.visit[0] is not model:
+        stop = 0
+        if grads.probes is None and not grads.wants("embed"):
+            stop = next((i for i in range(len(model.blocks))
+                         if any(grads.wants(p) for p in block_param_paths(model, i))),
+                        len(model.blocks))
+        grads.visit = (model, stop)
+    return grads.visit[1]
+
+
 def model_backward(dlogits: np.ndarray, caches: dict, model: ModelSpec,
                    grads: GradStore) -> GradStore:
     """Reverse pass over the whole stack, adding into grads; returns grads.
 
     dlogits: [s, V] or [B, s, V], the shape model_forward returned. Only
-    the paths grads keeps get a weight gradient, and unless it keeps the
-    embedding or collects probes the walk stops at the lowest block with a
-    kept parameter. Each kept path is added at most once per call, and
-    grads.writes grows by the unique value-table slots written.
+    the paths grads keeps get a weight gradient, and the walk visits the
+    blocks from first_visited_block up: each of them needs its cache, the
+    ones below may hold None (model_forward's collect_from), and a missing
+    cache raises ValueError before anything is added. Each kept path is
+    added at most once per call, and grads.writes grows by the unique
+    value-table slots written.
     """
+    stop = first_visited_block(model, grads)
+    for i in range(stop, len(model.blocks)):
+        if caches["blocks"][i] is None:
+            raise ValueError(f"block {i} has no cache, but the backward for this "
+                             f"gradient store visits blocks {stop} and up")
     dlogits = dlogits.reshape(-1, model.vocab)
     grads.add_matmul("unembed", caches["xf"], dlogits)
     dx = _norm_backward(dlogits @ model.unembed.T, caches["final"], grads, "final_gain")
-    stop = 0
-    if grads.probes is None and not grads.wants("embed"):
-        stop = next((i for i in range(len(model.blocks))
-                     if any(grads.wants(p) for p in block_param_paths(model, i))),
-                    len(model.blocks))
     for i in reversed(range(stop, len(model.blocks))):
         block = model.blocks[i]
         cache = caches["blocks"][i]
@@ -347,6 +400,5 @@ def model_backward(dlogits: np.ndarray, caches: dict, model: ModelSpec,
         else:
             dx = memory_block_backward(dx, cache, block, grads, f"blocks.{i}")
     if grads.wants("embed"):
-        grads.add("embed", _scatter_rows(caches["tokens"], dx, model.vocab,
-                                         model.embed.dtype))
+        grads.add("embed", _scatter_rows(caches["tokens"][:, None], dx, model.vocab))
     return grads

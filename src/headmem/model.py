@@ -82,7 +82,7 @@ def init_base_model(vocab: int, d: int, heads: int, d_ff: int, depth: int,
 
 def model_forward(tokens: np.ndarray, model: ModelSpec, training: bool = False,
                   value_caches: dict[int, np.ndarray] | None = None,
-                  collect: bool = False):
+                  collect: bool = False, collect_from: int = 0):
     """Run token sequences through the stack; returns (logits, caches).
 
     tokens: one sequence [s] or B equal-length sequences [B, s]. Every
@@ -96,6 +96,9 @@ def model_forward(tokens: np.ndarray, model: ModelSpec, training: bool = False,
     activations are [B, H, s, ...], with B = 1 for one sequence. Without
     collect no block keeps a cache, so the forward holds one block's
     activations at a time; the arithmetic, and so every bit, is the same.
+    With collect, blocks below collect_from run as without it and leave
+    None in caches["blocks"]: training.loss_and_grads passes the lowest
+    block its backward visits (gradients.first_visited_block).
     value_caches maps block index to the [H, N, d_h] value cache of a
     headwise memory block (build_value_caches). training changes no
     arithmetic, so every forward computes one function; it only refuses
@@ -117,13 +120,14 @@ def model_forward(tokens: np.ndarray, model: ModelSpec, training: bool = False,
     x = model.embed[flat]  # [B*s, d]
     block_caches = []
     for i, block in enumerate(model.blocks):
+        keep = collect and i >= collect_from
         if isinstance(block, TransformerBlockParams):
             x, cache = transformer_block_forward(x, block, seq_len=seq_len,
-                                                 collect=collect)
+                                                 collect=keep)
         elif isinstance(block, MemoryBlockParams):
             vc = value_caches.get(i) if value_caches else None
             x, cache = memory_block_forward(x, block, value_cache=vc, seq_len=seq_len,
-                                            collect=collect)
+                                            collect=keep)
         else:
             raise TypeError(f"unknown block type {type(block).__name__}")
         if collect:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gradients import GradStore, lm_loss_backward, model_backward
+from .gradients import GradStore, first_visited_block, lm_loss_backward, model_backward
 from .model import ModelSpec, model_forward, named_params, trainable_paths
 from .numerics import NumericsError, make_rng
 from .transformer import check_targets, lm_loss
@@ -39,6 +39,9 @@ REPORT_GROUPS = ("inserted_dense", "memory_keys_values")
 
 ADAM_BETAS = (0.9, 0.95)  # AdamW moment decay rates
 ADAM_EPS = 1e-8  # AdamW denominator floor
+# elements an AdamW step updates at a time: a chunk and its two scratch
+# buffers stay in cache (256 KiB each at f64)
+ADAM_CHUNK = 1 << 15
 
 
 def schedule_lr(kind: str, step: int, total_steps: int, max_lr: float,
@@ -71,10 +74,14 @@ def build_optim_groups(model: ModelSpec, mode: str = "cpt",
                        dense_lr: float = 1e-3, memory_lr: float = 1e-2,
                        weight_decay: float = 0.01,
                        warmup_ratio: float = 0.1) -> list[OptimGroup]:
-    """Split the trainable paths into the two active groups. Frozen base
-    parameters belong to no group and are never touched by the optimizer."""
+    """Split the trainable paths into the two active groups, each in
+    named_params order. Frozen base parameters belong to no group and are
+    never touched by the optimizer."""
+    trainable = trainable_paths(model, mode)
     dense, mem = [], []
-    for path in trainable_paths(model, mode):
+    for path, _ in named_params(model):
+        if path not in trainable:
+            continue
         leaf = path.rsplit(".", 1)[-1]
         (mem if leaf in MEMORY_TABLE_LEAVES else dense).append(path)
     return [
@@ -87,19 +94,25 @@ def build_optim_groups(model: ModelSpec, mode: str = "cpt",
 class AdamW:
     """Decoupled-weight-decay adaptive moments, betas (0.9, 0.95), eps 1e-8.
 
-    A step writes its temporaries into two scratch buffers per dtype, as
-    long as the largest parameter and shared by all of them: the same
-    operations in the same order as the expression form, bit for bit.
+    A step updates each parameter in flat chunks of ADAM_CHUNK elements and
+    writes its temporaries into two scratch buffers of one chunk per dtype,
+    shared by all parameters: the same elementwise operations in the same
+    order as the expression form, bit for bit. Parameters must be
+    C-contiguous (ValueError otherwise), so that their flat chunks are views
+    the update writes through.
     """
 
     def __init__(self, params: dict[str, np.ndarray]):
+        for path, a in params.items():
+            if not a.flags.c_contiguous:
+                raise ValueError(f"parameter {path} is not C-contiguous")
         self.params = params
         self.t = 0
         self.m = {p: np.zeros_like(a) for p, a in params.items()}
         self.v = {p: np.zeros_like(a) for p, a in params.items()}
         size: dict[np.dtype, int] = {}
         for a in params.values():
-            size[a.dtype] = max(size.get(a.dtype, 0), a.size)
+            size[a.dtype] = min(ADAM_CHUNK, max(size.get(a.dtype, 0), a.size))
         self.scratch = {dt: (np.empty(n, dt), np.empty(n, dt)) for dt, n in size.items()}
 
     def step(self, grads: GradStore, lr_wd: dict[str, tuple[float, float]]):
@@ -112,20 +125,22 @@ class AdamW:
             if g is None:
                 continue
             lr, wd = lr_wd[path]
-            m, v = self.m[path], self.v[path]
-            s, u = (b[:arr.size].reshape(arr.shape) for b in self.scratch[arr.dtype])
-            m *= b1
-            m += np.multiply(1.0 - b1, g, out=s)
-            v *= b2
-            np.multiply(1.0 - b2, g, out=s)
-            v += np.multiply(s, g, out=s)
-            # update u = (m / c1) / (sqrt(v / c2) + eps) [+ wd * arr]
-            np.sqrt(np.divide(v, c2, out=s), out=s)
-            s += ADAM_EPS
-            np.divide(np.divide(m, c1, out=u), s, out=u)
-            if wd:
-                u += np.multiply(wd, arr, out=s)
-            arr -= np.multiply(lr, u, out=u)
+            flat = [x.reshape(-1) for x in (arr, self.m[path], self.v[path], g)]
+            for c0 in range(0, arr.size, ADAM_CHUNK):
+                a, m, v, gc = (x[c0:c0 + ADAM_CHUNK] for x in flat)
+                s, u = (b[:a.size] for b in self.scratch[arr.dtype])
+                m *= b1
+                m += np.multiply(1.0 - b1, gc, out=s)
+                v *= b2
+                np.multiply(1.0 - b2, gc, out=s)
+                v += np.multiply(s, gc, out=s)
+                # update u = (m / c1) / (sqrt(v / c2) + eps) [+ wd * a]
+                np.sqrt(np.divide(v, c2, out=s), out=s)
+                s += ADAM_EPS
+                np.divide(np.divide(m, c1, out=u), s, out=u)
+                if wd:
+                    u += np.multiply(wd, a, out=s)
+                a -= np.multiply(lr, u, out=u)
 
 
 # ---------------------------------------------------------------------------
@@ -210,17 +225,20 @@ def loss_and_grads(model: ModelSpec, inputs: np.ndarray, targets: np.ndarray,
     The loss is the mean next-token loss over all B*s tokens, which equals
     the mean of the per-sequence losses. Its gradients times loss_scale are
     added into grads (None: a fresh GradStore()), for the paths it keeps;
-    returns (loss, grads).
+    returns (loss, grads). The forward keeps caches only from the lowest
+    block the backward visits (gradients.first_visited_block) up.
     """
     targets = np.asarray(targets)
     check_targets(targets, np.shape(inputs), model.vocab)
-    logits, caches = model_forward(inputs, model, training=True, collect=True)
+    grads = GradStore() if grads is None else grads
+    logits, caches = model_forward(inputs, model, training=True, collect=True,
+                                   collect_from=first_visited_block(model, grads))
     logits = logits.reshape(-1, model.vocab)
     targets = targets.reshape(-1)
     loss = lm_loss(logits, targets)
     dlogits = lm_loss_backward(logits, targets)
+    del logits  # the backward reads dlogits and the caches only
     dlogits *= loss_scale
-    grads = GradStore() if grads is None else grads
     return loss, model_backward(dlogits, caches, model, grads)
 
 

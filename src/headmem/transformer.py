@@ -183,13 +183,17 @@ def causal_attention(xn: np.ndarray, p: AttentionParams, seq_len: int | None = N
 
 
 def ffn_forward(z: np.ndarray, p: FfnParams):
-    """Gated feed-forward: down(silu(z W_gate) * (z W_up))."""
+    """Gated feed-forward: down(silu(z W_gate) * (z W_up)).
+
+    The cache keeps z, g, u and sg, not h = silu(g) * u: the backward
+    forms h from them only when it keeps w_down's gradient.
+    """
     g = z @ p.w_gate
     u = z @ p.w_up
     sg = sigmoid(g)
     h = g * sg * u  # silu(g) * u
     y = h @ p.w_down
-    return y, {"z": z, "g": g, "u": u, "sg": sg, "h": h}
+    return y, {"z": z, "g": g, "u": u, "sg": sg}
 
 
 def transformer_block_forward(x: np.ndarray, p: TransformerBlockParams,

@@ -100,6 +100,15 @@ def test_optim_group_assignment():
     assert "embed" in sft_dense.paths and "blocks.0.attn.w_q" in sft_dense.paths
 
 
+@pytest.mark.parametrize("mode", ["cpt", "sft"])
+def test_optim_group_paths_follow_named_params_order(mode):
+    """Each group lists its paths in walk order, whatever the hash seed."""
+    _, model = _memory_model()
+    walk = [path for path, _ in named_params(model)]
+    for g in build_optim_groups(model, mode):
+        assert g.paths and g.paths == [p for p in walk if p in set(g.paths)], g.name
+
+
 def test_recall_corpus_structure():
     corpus = RecallCorpus(vocab=64, num_pairs=32, seed=1)
     assert corpus.pairs.shape == (32, 2)
