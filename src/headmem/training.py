@@ -98,8 +98,8 @@ class AdamW:
     writes its temporaries into two scratch buffers of one chunk per dtype,
     shared by all parameters: the same elementwise operations in the same
     order as the expression form, bit for bit. Parameters must be
-    C-contiguous (ValueError otherwise), so that their flat chunks are views
-    the update writes through.
+    C-contiguous (ValueError otherwise), so that their flat views, kept in
+    flat next to the flat moments m and v, write through.
     """
 
     def __init__(self, params: dict[str, np.ndarray]):
@@ -108,8 +108,9 @@ class AdamW:
                 raise ValueError(f"parameter {path} is not C-contiguous")
         self.params = params
         self.t = 0
-        self.m = {p: np.zeros_like(a) for p, a in params.items()}
-        self.v = {p: np.zeros_like(a) for p, a in params.items()}
+        self.flat = {p: a.reshape(-1) for p, a in params.items()}
+        self.m = {p: np.zeros_like(a) for p, a in self.flat.items()}
+        self.v = {p: np.zeros_like(a) for p, a in self.flat.items()}
         size: dict[np.dtype, int] = {}
         for a in params.values():
             size[a.dtype] = min(ADAM_CHUNK, max(size.get(a.dtype, 0), a.size))
@@ -120,15 +121,17 @@ class AdamW:
         b1, b2 = ADAM_BETAS
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
-        for path, arr in self.params.items():
+        for path, arr in self.flat.items():
             g = grads.get(path)
             if g is None:
                 continue
             lr, wd = lr_wd[path]
-            flat = [x.reshape(-1) for x in (arr, self.m[path], self.v[path], g)]
-            for c0 in range(0, arr.size, ADAM_CHUNK):
-                a, m, v, gc = (x[c0:c0 + ADAM_CHUNK] for x in flat)
-                s, u = (b[:a.size] for b in self.scratch[arr.dtype])
+            g, m_all, v_all = g.reshape(-1), self.m[path], self.v[path]
+            s_all, u_all = self.scratch[arr.dtype]
+            for i in range(0, arr.size, ADAM_CHUNK):
+                j = i + ADAM_CHUNK
+                a, m, v, gc = arr[i:j], m_all[i:j], v_all[i:j], g[i:j]
+                s, u = s_all[:a.size], u_all[:a.size]
                 m *= b1
                 m += np.multiply(1.0 - b1, gc, out=s)
                 v *= b2

@@ -13,10 +13,11 @@ the public headmem API, in f32 and in f64:
                                   128-byte windows (pkm memory), and 4 steps
                                   of 464-byte windows (bytes-464: attention
                                   and weight gradients over several 128-row
-                                  chunks), and 3 steps of 128-byte windows
-                                  with pkm at n = 256 (bytes-n256: value
-                                  tables of 65,536 rows, each larger than
-                                  one optimizer chunk or scatter block):
+                                  chunks), and 3 steps of two 128-byte
+                                  windows with pkm at n = 256 (bytes-n256:
+                                  value tables of 65,536 rows, each larger
+                                  than one optimizer chunk or scatter
+                                  block):
                                   losses, learning rates, write counts,
                                   final parameters
   prefill/<lengths>/<precision>   logits of 20 prompts, on the cached-value
