@@ -119,8 +119,7 @@ def _scatter_rows(rows: np.ndarray, g: np.ndarray, size: int,
     cols = np.arange(D)
     for b0 in range(0, B, step):
         b1 = min(b0 + step, B)
-        c = np.multiply(rows[b0:b1, :, None], D, out=cells[:b1 - b0])
-        c += cols
+        c = np.add(rows[b0:b1, :, None] * D, cols, out=cells[:b1 - b0])
         if w is None:
             v = np.broadcast_to(g[b0:b1, None, :], c.shape)
         else:
@@ -159,7 +158,7 @@ def weight_grad_backward(g_out: np.ndarray, idx: np.ndarray,
     step = max(1, _GATHER_BLOCK // max(K * D, 1))
     for b0 in range(0, B, step):
         b1 = min(b0 + step, B)
-        np.einsum("bd,bkd->bk", g_out[b0:b1], table[idx[b0:b1]], out=out[b0:b1])
+        out[b0:b1] = np.einsum("bd,bkd->bk", g_out[b0:b1], table[idx[b0:b1]])
     return out
 
 

@@ -106,7 +106,6 @@ class AdamW:
         for path, a in params.items():
             if not a.flags.c_contiguous:
                 raise ValueError(f"parameter {path} is not C-contiguous")
-        self.params = params
         self.t = 0
         self.flat = {p: a.reshape(-1) for p, a in params.items()}
         self.m = {p: np.zeros_like(a) for p, a in self.flat.items()}
