@@ -103,7 +103,7 @@ def test_loss_and_grads_collects_from_the_first_visited_block(kind, mode, store,
         return backward(dlogits, caches, model, grads)
 
     monkeypatch.setattr("headmem.training.model_backward", spy)
-    loss, lean = loss_and_grads(model, inputs, targets, make())
+    _, lean = loss_and_grads(model, inputs, targets, make())
     (caches,) = seen
     assert [c is None for c in caches["blocks"]] == [i < want_stop for i in range(6)]
 
