@@ -296,8 +296,10 @@ def retrieve_backward(dm: np.ndarray, mcache: dict, p: MemoryBlockParams,
 
     Value pooling, selection weights, key scores and the query pipeline each
     run once over all [rows, H, ...]. linear and pkm bag every (row, head)
-    pair with the upstream gradient of its row; headwise first takes it
-    through the per-head transform.
+    pair with the upstream gradient of its row: dm pairs with idx and w as
+    [rows, H * k], in (row, head, k) order, so no row is copied per head.
+    headwise first takes it through the per-head transform and bags
+    [rows * H, k].
     """
     cfg, bank, kind = p.cfg, p.bank, p.kind.kind
     idx, w = mcache["idx"], mcache["w"]
@@ -310,11 +312,11 @@ def retrieve_backward(dm: np.ndarray, mcache: dict, p: MemoryBlockParams,
             pooled = np.einsum("shk,shkd->shd", w, table[idx])
             grads.add(w_heads, np.einsum("shi,shj->hij", dmh, pooled))
         g_out = np.einsum("shi,hij->shj", dmh, bank.values.w_heads)
+        g_out = g_out.reshape(rows * heads, cfg.d_h)
     else:
         table, table_path = bank.values, f"{prefix}.bank.values"
-        g_out = np.broadcast_to(dm[:, None, :], (rows, heads, cfg.d))
-    g_out = g_out.reshape(rows * heads, table.shape[1])
-    idx_f, w_f = idx.reshape(rows * heads, k), w.reshape(rows * heads, k)
+        g_out = dm
+    idx_f, w_f = idx.reshape(len(g_out), -1), w.reshape(len(g_out), -1)
     if grads.wants(table_path):
         grads.add(table_path, dedup_scatter_backward(g_out, idx_f, w_f, cfg.N))
         # unique slots written; idx is range-checked, so N bins count them exactly

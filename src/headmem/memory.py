@@ -210,8 +210,11 @@ def two_stage_topk(s_row: np.ndarray, s_col: np.ndarray, k: int):
     over the full grid.
 
     float32 scores, with flat ids that fit 32 bits, sort both axes in one
-    packed uint64 buffer and the candidates in another, and read the ids
-    and scores back from the sorted words. Other scores take numerics.topk
+    call of numerics.packed_topk, which writes each score's key straight
+    into the high words of its packed uint64 buffer a block of rows at a
+    time, so the axis scores are never copied whole; the candidates sort
+    in another call. The ids and scores are read back from the sorted
+    words. Other scores take numerics.topk
     per axis and rank the candidates by np.lexsort((flat ids, -sums)).
     """
     if s_row.shape != s_col.shape:
@@ -223,18 +226,14 @@ def two_stage_topk(s_row: np.ndarray, s_col: np.ndarray, k: int):
     rows, cols, corner_rows, corner_cols = staircase(k, m)
     packable = s_row.dtype == np.float32 and n * n <= 1 << 32
     if packable:
-        both = np.empty((2,) + s_row.shape, np.float32)
-        np.add(s_row, np.float32(0.0), out=both[0])
-        np.add(s_col, np.float32(0.0), out=both[1])
-        (ri, ci), (rv, cv) = packed_topk(both.view(np.int32),
-                                         np.arange(n, dtype=np.uint32), m)
+        (ri, ci), (rv, cv) = packed_topk((s_row, s_col), np.arange(n, dtype=np.uint32), m)
     else:
         (ri, rv), (ci, cv) = topk(s_row, m), topk(s_col, m)
     sums = rv[..., rows] + cv[..., cols]
     flat = ri[..., rows] * n + ci[..., cols]
-    if packable:  # read-back scores are never -0, so neither are their sums
-        idx, vals = packed_topk(sums.view(np.int32), flat, k)
-        idx = idx.astype(np.intp)
+    if packable:
+        idx, vals = packed_topk((sums,), flat, k)
+        idx, vals = idx[0].astype(np.intp), vals[0]
     else:
         order = np.lexsort((flat, -sums), axis=-1)[..., :k]
         idx = np.take_along_axis(flat, order, -1)

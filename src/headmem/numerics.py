@@ -8,10 +8,10 @@ ascending position so equal scores never reorder. Products that contract
 over token rows or positions run in CHUNK-wide pieces (chunked_matmul), so
 their bits do not depend on the BLAS thread count either. Top-k over
 float32 is one SIMD np.sort of packed uint64 words in one buffer
-(packed_topk): an order-reversing map of the score, written in place into
-each high 32-bit word, above a tie-break word (the position, for topk) in
-the low one; the top k read back from the sorted words. float64 takes a
-stable np.argsort of the negated scores.
+(packed_topk): an order-reversing map of the score, written a block of
+rows at a time into each high 32-bit word, above a tie-break word (the
+position, for topk) in the low one; the top k read back from the sorted
+words. float64 takes a stable np.argsort of the negated scores.
 
 Importing this module on glibc makes one mallopt call (_keep_freed_heap), so
 the memory one forward frees serves the next instead of going back to the
@@ -166,27 +166,50 @@ def _flip(b: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.bitwise_xor(b, t, out=out)
 
 
-def packed_topk(score_bits: np.ndarray, low, k: int):
-    """(low words, scores) of the k largest scores along the last axis, by
-    one sort of packed uint64 words.
+_KEY_BLOCK = 1 << 14  # scores of each array per block of _write_keys
 
-    score_bits: int32 view of float32 scores plus 0.0, so that -0 ties +0.
-    Each word holds the key of its score in the high half, which ascends
-    as the score descends (NaN last), and low, broadcast to the scores'
-    shape, in the low half, which ranks equal scores. Both results cover
-    the sorted words' first k columns: the low words as a uint32 view, and
-    the scores read back from the keys, exact for every non-NaN score
-    (-0 reads back as +0).
+
+def _write_keys(scores, high: np.ndarray) -> None:
+    """Write the key of each score (plus 0.0, so that -0 ties +0; NaN keys
+    are -1, the largest as uint32) into high [len(scores), *shape], a block
+    of leading rows at a time: at most _KEY_BLOCK scores of each array go
+    into one buffer that every block reuses, and are flipped from there."""
+    lead = high.shape[1]
+    step = max(1, _KEY_BLOCK * lead // max(scores[0].size, 1))
+    buf = np.empty((len(scores), min(step, lead)) + high.shape[2:], np.float32)
+    for r0 in range(0, lead, step):
+        h = high[:, r0:r0 + step]
+        folded = buf[:, :h.shape[1]]
+        for s, f in zip(scores, folded):
+            np.add(s[r0:r0 + step], np.float32(0.0), out=f)
+        _flip(folded.view(np.int32), h)
+        h[np.isnan(folded)] = -1
+
+
+def packed_topk(scores, low, k: int):
+    """(low words, scores) of the k largest scores of each array in scores
+    along its last axis, by one sort of packed uint64 words.
+
+    scores: float32 arrays of one shape with at least two axes; they stack
+    on a new first axis of the packed words and of both results. Each word
+    holds the key of its score in the high half, which ascends as the
+    score descends (NaN last), and low, broadcast to the scores' shape, in
+    the low half, which ranks equal scores. The keys go straight into the
+    high halves, a block of rows at a time (_write_keys), so the scores
+    are never copied whole; a short input is one block. Both results are
+    C-contiguous and cover the sorted words' first k columns: the low
+    words as uint32, and the scores read back from the keys, exact for
+    every non-NaN score (-0 reads back as +0).
     """
-    packed = np.empty(score_bits.shape, np.uint64)
+    packed = np.empty((len(scores),) + scores[0].shape, np.uint64)
     words = packed.view(np.uint32).reshape(packed.shape + (2,))
     high, packed_low = words[..., _HIGH].view(np.int32), words[..., 1 - _HIGH]
-    _flip(score_bits, high)
-    high[np.isnan(score_bits.view(np.float32))] = -1
+    _write_keys(scores, high)
     packed_low[...] = low
     packed.sort(axis=-1)
     top = high[..., :k]
-    return packed_low[..., :k], _flip(top, np.empty(top.shape, np.int32)).view(np.float32)
+    vals = _flip(top, np.empty(top.shape, np.int32)).view(np.float32)
+    return packed_low[..., :k].copy(), vals  # a copy frees the packed words
 
 
 def topk(scores: np.ndarray, k: int):
@@ -203,9 +226,9 @@ def topk(scores: np.ndarray, k: int):
     if not 1 <= k <= c:
         raise ValueError(f"k={k} out of range for axis of size {c}")
     if scores.dtype == np.float32 and c <= 1 << 32:
-        score_bits = np.add(scores, np.float32(0.0), order="C").view(np.int32)
-        low, _ = packed_topk(score_bits, np.arange(c, dtype=np.uint32), k)
-        order = low.astype(np.intp)
+        rows = scores if scores.ndim > 1 else scores[None]
+        low, _ = packed_topk((rows,), np.arange(c, dtype=np.uint32), k)
+        order = low[0].astype(np.intp)
     else:
         order = np.argsort(-scores, axis=-1, kind="stable")[..., :k]
     # one flat gather: position j of row r is element r * c + j (a strided

@@ -48,7 +48,9 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     # numerator max(e, x >= 0) is that select without a branch per element
     # (e <= 1, so the mask's 1 wins and its 0 loses); a NaN passes through
     # both min(x, -x) and max with its own sign, as exp(x) on that branch does.
-    e = np.exp(np.minimum(x, -x))
+    e = np.negative(x)
+    np.minimum(x, e, out=e)
+    np.exp(e, out=e)
     num = np.maximum(e, x >= 0)
     e += 1.0
     num /= e
@@ -182,13 +184,23 @@ def causal_attention(xn: np.ndarray, p: AttentionParams, seq_len: int | None = N
     return out, cache
 
 
-def ffn_forward(z: np.ndarray, p: FfnParams):
-    """Gated feed-forward: down(silu(z W_gate) * (z W_up)).
+def ffn_forward(z: np.ndarray, p: FfnParams, collect: bool = True):
+    """Gated feed-forward: down(silu(z W_gate) * (z W_up)), h = g * sg * u
+    with g = z W_gate, u = z W_up, sg = sigmoid(g).
 
-    The cache keeps z, g, u and sg, not h = silu(g) * u: the backward
-    forms h from them only when it keeps w_down's gradient.
+    With collect, the cache keeps z, g, u and sg, not h: the backward forms
+    h from them only when it keeps w_down's gradient. Without, cache is
+    None and h is formed in g's buffer: g *= sigmoid(g) one CHUNK of rows
+    at a time, then g *= u, the same products in the same order. Only g,
+    one chunk's sigmoid and u are alive at once.
     """
     g = z @ p.w_gate
+    if not collect:
+        for r0 in range(0, len(g), CHUNK):
+            rows = g[r0:r0 + CHUNK]
+            rows *= sigmoid(rows)
+        g *= z @ p.w_up
+        return g @ p.w_down, None
     u = z @ p.w_up
     sg = sigmoid(g)
     h = g * sg * u  # silu(g) * u
@@ -209,7 +221,7 @@ def transformer_block_forward(x: np.ndarray, p: TransformerBlockParams,
     a = x + ao
     del xn1, ao  # without collect, no cache holds them through the FFN
     xn2, ncache2 = rms_norm_fwd(a, p.ffn_gain)
-    fo, fcache = ffn_forward(xn2, p.ffn)
+    fo, fcache = ffn_forward(xn2, p.ffn, collect=collect)
     y = a + fo
     if not collect:
         return y, None

@@ -3,8 +3,10 @@
 model_forward(collect=False) is every inference caller's path: prefill,
 training.evaluate and `headmem eval`. Its blocks return None as the cache
 and free each temporary after its last reader, so a long prompt holds one
-block's activations at a time. Only what is retained differs from the
-collecting path, which the backward reads; the arithmetic is the same.
+block's activations at a time; the FFN forms its hidden rows in the gate
+product's buffer, and the selection packs its scores' keys in place. Only
+what is retained differs from the collecting path, which the backward
+reads; the arithmetic is the same.
 """
 
 import tracemalloc
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 from headmem.layers import MemoryBlockParams, MemoryLayerKind, memory_block_forward
-from headmem.memory import MemoryConfig
+from headmem.memory import MemoryConfig, select_topk
 from headmem.model import (
     build_value_caches,
     init_base_model,
@@ -24,6 +26,7 @@ from headmem.numerics import make_rng, precision
 from headmem.transformer import (
     TransformerBlockParams,
     causal_attention,
+    ffn_forward,
     transformer_block_forward,
 )
 from headmem.upscale import PlacementPolicy, UpscalePlan, build_memory_dus
@@ -31,10 +34,10 @@ from headmem.upscale import PlacementPolicy, UpscalePlan, build_memory_dus
 KINDS = ("linear", "pkm", "headwise")
 
 
-def _model(kind, d=32, d_ff=48, n=8, k=3, seed=0):
-    base = init_base_model(vocab=64, d=d, heads=4, d_ff=d_ff, depth=3,
+def _model(kind, d=32, d_ff=48, n=8, k=3, seed=0, vocab=64, depth=3):
+    base = init_base_model(vocab=vocab, d=d, heads=4, d_ff=d_ff, depth=depth,
                            rng=make_rng(seed))
-    plan = UpscalePlan(policy=PlacementPolicy("distributed", 3, 2),
+    plan = UpscalePlan(policy=PlacementPolicy("distributed", depth, 2),
                        insert_kind="memory_block",
                        memory_kind=MemoryLayerKind.defaults(kind),
                        memory_cfg=MemoryConfig(heads=4, n=n, k=k, d=d),
@@ -45,6 +48,13 @@ def _model(kind, d=32, d_ff=48, n=8, k=3, seed=0):
         if path.endswith(("v_base", ".values")):
             arr[...] = 0.1 * rng.standard_normal(arr.shape)
     return model
+
+
+def _ffn(seed):
+    """The FFN of a d 64, d_ff 256 base block, in the current precision."""
+    base = init_base_model(vocab=64, d=64, heads=4, d_ff=256, depth=1,
+                           rng=make_rng(seed))
+    return base.blocks[0].ffn
 
 
 def _block_forward(x, block, i, caches, collect):
@@ -81,6 +91,53 @@ def test_long_inference_forward_holds_one_block_at_a_time():
             lambda: _block_forward(x, block, i, caches, collect=False)))
         x, _ = _block_forward(x, block, i, caches, collect=False)
     assert forward <= 1.5 * max(block_peaks), (forward, block_peaks)
+
+
+def test_long_prefill_forward_peak_is_bounded():
+    """One 512-token cached-value forward of the prefill-long model (vocab
+    256, base depth 4 plus 2 headwise blocks, d 64, d_ff 256, n 32, k 8)
+    traced 3.24 MiB when the selection copied its scores twice and the FFN
+    kept g, u, sg and h alive; 2.07 MiB without."""
+    with precision("f32"):
+        model = _model("headwise", d=64, d_ff=256, n=32, k=8, vocab=256, depth=4)
+    caches = build_value_caches(model)
+    tokens = make_rng(3).integers(0, 256, 512)
+    peak = _traced_peak(lambda: model_forward(tokens, model, value_caches=caches))
+    assert peak <= 2.3 * 2**20, peak / 2**20
+
+
+def test_selection_packs_scores_in_place():
+    """Axis scores [512, 4, 32] at k = 8: the packed words of both axes take
+    1 MiB; copying the scores into one buffer and flipping them through a
+    temporary took 2.49 MiB in all."""
+    rng = make_rng(9)
+    s_row, s_col = (rng.standard_normal((512, 4, 32)).astype(np.float32)
+                    for _ in range(2))
+    peak = _traced_peak(lambda: select_topk(s_row, s_col, 8))
+    assert peak <= 1.5 * 2**20, peak / 2**20
+
+
+def test_ffn_without_cache_forms_h_in_place():
+    """512 rows of d_ff 256: g and u take 0.5 MiB each; keeping sg and h
+    as well took 2.16 MiB."""
+    with precision("f32"):
+        ffn = _ffn(seed=0)
+    z = make_rng(10).standard_normal((512, 64)).astype(np.float32)
+    peak = _traced_peak(lambda: ffn_forward(z, ffn, collect=False))
+    assert peak <= 1.1 * 2**20, peak / 2**20
+
+
+@pytest.mark.parametrize("mode", ["f32", "f64"])
+def test_ffn_without_cache_equals_collecting_ffn_bitwise(mode):
+    """300 rows: two full CHUNKs of in-place silu and a partial one."""
+    with precision(mode):
+        ffn = _ffn(seed=11)
+        z = make_rng(12).standard_normal((300, 64)).astype(ffn.w_gate.dtype)
+    lean, none = ffn_forward(z, ffn, collect=False)
+    full, cache = ffn_forward(z, ffn)
+    assert none is None and set(cache) == {"z", "g", "u", "sg"}
+    assert lean.dtype == full.dtype == ffn.w_gate.dtype
+    assert lean.tobytes() == full.tobytes()
 
 
 def test_lean_attention_holds_one_query_block_of_probabilities():

@@ -19,9 +19,10 @@ from headmem.gradients import (
     first_visited_block,
     lm_loss_backward,
     model_backward,
+    retrieve_backward,
     weight_grad_backward,
 )
-from headmem.layers import MemoryLayerKind
+from headmem.layers import MemoryLayerKind, retrieve
 from headmem.memory import MemoryConfig
 from headmem.model import init_base_model, model_forward, trainable_paths
 from headmem.numerics import make_rng, precision
@@ -170,6 +171,39 @@ def test_blocked_kernels_equal_unblocked_formulas(dtype, shape):
     want = np.zeros((N, D), dtype=dtype)
     np.add.at(want, tokens, g)
     assert gradients._scatter_rows(tokens[:, None], g, N).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["linear", "pkm"])
+@pytest.mark.parametrize("mode", ["f32", "f64"])
+def test_row_gradient_pairs_with_every_head_bitwise(mode, kind):
+    """A linear or pkm block reads every head's k slots with one row of dm,
+    so retrieve_backward pairs dm [rows, d] with idx and w as [rows, H * k].
+    The broadcast formula copies each row H times to pair [rows * H, d]
+    with [rows * H, k]; both give the same contributions in (row, head, k)
+    order, so the value-table and pooling-weight gradients are bitwise
+    equal."""
+    with precision(mode):
+        model = _model(kind, seed=8)
+        p = model.blocks[1]
+        rng = make_rng(9)
+        p.bank.values[...] = rng.standard_normal(p.bank.values.shape)
+        a = rng.standard_normal((300, 64)).astype(p.bank.values.dtype)
+        dm = rng.standard_normal(a.shape).astype(a.dtype)
+    _, mcache = retrieve(a, p)
+    idx, w = mcache["idx"], mcache["w"]
+    rows, heads, k = idx.shape
+    grads = GradStore()
+    retrieve_backward(dm, mcache, p, grads, "m")
+
+    g_b = np.broadcast_to(dm[:, None, :], (rows, heads, 64)).reshape(rows * heads, 64)
+    idx_b, w_b = idx.reshape(rows * heads, k), w.reshape(rows * heads, k)
+    want = dedup_scatter_backward(g_b, idx_b, w_b, p.cfg.N)
+    assert grads["m.bank.values"].tobytes() == want.tobytes()
+    idx_r, w_r = idx.reshape(rows, heads * k), w.reshape(rows, heads * k)
+    assert dedup_scatter_backward(dm, idx_r, w_r, p.cfg.N).tobytes() == want.tobytes()
+    want = weight_grad_backward(g_b, idx_b, p.bank.values)
+    got = weight_grad_backward(dm, idx_r, p.bank.values)
+    assert got.dtype == dm.dtype and got.tobytes() == want.tobytes()
 
 
 def test_scatter_holds_bounded_buffers():

@@ -197,6 +197,21 @@ def test_select_topk_returns_row_major_results(dtype):
     assert np.array_equal(idx, want_idx) and np.array_equal(w, want_w)
 
 
+def test_float32_selection_in_key_blocks_equals_rows_alone():
+    """[300, 4, 32] float32 axis scores hold 38,400 per axis, so both axes'
+    keys are written in blocks of 128 rows; each row selected alone is one
+    block. Rounded scores give ties, and -0 must tie +0."""
+    rng = make_rng(36)
+    s_row, s_col = (np.round(rng.standard_normal((300, 4, 32)), 1).astype(np.float32)
+                    for _ in range(2))
+    s_row[s_row == 0] = -0.0
+    idx, w = select_topk(s_row, s_col, 8)
+    for r in range(300):
+        i1, w1 = select_topk(s_row[r:r + 1], s_col[r:r + 1], 8)
+        assert idx[r:r + 1].tobytes() == i1.tobytes()
+        assert w[r:r + 1].tobytes() == w1.tobytes()
+
+
 def test_score_subkeys_halves_and_counter():
     """The row scores read only the first d_p query columns and the column
     scores only the rest; the counter sees both halves."""

@@ -143,6 +143,25 @@ def test_topk_matches_lexsort_oracle(dtype, lead, c, k_frac, specials, seed):
     assert got_vals.tobytes() == want_vals.tobytes()
 
 
+@pytest.mark.parametrize("layout", ["c", "swapped"])
+def test_topk_keys_written_in_blocks_match_lexsort_oracle(layout):
+    """48,000 float32 scores of [300, 4, 40]: packed_topk writes their keys
+    in three blocks of leading rows, the last one partial, with special
+    values in every block. The integers are at most 0, so +0 and -0 tie
+    in most top-6 sets and rank by position."""
+    rng = np.random.default_rng(12)
+    scores = rng.integers(-3, 1, (300, 4, 40)).astype(np.float32)
+    pick = rng.random(scores.shape) < 0.05
+    scores[pick] = rng.choice(np.array(_SPECIAL_SCORES, dtype=np.float32), int(pick.sum()))
+    if layout == "swapped":  # the strides of head_scores' [rows, H, n] result
+        scores = np.ascontiguousarray(scores.swapaxes(0, 1)).swapaxes(0, 1)
+    positions = np.broadcast_to(np.arange(40), scores.shape)
+    want = np.lexsort((positions, -scores), axis=-1)[..., :6]
+    idx, vals = topk(scores, 6)
+    assert np.array_equal(idx, want)
+    assert vals.tobytes() == np.take_along_axis(scores, want, axis=-1).tobytes()
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("layout", ["c", "swapped"])
 def test_topk_leaves_inputs_unchanged_and_returns_c_contiguous(dtype, layout):
