@@ -41,6 +41,14 @@ the public headmem API, in f32 and in f64:
                                   numerics.topk ids and values on flat
                                   [256, 4, 1024] scores, as the linear kind
                                   selects
+  upscale/<precision>             build_dus with each init source, with and
+                                  without zero_init_copies, and
+                                  build_memory_dus with each kind, under
+                                  llama_pro, distributed and bottom_heavy
+                                  (base depth 4, 2 inserts): every tensor
+                                  and the save_checkpoint bytes of each
+                                  expansion, the message of each plan a
+                                  builder refuses, and the base afterwards
 
 The model shape is d=64, H=4, d_ff=256, base depth 4 plus 2 memory blocks
 placed by the `distributed` policy. Models are built with
@@ -54,6 +62,7 @@ import argparse
 import hashlib
 import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -186,6 +195,40 @@ def _select(hm) -> str:
     return _sha(out)
 
 
+def _upscale(hm) -> str:
+    """Expansions of one base; copies and means must keep every bit."""
+    base = hm.init_base_model(vocab=256, d=64, heads=4, d_ff=256, depth=4,
+                              rng=hm.make_rng(SEED))
+    cfg = hm.MemoryConfig(heads=4, n=16, k=4, d=64)
+    plans = []
+    for name in ("llama_pro", "distributed", "bottom_heavy"):
+        policy = hm.PlacementPolicy(name, 4, 2)
+        plans += [(hm.build_dus, hm.UpscalePlan(
+            policy=policy, insert_kind="transformer_copy", init_source=source,
+            zero_init_copies=zero))
+            for source in hm.INIT_SOURCES for zero in (False, True)]
+        plans += [(hm.build_memory_dus, hm.UpscalePlan(
+            policy=policy, insert_kind="memory_block",
+            memory_kind=hm.MemoryLayerKind.defaults(kind), memory_cfg=cfg,
+            seed=SEED + 1))
+            for kind in hm.MEMORY_KINDS]
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.ckpt")
+        for build, plan in plans:
+            try:
+                net = build(base, plan)
+            except ValueError as e:
+                h.update(str(e).encode())
+                continue
+            h.update(_sha(a for _, a in hm.named_params(net)).encode())
+            hm.save_checkpoint(path, net)
+            with open(path, "rb") as f:
+                h.update(f.read())
+    h.update(_sha(a for _, a in hm.named_params(base)).encode())
+    return h.hexdigest()
+
+
 def fingerprints(hm, mode: str):
     """(name, sha256) of every artifact at the current default precision."""
     from headmem.gradcheck import DEFAULT_TOL, format_report
@@ -215,6 +258,7 @@ def fingerprints(hm, mode: str):
     yield (f"gradcheck/{mode}",
            hashlib.sha256(format_report(results, DEFAULT_TOL).encode()).hexdigest())
     yield f"select/{mode}", _select(hm)
+    yield f"upscale/{mode}", _upscale(hm)
 
 
 def main(argv=None) -> int:
