@@ -147,6 +147,10 @@ def cmd_params(args) -> int:
             vcfg["memory"]["kind"] = kind
             vcfg["upscale"]["init_source"] = "subsequent"
             vcfg["upscale"]["zero_init_copies"] = False
+        elif vcfg["upscale"]["policy"] == "llama_pro":
+            # each insert copies the block it follows; a tail insert has no
+            # subsequent block, and the counts do not depend on the source
+            vcfg["upscale"]["init_source"] = "preceding"
         vcfg["upscale"]["insert_kind"] = insert_kind
         _, model = build_model(vcfg)
         keep = trainable_paths(model, "cpt")

@@ -8,7 +8,7 @@ by gradients, optimizer state, checkpoints and accounting alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -174,29 +174,6 @@ def tensor_slots(node, prefix: str = ""):
                     yield from tensor_slots(item, f"{path}.{i}")
         elif is_dataclass(value):
             yield from tensor_slots(value, path)
-
-
-def map_tensors(fn, node, *others):
-    """Copy of node whose every array is fn(array, *arrays at the same path
-    in others), following tensor_slots' walk.
-
-    Lists are new lists, None and non-array fields are carried over, and a
-    dataclass with nothing to walk (a MemoryLayerKind, a MemoryConfig) is
-    carried over as is. others must have node's layout.
-    """
-    changes = {}
-    for f in fields(node):
-        value = getattr(node, f.name)
-        rest = [getattr(o, f.name) for o in others]
-        if isinstance(value, np.ndarray):
-            changes[f.name] = fn(value, *rest)
-        elif isinstance(value, list):
-            changes[f.name] = [map_tensors(fn, item, *(r[i] for r in rest))
-                               if is_dataclass(item) else item
-                               for i, item in enumerate(value)]
-        elif is_dataclass(value):
-            changes[f.name] = map_tensors(fn, value, *rest)
-    return replace(node, **changes) if changes else node
 
 
 def named_params(node, prefix: str = ""):

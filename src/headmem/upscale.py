@@ -17,24 +17,24 @@ this library's own extension.
 Two builders share the policies. build_dus inserts parameter copies of
 adjacent base blocks (optionally zero-initialized so each copy starts as an
 identity map). build_memory_dus inserts memory blocks whose attention is
-copied from the subsequent base block and whose value tables start at zero,
-so the expanded model's function is exactly the base model's at init.
+copied from the subsequent base block (the preceding one for a llama_pro
+tail insert, which has none) and whose value tables start at zero, so the
+expanded model's function is exactly the base model's at init.
 
 Both take a plain transformer stack exactly as deep as the policy's base
-depth, and raise ValueError otherwise. Copies, averages and the copy of the
-base itself all go through model.map_tensors, the model's own tensor walk:
+depth, and raise ValueError otherwise. Every copy, the copy of the base
+included, is a copy.deepcopy, and the average walks model.tensor_slots:
 no code here lists a block's tensors.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
-
-import numpy as np
 
 from .layers import MemoryBlockParams, MemoryLayerKind, init_bank
 from .memory import MemoryConfig
-from .model import ModelSpec, map_tensors
+from .model import ModelSpec, named_params, tensor_slots
 from .numerics import make_rng, ones
 from .transformer import TransformerBlockParams
 
@@ -125,13 +125,13 @@ class UpscalePlan:
 
 
 # ---------------------------------------------------------------------------
-# parameter copies: every tensor goes through model.map_tensors, so a field
-# added to a block is copied, averaged or carried without a change here
+# parameter copies: copy.deepcopy and model.tensor_slots reach every tensor,
+# so a field added to a block is copied or averaged without a change here
 
 def zero_init_dus_copy(block: TransformerBlockParams) -> TransformerBlockParams:
     """Copy with W_o and W_down zeroed: both sublayers then add exactly zero,
     so the copied block computes the identity map."""
-    out = map_tensors(np.copy, block)
+    out = copy.deepcopy(block)
     out.attn.w_o[...] = 0.0
     out.ffn.w_down[...] = 0.0
     return out
@@ -152,7 +152,7 @@ def _check_base(base: ModelSpec, plan: UpscalePlan, insert_kind: str) -> None:
 def _assemble(base: ModelSpec, positions: list[int], inserted: list) -> ModelSpec:
     # a copy of the whole base, frozen; inserting in ascending order puts
     # each new block at its final expanded-stack position
-    out = map_tensors(np.copy, base)
+    out = copy.deepcopy(base)
     out.trainable = [False] * len(out.blocks)
     for q, block in zip(positions, inserted):
         out.blocks.insert(q, block)
@@ -168,15 +168,18 @@ def build_dus(base: ModelSpec, plan: UpscalePlan) -> ModelSpec:
         if plan.init_source == "preceding":
             if pre is None:
                 raise ValueError("insert at stack start has no preceding block to copy")
-            blk = map_tensors(np.copy, base.blocks[pre])
+            blk = copy.deepcopy(base.blocks[pre])
         elif plan.init_source == "subsequent":
             if sub is None:
                 raise ValueError("insert at stack end has no subsequent block to copy")
-            blk = map_tensors(np.copy, base.blocks[sub])
+            blk = copy.deepcopy(base.blocks[sub])
         else:
             if pre is None or sub is None:
                 raise ValueError("average_adjacent needs both neighbors")
-            blk = map_tensors(lambda u, v: (u + v) / 2, base.blocks[pre], base.blocks[sub])
+            blk = copy.deepcopy(base.blocks[pre])
+            for (_, owner, name), (_, v) in zip(tensor_slots(blk),
+                                                named_params(base.blocks[sub])):
+                setattr(owner, name, (getattr(owner, name) + v) / 2)
         if plan.zero_init_copies:
             blk = zero_init_dus_copy(blk)
         inserted.append(blk)
@@ -191,7 +194,7 @@ def init_memory_block(source: TransformerBlockParams, kind: MemoryLayerKind,
     it drops the output projection and has no query norm gain. The bank
     comes from init_bank."""
     headwise = kind.kind == "headwise"
-    attn = map_tensors(np.copy, source.attn)
+    attn = copy.deepcopy(source.attn)
     if headwise:
         attn.w_o = None
     return MemoryBlockParams(

@@ -11,6 +11,7 @@ from headmem.checkpoint import load_checkpoint, save_checkpoint
 from headmem.cli import main
 from headmem.config import build_model, parse_config
 from headmem.model import named_params
+from headmem.upscale import POLICY_NAMES
 
 
 def run(capsys, *argv):
@@ -361,6 +362,22 @@ def test_params_rows_ignore_copy_only_upscale_keys(capsys, tmp_path, line):
                                                    "mem_pkm", "mem_headwise"]
     _, default_out, _ = run(capsys, "params")
     assert out == default_out  # counts do not depend on how copies start
+
+
+def test_params_rows_under_every_policy(capsys, tmp_path):
+    """Every placement policy prints the same four rows. A llama_pro tail
+    insert has no subsequent block, so there the dus_copy row copies the
+    block each insert follows."""
+    outs = {}
+    for policy in POLICY_NAMES:
+        cfg = tmp_path / f"{policy}.cfg"
+        cfg.write_text(f"[upscale]\npolicy = {policy}\n")
+        code, outs[policy], err = run(capsys, "params", "--config", str(cfg))
+        assert code == 0 and err == "", policy
+    rows = outs["llama_pro"].strip().split("\n")
+    assert [r.split(",")[0] for r in rows[1:]] == ["dus_copy", "mem_linear",
+                                                   "mem_pkm", "mem_headwise"]
+    assert len(set(outs.values())) == 1
 
 
 @pytest.mark.parametrize("command", ["bench-topk", "bench-prefill"])

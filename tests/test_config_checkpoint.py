@@ -31,7 +31,6 @@ from headmem.memory import MemoryConfig
 from headmem.model import (
     init_base_model,
     init_transformer_block,
-    map_tensors,
     model_forward,
     named_params,
     tensor_slots,
@@ -39,11 +38,15 @@ from headmem.model import (
 from headmem.numerics import make_rng, precision
 from headmem.training import ByteCorpus, RecallCorpus
 from headmem.upscale import (
+    INIT_SOURCES,
     POLICY_NAMES,
     PlacementPolicy,
     UpscalePlan,
+    build_dus,
     build_memory_dus,
     init_memory_block,
+    neighbor_base_indices,
+    policy_indices,
 )
 
 
@@ -221,56 +224,64 @@ def test_walk_order_is_pinned(case):
     assert [p for p, _ in named_params(block)] == WALK_ORDER[case]
 
 
-def _walk_cases():
-    source = init_transformer_block(8, 2, 12, make_rng(0))
-    yield "transformer", source
+def _expansions(base):
+    """(plan, expanded model) of build_dus with each init source and of
+    build_memory_dus with each kind, all under the distributed policy."""
+    policy = PlacementPolicy("distributed", len(base.blocks), 2)
+    for source in INIT_SOURCES:
+        plan = UpscalePlan(policy=policy, insert_kind="transformer_copy",
+                           init_source=source, zero_init_copies=source == "preceding")
+        yield plan, build_dus(base, plan)
     for kind in MEMORY_KINDS:
-        yield kind, init_memory_block(source, MemoryLayerKind(kind),
-                                      MemoryConfig(heads=2, n=4, k=2, d=8), make_rng(1))
-    base = init_base_model(vocab=11, d=8, heads=2, d_ff=12, depth=3, rng=make_rng(2))
-    plan = UpscalePlan(policy=PlacementPolicy("distributed", 3, 2),
-                       insert_kind="memory_block",
-                       memory_kind=MemoryLayerKind("pkm"),
-                       memory_cfg=MemoryConfig(heads=2, n=4, k=2, d=8), seed=3)
-    yield "model", build_memory_dus(base, plan)
+        plan = UpscalePlan(policy=policy, insert_kind="memory_block",
+                           memory_kind=MemoryLayerKind(kind),
+                           memory_cfg=MemoryConfig(heads=2, n=4, k=2, d=8), seed=3)
+        yield plan, build_memory_dus(base, plan)
 
 
-def test_map_tensors_follows_the_walk():
-    """map_tensors hands fn the arrays tensor_slots walks, in its order, with
-    the arrays at the same paths in the others, and puts each result at
-    that path; None and non-array fields are carried over."""
-    for case, node in _walk_cases():
-        other = map_tensors(lambda a: a + 1, node)
-        calls = []
-
-        def record(a, b):
-            calls.append((a, b))
-            return a.copy()
-
-        out = map_tensors(record, node, other)
-        slots = list(tensor_slots(node))
-        assert [p for p, _, _ in tensor_slots(out)] == [p for p, _, _ in slots], case
-        assert [p for p, _, _ in tensor_slots(other)] == [p for p, _, _ in slots], case
-        assert len(calls) == len(slots), case
-        results = [getattr(o, n) for _, o, n in tensor_slots(out)]
-        for (a, b), (_, o, n), (_, oo, on), r in zip(
-                calls, slots, tensor_slots(other), results):
-            assert a is getattr(o, n) and b is getattr(oo, on), case
-            assert np.array_equal(r, a) and not np.shares_memory(r, a), case
-        blocks = out.blocks if case == "model" else [out]
-        sources = node.blocks if case == "model" else [node]
-        for got, src in zip(blocks, sources):
-            assert type(got) is type(src)
-            assert got.attn.heads == src.attn.heads
-            assert (got.attn.w_o is None) == (src.attn.w_o is None), case
-            if isinstance(src, MemoryBlockParams):
-                assert got.kind is src.kind and got.cfg is src.cfg
-                assert (got.query_ln_gain is None) == (src.query_ln_gain is None), case
-        if case == "model":
+def test_expansion_copies_follow_the_walk():
+    """Every tensor_slots path of the base comes out of both builders with
+    its bits, dtype and C order, in an array of its own; the copied base
+    blocks walk as the base's do, and None and non-array fields (heads, a
+    memory block's kind and config, the model's sizes) are carried over."""
+    for prec in ("f32", "f64"):
+        with precision(prec):
+            base = init_base_model(vocab=11, d=8, heads=2, d_ff=12, depth=4,
+                                   rng=make_rng(2))
+            cases = list(_expansions(base))
+        base_arrays = [a for _, a in named_params(base)]
+        for plan, out in cases:
+            case = (prec, plan.insert_kind, plan.init_source, plan.memory_kind)
             for name in ("vocab", "d", "heads", "d_ff"):
-                assert getattr(out, name) == getattr(node, name)
-            assert out.trainable == node.trainable
-            assert out.blocks is not node.blocks and out.trainable is not node.trainable
+                assert getattr(out, name) == getattr(base, name)
+            assert out.blocks is not base.blocks
+            for path, owner, name in tensor_slots(out):
+                a = getattr(owner, name)
+                assert a.dtype == base.embed.dtype and a.flags.c_contiguous, (case, path)
+                assert not any(np.shares_memory(a, b) for b in base_arrays), (case, path)
+            positions = policy_indices(plan.policy)
+            kept = [b for q, b in enumerate(out.blocks) if q not in positions]
+            for got, src in zip([out, *kept], [base, *base.blocks]):
+                if got is out:  # the model's own tensors, outside the blocks
+                    pairs = [(p, a) for p, a in named_params(out) if "." not in p]
+                    want = [(p, a) for p, a in named_params(base) if "." not in p]
+                else:
+                    pairs, want = list(named_params(got)), list(named_params(src))
+                assert [p for p, _ in pairs] == [p for p, _ in want], case
+                for (p, a), (_, b) in zip(pairs, want):
+                    assert np.array_equal(a, b), (case, p)
+            for q, (pre, sub) in zip(positions, neighbor_base_indices(plan.policy)):
+                got, src = out.blocks[q], base.blocks[sub if sub is not None else pre]
+                assert got.attn.heads == src.attn.heads
+                if isinstance(got, MemoryBlockParams):
+                    headwise = plan.memory_kind.kind == "headwise"
+                    assert got.kind == plan.memory_kind and got.cfg == plan.memory_cfg
+                    assert (got.attn.w_o is None) == headwise, case
+                    assert (got.query_ln_gain is None) == headwise, case
+                    for p in ("w_q", "w_k", "w_v") + (() if headwise else ("w_o",)):
+                        assert np.array_equal(getattr(got.attn, p), getattr(src.attn, p))
+                else:
+                    assert type(got) is type(src), case
 
 
 @settings(max_examples=40, deadline=None)

@@ -11,9 +11,9 @@ from headmem.layers import MEMORY_KINDS, MemoryBlockParams, MemoryLayerKind
 from headmem.memory import MemoryConfig
 from headmem.model import (
     init_base_model,
-    map_tensors,
     model_forward,
     named_params,
+    tensor_slots,
 )
 from headmem.numerics import make_rng, precision
 from headmem.transformer import TransformerBlockParams
@@ -26,7 +26,6 @@ from headmem.upscale import (
     build_memory_dus,
     neighbor_base_indices,
     policy_indices,
-    zero_init_dus_copy,
 )
 
 # expanded-stack index sets for the two reference shapes
@@ -93,23 +92,32 @@ def test_neighbor_base_indices():
 
 
 def test_copy_and_average_helpers():
-    """The copy, average and zero-init that the builders run through
-    map_tensors: a deep copy, an exact mean, and zeroed output projections."""
-    rng = make_rng(1)
-    with precision("f64"):
-        from headmem.model import init_transformer_block
-        a = init_transformer_block(8, 2, 12, rng)
-        b = init_transformer_block(8, 2, 12, rng)
-    c = map_tensors(np.copy, a)
-    assert np.array_equal(c.attn.w_q, a.attn.w_q)
-    c.attn.w_q[0, 0] += 1.0
-    assert c.attn.w_q[0, 0] != a.attn.w_q[0, 0]  # deep copy
-    avg = map_tensors(lambda u, v: (u + v) / 2, a, b)
-    assert np.allclose(avg.ffn.w_up, 0.5 * (a.ffn.w_up + b.ffn.w_up), atol=0)
-    z = zero_init_dus_copy(a)
-    assert np.all(z.attn.w_o == 0) and np.all(z.ffn.w_down == 0)
-    assert np.array_equal(z.attn.w_q, a.attn.w_q)
-    assert not np.shares_memory(z.attn.w_q, a.attn.w_q)
+    """An average_adjacent insert of build_dus is (pre + sub) / 2 exactly at
+    every tensor_slots path and shares no memory with the base; a
+    zero-init copy zeroes attn.w_o and ffn.w_down and nothing else."""
+    policy = PlacementPolicy("distributed", 4, 2)
+    (q, _), ((pre, sub), _) = policy_indices(policy), neighbor_base_indices(policy)
+    for prec in ("f32", "f64"):
+        with precision(prec):
+            base = _base(seed=7)
+        base_arrays = _arrays(base)
+        for zero in (False, True):
+            plan = UpscalePlan(policy=policy, insert_kind="transformer_copy",
+                               init_source="average_adjacent", zero_init_copies=zero)
+            blk = build_dus(base, plan).blocks[q]
+            pre_p = dict(named_params(base.blocks[pre]))
+            sub_p = dict(named_params(base.blocks[sub]))
+            slots = list(tensor_slots(blk))
+            assert [p for p, _, _ in slots] == list(pre_p)
+            for path, owner, name in slots:
+                a = getattr(owner, name)
+                want = (pre_p[path] + sub_p[path]) / 2
+                if zero and path in ("attn.w_o", "ffn.w_down"):
+                    want = np.zeros_like(want)
+                else:
+                    assert np.all(a != 0), path  # only the two projections are zeroed
+                assert a.dtype == want.dtype and np.array_equal(a, want), (prec, path)
+                assert not any(np.shares_memory(a, b) for b in base_arrays), path
 
 
 def _base(depth=4, seed=0, d=16, heads=2, vocab=50, d_ff=24):
