@@ -44,10 +44,11 @@ def _keep_freed_heap() -> None:
 
     glibc returns the free top of the heap to the kernel once it exceeds
     M_TRIM_THRESHOLD, and serves blocks above a self-adjusting mmap
-    threshold by fresh mappings. Either way each prefill request of 256-512
-    tokens faulted its ~15 MB of temporaries back in (about 3,500 minor
-    faults a request); with a fixed 32 MiB mmap threshold and a 128 MiB
-    trim threshold it takes about 20. Skipped off glibc and when the
+    threshold by fresh mappings; the threshold only rises as large mapped
+    blocks are freed. In a process that has freed none, each 512-token
+    prefill faulted its temporaries back in (about 900 minor faults a
+    request); with a fixed 32 MiB mmap threshold and a 128 MiB trim
+    threshold it takes none. Skipped off glibc and when the
     environment already sets glibc's MALLOC_*_ variables or a glibc.malloc
     tunable, so the user's own setting wins.
     """
