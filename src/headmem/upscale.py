@@ -23,7 +23,7 @@ expanded model's function is exactly the base model's at init.
 
 Both take a plain transformer stack exactly as deep as the policy's base
 depth, and raise ValueError otherwise. Every copy, the copy of the base
-included, is a copy.deepcopy, and the average walks model.tensor_slots:
+included, is a copy.deepcopy, and the average walks model.named_params:
 no code here lists a block's tensors.
 """
 
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 from .layers import MemoryBlockParams, MemoryLayerKind, init_bank
 from .memory import MemoryConfig
-from .model import ModelSpec, named_params, tensor_slots
+from .model import ModelSpec, named_params
 from .numerics import make_rng, ones
 from .transformer import TransformerBlockParams
 
@@ -125,7 +125,7 @@ class UpscalePlan:
 
 
 # ---------------------------------------------------------------------------
-# parameter copies: copy.deepcopy and model.tensor_slots reach every tensor,
+# parameter copies: copy.deepcopy and model.named_params reach every tensor,
 # so a field added to a block is copied or averaged without a change here
 
 def zero_init_dus_copy(block: TransformerBlockParams) -> TransformerBlockParams:
@@ -177,9 +177,9 @@ def build_dus(base: ModelSpec, plan: UpscalePlan) -> ModelSpec:
             if pre is None or sub is None:
                 raise ValueError("average_adjacent needs both neighbors")
             blk = copy.deepcopy(base.blocks[pre])
-            for (_, owner, name), (_, v) in zip(tensor_slots(blk),
-                                                named_params(base.blocks[sub])):
-                setattr(owner, name, (getattr(owner, name) + v) / 2)
+            for (_, u), (_, v) in zip(named_params(blk), named_params(base.blocks[sub])):
+                u += v
+                u /= 2
         if plan.zero_init_copies:
             blk = zero_init_dus_copy(blk)
         inserted.append(blk)
