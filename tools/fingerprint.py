@@ -49,6 +49,14 @@ the public headmem API, in f32 and in f64:
                                   and the save_checkpoint bytes of each
                                   expansion, the message of each plan a
                                   builder refuses, and the base afterwards
+  checkpoint/<precision>          save_checkpoint then load_checkpoint of a
+                                  model of each memory kind and a build_dus
+                                  model, and of a pkm model built at the
+                                  other precision (loaded, it keeps its
+                                  dtype), every tensor moved off its init:
+                                  the bytes of each file, each loaded
+                                  tensor's path, dtype and bytes, and the
+                                  loaded trainable flags
 
 The model shape is d=64, H=4, d_ff=256, base depth 4 plus 2 memory blocks
 placed by the `distributed` policy. Models are built with
@@ -229,6 +237,34 @@ def _upscale(hm) -> str:
     return h.hexdigest()
 
 
+def _checkpoint(hm, mode: str) -> str:
+    """Checkpoint files and what loads from them, at both precisions."""
+    nets = [_model(hm, kind, 16, 4) for kind in hm.MEMORY_KINDS]
+    base = hm.init_base_model(vocab=256, d=64, heads=4, d_ff=256, depth=4,
+                              rng=hm.make_rng(SEED))
+    nets.append(hm.build_dus(base, hm.UpscalePlan(
+        policy=hm.PlacementPolicy("distributed", 4, 2),
+        insert_kind="transformer_copy", init_source="preceding",
+        zero_init_copies=True)))
+    with hm.precision("f64" if mode == "f32" else "f32"):
+        nets.append(_model(hm, "pkm", 16, 4))
+    rng = np.random.default_rng([SEED, 5])
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.ckpt")
+        for net in nets:
+            for _, a in hm.named_params(net):
+                a += (0.1 * rng.standard_normal(a.shape)).astype(a.dtype)
+            hm.save_checkpoint(path, net)
+            with open(path, "rb") as f:
+                h.update(f.read())
+            loaded, _ = hm.load_checkpoint(path)
+            for name, a in hm.named_params(loaded):
+                h.update(f"{name} {_sha([a])}".encode())
+            h.update(str(loaded.trainable).encode())
+    return h.hexdigest()
+
+
 def fingerprints(hm, mode: str):
     """(name, sha256) of every artifact at the current default precision."""
     from headmem.gradcheck import DEFAULT_TOL, format_report
@@ -259,6 +295,7 @@ def fingerprints(hm, mode: str):
            hashlib.sha256(format_report(results, DEFAULT_TOL).encode()).hexdigest())
     yield f"select/{mode}", _select(hm)
     yield f"upscale/{mode}", _upscale(hm)
+    yield f"checkpoint/{mode}", _checkpoint(hm, mode)
 
 
 def main(argv=None) -> int:
