@@ -91,8 +91,8 @@ class GradStore(dict):
 # ---------------------------------------------------------------------------
 # scatter kernels
 
-# flat cells per add: bounds the add's cell-id (int64) and contribution
-# buffers, 128 KiB of ids
+# table values per add: bounds the add's contribution buffer and its cell
+# ids (one int64 per added element: 64 KiB for column pairs)
 _CELL_BLOCK = 1 << 14
 # table values per gather of weight_grad_backward
 _GATHER_BLOCK = 1 << 16
@@ -103,28 +103,36 @@ def _scatter_rows(rows: np.ndarray, g: np.ndarray, size: int,
     """A zeroed [size, D] table plus np.add.at(table, rows, w[..., None] * g[:, None]).
 
     rows [B, K] ints, g [B, D], w [B, K] (None: every weight is one, added
-    without a product). The add runs on the flat table at cells
-    rows * D + column, a block of rows of g at a time: the block's
-    contributions and cells go into two buffers of at most _CELL_BLOCK
-    (or one row's K * D) entries, reused by every block. Each element
-    still sums its contributions in (b, k) order, so the result is bitwise
-    the row-wise add's.
+    without a product). When D is even, as d and a memory's d_h always
+    are, the add runs on column pairs: the flat table and the contributions
+    are viewed as complex numbers, whose sum adds the two parts apart, at
+    cells rows * (D // 2) + pair; an odd D adds single columns at cells
+    rows * D + column. It goes a block of rows of g at a time: the block's
+    contributions and cells go into two buffers of at most _CELL_BLOCK (or
+    one row's K * D) values, reused by every block. Each element still sums
+    its contributions in (b, k) order, so the result is bitwise the
+    row-wise add's.
     """
     rows = rows.astype(np.intp, copy=False)  # narrow ints would wrap in rows * D
     (B, K), D = rows.shape, g.shape[1]
+    lanes = 2 - D % 2  # table columns per added element
+    unit = np.promote_types(g.dtype, np.complex64) if lanes == 2 else g.dtype
+    width = D // lanes
     table = np.zeros(size * D, dtype=g.dtype)
     step = max(1, _CELL_BLOCK // max(K * D, 1))
-    cells = np.empty((min(step, B), K, D), dtype=np.intp)
-    contrib = None if w is None else np.empty(cells.shape, dtype=g.dtype)
-    cols = np.arange(D)
+    cells = np.empty((min(step, B), K, width), dtype=np.intp)
+    contrib = None if w is None else np.empty((min(step, B), K, D), dtype=g.dtype)
+    g_units = np.ascontiguousarray(g).view(unit) if w is None else None
+    cols = np.arange(width)
     for b0 in range(0, B, step):
         b1 = min(b0 + step, B)
-        c = np.add(rows[b0:b1, :, None] * D, cols, out=cells[:b1 - b0])
+        c = np.add(rows[b0:b1, :, None] * width, cols, out=cells[:b1 - b0])
         if w is None:
-            v = np.broadcast_to(g[b0:b1, None, :], c.shape)
+            v = np.broadcast_to(g_units[b0:b1, None, :], c.shape)
         else:
-            v = np.multiply(g[b0:b1, None, :], w[b0:b1, :, None], out=contrib[:b1 - b0])
-        np.add.at(table, c.reshape(-1), v.reshape(-1))
+            v = np.multiply(g[b0:b1, None, :], w[b0:b1, :, None],
+                            out=contrib[:b1 - b0]).view(unit)
+        np.add.at(table.view(unit), c.reshape(-1), v.reshape(-1))
     return table.reshape(size, D)
 
 
@@ -133,8 +141,8 @@ def dedup_scatter_backward(g_out: np.ndarray, idx: np.ndarray, w: np.ndarray,
     """Gradient of out[b] = sum_k w[b, k] * table[idx[b, k]] w.r.t. the table.
 
     g_out [B, D], idx [B, K], w [B, K] -> [table_size, D]. One indexed add
-    of the B*K weighted contributions into a zeroed table, run on flat cells
-    idx * D + column a block at a time (_scatter_rows): each table element
+    of the B*K weighted contributions into a zeroed table, run on column
+    pairs a block at a time (_scatter_rows): each table element
     sums its contributions in (b, k) order, however often its slot repeats,
     exactly as a row-wise np.add.at would.
     """

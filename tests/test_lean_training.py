@@ -173,6 +173,34 @@ def test_blocked_kernels_equal_unblocked_formulas(dtype, shape):
     assert gradients._scatter_rows(tokens[:, None], g, N).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("D", [64, 2, 5], ids=["pairs", "one_pair", "odd"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+def test_scatter_rows_adds_column_pairs_bitwise(dtype, D):
+    """The scatter adds column pairs as complex numbers (single columns at an
+    odd width); each table element must still take np.add.at's bits on a
+    2-D table, with slots repeated within and across rows, -0 and zero
+    weights among the contributions, and K = 1 without weights as the
+    embedding adds."""
+    rng = make_rng(10)
+    B, K, N = 600, 8, 40
+    g = rng.standard_normal((B, D)).astype(dtype)
+    g[rng.random(g.shape) < 0.2] = -0.0
+    w = rng.standard_normal((B, K)).astype(dtype)
+    w[rng.random(w.shape) < 0.2] = 0.0
+    w[rng.random(w.shape) < 0.1] = -0.0
+    idx = rng.integers(0, N, (B, K))
+    idx[:, -1] = idx[:, 0]
+    want = np.zeros((N, D), dtype=dtype)
+    np.add.at(want, idx, g[:, None, :] * w[:, :, None])
+    got = gradients._scatter_rows(idx, g, N, w)
+    assert got.shape == (N, D) and got.dtype == dtype
+    assert got.tobytes() == want.tobytes()
+    want = np.zeros((N, D), dtype=dtype)
+    np.add.at(want, idx[:, 0], g)
+    got = gradients._scatter_rows(idx[:, :1], g, N)
+    assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("kind", ["linear", "pkm"])
 @pytest.mark.parametrize("mode", ["f32", "f64"])
 def test_row_gradient_pairs_with_every_head_bitwise(mode, kind):
