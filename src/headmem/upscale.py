@@ -129,12 +129,12 @@ class UpscalePlan:
 # so a field added to a block is copied or averaged without a change here
 
 def zero_init_dus_copy(block: TransformerBlockParams) -> TransformerBlockParams:
-    """Copy with W_o and W_down zeroed: both sublayers then add exactly zero,
-    so the copied block computes the identity map."""
-    out = copy.deepcopy(block)
-    out.attn.w_o[...] = 0.0
-    out.ffn.w_down[...] = 0.0
-    return out
+    """Zeroes W_o and W_down of a fresh copy in place and returns it: both
+    sublayers then add exactly zero, so the copied block computes the
+    identity map."""
+    block.attn.w_o[...] = 0.0
+    block.ffn.w_down[...] = 0.0
+    return block
 
 
 def _check_base(base: ModelSpec, plan: UpscalePlan, insert_kind: str) -> None:
@@ -181,7 +181,7 @@ def build_dus(base: ModelSpec, plan: UpscalePlan) -> ModelSpec:
                 u += v
                 u /= 2
         if plan.zero_init_copies:
-            blk = zero_init_dus_copy(blk)
+            zero_init_dus_copy(blk)
         inserted.append(blk)
     return _assemble(base, policy_indices(plan.policy), inserted)
 
