@@ -5,6 +5,12 @@ header, then every tensor's bytes back to back in header order. The header
 carries the config snapshot, per-block structure descriptors, the tensor
 table (name, shape, dtype), and a sha256 of the payload. Loading rebuilds
 the model so that saved and reloaded forward passes agree bitwise.
+
+Both directions stream tensor by tensor. Saving hashes the model's own
+arrays, then writes each one to the file; loading checks the whole tensor
+table against the file's size, then reads each tensor straight into its
+own array and hashes it as it arrives. Neither forms the payload as one
+object, so a round trip costs the model plus one skeleton block.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -77,8 +84,12 @@ def save_checkpoint(path: str, model: ModelSpec, config: dict | None = None):
     for entry in table:
         if entry["dtype"] not in _DTYPES:
             raise CheckpointError(f"unsupported dtype {entry['dtype']}")
-    payload = b"".join(np.ascontiguousarray(arr).astype(arr.dtype, copy=False)
-                       .tobytes() for _, arr in tensors)
+    # C order, little-endian: the model's own arrays on a little-endian machine
+    arrays = [np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
+              for _, arr in tensors]
+    digest = hashlib.sha256()
+    for arr in arrays:
+        digest.update(arr)
     header = {
         "format_version": FORMAT_VERSION,
         "config": config,
@@ -88,36 +99,49 @@ def save_checkpoint(path: str, model: ModelSpec, config: dict | None = None):
             "blocks": [_block_descriptor(b) for b in model.blocks],
         },
         "tensors": table,
-        "payload_sha256": hashlib.sha256(payload).hexdigest(),
+        "payload_sha256": digest.hexdigest(),
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", FORMAT_VERSION))
-        f.write(struct.pack("<Q", len(blob)))
-        f.write(blob)
-        f.write(payload)
+        f.write(MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(blob)) + blob)
+        for arr in arrays:
+            f.write(arr.data)
 
 
-def _read_tensors(header: dict, payload: memoryview) -> dict[str, np.ndarray]:
-    if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
-        raise CheckpointError("payload checksum mismatch")
-    out, offset = {}, 0
+def _tensor_table(header: dict, payload_size: int) -> dict:
+    """name: (dtype, shape) of each file tensor in order, checked against
+    each other and against the payload's size before any is allocated."""
+    table, offset = {}, 0
     for entry in header["tensors"]:
-        if entry["name"] in out:
-            raise CheckpointError(f"tensor {entry['name']} appears twice in the table")
+        name = entry["name"]
+        if name in table:
+            raise CheckpointError(f"tensor {name} appears twice in the table")
         if entry["dtype"] not in _DTYPES:
             raise CheckpointError(f"unsupported dtype {entry['dtype']!r}")
         dtype = np.dtype(_DTYPES[entry["dtype"]]).newbyteorder("<")
-        shape = tuple(_size(n, f"a size of {entry['name']}", 0) for n in entry["shape"])
-        nbytes = math.prod(shape) * dtype.itemsize
-        if offset + nbytes > len(payload):
-            raise CheckpointError(f"payload truncated at {entry['name']}")
-        arr = np.frombuffer(payload[offset:offset + nbytes], dtype=dtype)
-        out[entry["name"]] = arr.reshape(shape).astype(dtype.base, copy=True)
-        offset += nbytes
-    if offset != len(payload):
+        shape = tuple(_size(n, f"a size of {name}", 0) for n in entry["shape"])
+        offset += math.prod(shape) * dtype.itemsize
+        if offset > payload_size:
+            raise CheckpointError(f"payload truncated at {name}")
+        table[name] = dtype, shape
+    if offset != payload_size:
         raise CheckpointError("trailing bytes after last tensor")
+    return table
+
+
+def _read_tensors(f, header: dict, payload_size: int) -> dict[str, np.ndarray]:
+    """Each tensor read from the file straight into an array of its own and
+    hashed as it arrives; the checksum is compared after the last one."""
+    want = header["payload_sha256"]
+    digest, out = hashlib.sha256(), {}
+    for name, (dtype, shape) in _tensor_table(header, payload_size).items():
+        arr = np.empty(shape, dtype)
+        if f.readinto(arr) != arr.nbytes:  # the file shrank while being read
+            raise CheckpointError(f"payload truncated at {name}")
+        digest.update(arr)
+        out[name] = arr
+    if digest.hexdigest() != want:
+        raise CheckpointError("payload checksum mismatch")
     return out
 
 
@@ -182,40 +206,43 @@ def _skeleton_block(desc: dict, prefix: str, sizes: dict, rng: _ZeroDraws):
     return block
 
 
+def _read_header(f) -> tuple[dict, int]:
+    """The header, and the size of the payload that follows it."""
+    preamble = f.read(20)
+    if preamble[:8] != MAGIC:
+        raise CheckpointError("bad magic; not a checkpoint file")
+    if len(preamble) < 20:
+        raise CheckpointError("file truncated inside the fixed-size preamble")
+    version, hlen = struct.unpack_from("<IQ", preamble, 8)
+    if version != FORMAT_VERSION:
+        raise CheckpointError(f"unsupported format version {version}")
+    payload_size = os.fstat(f.fileno()).st_size - 20 - hlen
+    if payload_size < 0:
+        raise CheckpointError("header truncated")
+    try:
+        return json.loads(f.read(hlen).decode("utf-8")), payload_size
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise CheckpointError(f"unreadable header: {e}") from e
+
+
 def load_checkpoint(path: str):
     """Returns (model, config snapshot or None)."""
     try:
         with open(path, "rb") as f:
-            blob = f.read()
+            header, payload_size = _read_header(f)
+            try:
+                tensors = _read_tensors(f, header, payload_size)
+                return _build_model(header, tensors)
+            except (KeyError, TypeError, ValueError) as e:
+                raise CheckpointError(f"malformed header: {type(e).__name__} {e}") from e
     except OSError as e:
         raise CheckpointError(f"cannot read checkpoint: {e}") from e
-    if blob[:8] != MAGIC:
-        raise CheckpointError("bad magic; not a checkpoint file")
-    if len(blob) < 20:
-        raise CheckpointError("file truncated inside the fixed-size preamble")
-    version, = struct.unpack_from("<I", blob, 8)
-    if version != FORMAT_VERSION:
-        raise CheckpointError(f"unsupported format version {version}")
-    hlen, = struct.unpack_from("<Q", blob, 12)
-    header_end = 20 + hlen
-    if header_end > len(blob):
-        raise CheckpointError("header truncated")
-    try:
-        header = json.loads(blob[20:header_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise CheckpointError(f"unreadable header: {e}") from e
-    try:
-        # a view: the payload is hashed and read in place, not copied
-        return _build_model(header, memoryview(blob)[header_end:])
-    except (KeyError, TypeError, ValueError) as e:
-        raise CheckpointError(f"malformed header: {type(e).__name__} {e}") from e
 
 
-def _build_model(header: dict, payload: memoryview):
+def _build_model(header: dict, tensors: dict[str, np.ndarray]):
     """The header's model, built by the library's own constructors from zero
-    draws, then filled from the file block by block, so a header that
-    disagrees with the payload fails before the next block is allocated."""
-    tensors = _read_tensors(header, payload)
+    draws, then filled with the file's tensors block by block, so a header
+    that disagrees with them fails before the next block is allocated."""
     batchnorm = sorted(name for name in tensors if ".query_bn." in name)
     if batchnorm:
         raise CheckpointError("query batchnorm was removed, so a file with its "

@@ -4,6 +4,7 @@ import json
 import os
 import struct
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -372,7 +373,10 @@ def test_checkpoint_rejects_bad_version(tmp_path):
     # refuses before allocating it
     (lambda h: h["model"].update(d=2 ** 16), "larger than the payload"),
     (lambda h: h["model"].update(trainable=["x", None, 7]), "trainable"),
-], ids=["sizes_beyond_payload", "trainable_not_bool"])
+    # a [2**40] f32 table entry in a small file: the table is checked
+    # against the file's size before any tensor is allocated
+    (lambda h: h["tensors"][0].update(shape=[2 ** 40]), "payload truncated at embed"),
+], ids=["sizes_beyond_payload", "trainable_not_bool", "table_entry_beyond_file"])
 def test_checkpoint_rejects_header_edit(tmp_path, edit, match):
     _, model = _small_model("pkm")
     path = str(tmp_path / "model.ckpt")
@@ -394,7 +398,8 @@ def test_checkpoint_rejects_truncated_payload(tmp_path):
     save_checkpoint(path, model)
     raw = open(path, "rb").read()
     open(path, "wb").write(raw[:-16])
-    with pytest.raises(CheckpointError):
+    # the tensor table is checked against the file's size before any read
+    with pytest.raises(CheckpointError, match="payload truncated at blocks.2.ffn_gain"):
         load_checkpoint(path)
 
 
@@ -415,7 +420,7 @@ def test_checkpoint_rejects_trailing_garbage(tmp_path):
     save_checkpoint(path, model)
     with open(path, "ab") as f:
         f.write(b"leftover")
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CheckpointError, match="trailing bytes after last tensor"):
         load_checkpoint(path)
 
 
@@ -433,3 +438,52 @@ def test_checkpoint_preserves_dus_copy_blocks(tmp_path):
     a, _ = model_forward(toks, model, training=False)
     b, _ = model_forward(toks, loaded, training=False)
     assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# streaming: a round trip holds the model and one skeleton block, never the
+# payload as one object
+
+MiB = 1 << 20
+
+
+def _pkm_n64():
+    base = init_base_model(vocab=256, d=64, heads=4, d_ff=256, depth=4, rng=make_rng(0))
+    plan = UpscalePlan(policy=PlacementPolicy("distributed", 4, 2),
+                       insert_kind="memory_block", memory_kind=MemoryLayerKind("pkm"),
+                       memory_cfg=MemoryConfig(heads=4, n=64, k=8, d=64), seed=1)
+    with precision("f32"):
+        return build_memory_dus(base, plan)
+
+
+def _traced_peak(fn) -> int:
+    """Peak traced bytes of one call of fn above those traced before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_checkpoint_save_forms_no_payload(tmp_path):
+    """Saving hashes and writes the model's own arrays. Joining their bytes
+    into one payload took about twice the model (6.7 MiB here)."""
+    model, path = _pkm_n64(), str(tmp_path / "model.ckpt")
+    save_checkpoint(path, model)  # warm-up
+    assert sum(a.nbytes for _, a in named_params(model)) > 3 * MiB
+    assert _traced_peak(lambda: save_checkpoint(path, model)) <= 0.1 * MiB
+
+
+def test_checkpoint_load_reads_each_tensor_once(tmp_path):
+    """Loading reads each tensor into its own array, so its peak is the
+    loaded model plus one skeleton block. Reading the whole file and
+    copying each tensor out of it took about 2.5 times the model."""
+    model, path = _pkm_n64(), str(tmp_path / "model.ckpt")
+    save_checkpoint(path, model)
+    load_checkpoint(path)  # warm-up
+    total = sum(a.nbytes for _, a in named_params(model))
+    largest = max(sum(a.nbytes for _, a in named_params(b)) for b in model.blocks)
+    del model
+    assert _traced_peak(lambda: load_checkpoint(path)) <= total + largest + 0.25 * MiB
